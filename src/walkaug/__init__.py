@@ -52,7 +52,6 @@ from .models import (
 from .rules import (
     RuleMap,
     build_rulemaps,
-    compute_rule_confidence,
     metapath_pairs,
     read_rules_report,
     write_rules_report,
@@ -86,8 +85,8 @@ __all__ = [
     "NumericError", "PathGroup", "RandomWalk", "RankingResult", "RnnParams",
     "RuleMap", "SharingStrategy", "SparseGrads", "TrainResult", "Triplet",
     "apply_update", "build_adjacency", "build_minibatch", "build_rulemaps",
-    "compute_association", "compute_metrics", "compute_rule_confidence",
-    "correction_residual", "evaluate", "extend_join", "init_state",
+    "compute_association", "compute_metrics", "correction_residual",
+    "evaluate", "extend_join", "init_state",
     "load_checkpoint", "load_tsv_dataset", "loss_and_grad",
     "metapath_pairs", "metapath_representation", "mine_informative_metapaths",
     "negative_sample", "random_walk", "rank_triplet", "read_embedding_matrix",

@@ -26,7 +26,7 @@ from .mining import (
 )
 from .models import SCORINGS, ModelConfig
 from .rules import build_rulemaps, read_rules_report, write_rules_report
-from .sharing import COMPOSE_OPS, STRATEGY_KINDS, SharingStrategy
+from .sharing import STRATEGY_KINDS, SharingStrategy
 from .storage import (
     load_checkpoint,
     write_embedding_matrix,
@@ -59,7 +59,6 @@ class PipelineConfig:
     # training
     mode: str = "metapaths"
     strategy: str = "none"
-    compose_op: str = "sum"
     basis_count: int | None = None
     basis_include_original: bool = False
     scoring: str = "transe_l2"
@@ -87,8 +86,6 @@ class PipelineConfig:
             (self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}"),
             (self.strategy in STRATEGY_KINDS,
              f"strategy must be one of {STRATEGY_KINDS}, got {self.strategy!r}"),
-            (self.compose_op in COMPOSE_OPS,
-             f"compose op must be one of {COMPOSE_OPS}, got {self.compose_op!r}"),
             (self.scoring in SCORINGS, f"scoring must be one of {SCORINGS}, got {self.scoring!r}"),
             (self.rule_sampling in RULE_SAMPLING_MODES,
              f"rule sampling must be one of {RULE_SAMPLING_MODES}, got {self.rule_sampling!r}"),
@@ -122,8 +119,7 @@ class PipelineConfig:
 
     def sharing_strategy(self) -> SharingStrategy:
         strategy = SharingStrategy(
-            kind=self.strategy, compose_op=self.compose_op,
-            basis_count=self.basis_count,
+            kind=self.strategy, basis_count=self.basis_count,
             basis_include_original=self.basis_include_original,
         )
         strategy.validate(self.scoring)
@@ -364,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--strategy", choices=STRATEGY_KINDS)
-    p.add_argument("--compose-op", dest="compose_op", choices=COMPOSE_OPS)
     p.add_argument("--basis-count", dest="basis_count", type=int)
     p.add_argument("--basis-include-original", dest="basis_include_original",
                    action=argparse.BooleanOptionalAction)

@@ -115,7 +115,6 @@ class KnowledgeGraph:
         num_relations: int,
         entity_dict: Dictionary | None = None,
         relation_dict: Dictionary | None = None,
-        node_types: dict[int, int] | None = None,
     ):
         heads = np.ascontiguousarray(heads, dtype=np.int64)
         relations = np.ascontiguousarray(relations, dtype=np.int64)
@@ -139,7 +138,6 @@ class KnowledgeGraph:
         self.tails = tails
         self.entity_dict = entity_dict
         self.relation_dict = relation_dict
-        self.node_types = node_types
 
         order = np.argsort(heads, kind="stable")
         counts = np.bincount(heads, minlength=num_entities) if heads.size else np.zeros(num_entities, np.int64)
@@ -190,7 +188,6 @@ def build_adjacency(
     num_relations: int | None = None,
     entity_dict: Dictionary | None = None,
     relation_dict: Dictionary | None = None,
-    node_types: dict[int, int] | None = None,
 ) -> KnowledgeGraph:
     """Build a KnowledgeGraph from an (n, 3) array or iterable of id triples."""
     arr = np.asarray(list(triplets) if not isinstance(triplets, np.ndarray) else triplets, dtype=np.int64)
@@ -205,7 +202,7 @@ def build_adjacency(
             num_relations = int(arr[:, 1].max()) + 1 if arr.size else 0
     return KnowledgeGraph(
         arr[:, 0], arr[:, 1], arr[:, 2], num_entities, num_relations,
-        entity_dict=entity_dict, relation_dict=relation_dict, node_types=node_types,
+        entity_dict=entity_dict, relation_dict=relation_dict,
     )
 
 
@@ -221,7 +218,6 @@ def sample_edges(graph: KnowledgeGraph, p: float, seed: int = 0) -> KnowledgeGra
         graph.heads[keep], graph.relations[keep], graph.tails[keep],
         graph.num_entities, graph.num_relations,
         entity_dict=graph.entity_dict, relation_dict=graph.relation_dict,
-        node_types=graph.node_types,
     )
 
 

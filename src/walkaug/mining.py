@@ -57,6 +57,24 @@ class _RelIndex:
     dst: np.ndarray      # (count,)
     edge: np.ndarray     # (count,)
 
+    def follow(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Range join of `nodes` with this relation's out-edges.
+
+        Returns parallel (rows, slots): one entry per (node, out-edge) match,
+        where rows index `nodes` (ascending) and slots index `dst` / `edge`.
+        """
+        starts = self.offsets[nodes]
+        counts = self.offsets[nodes + 1] - starts
+        total = int(counts.sum())
+        if total == 0:  # the common case on typed graphs; skip the index arithmetic
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        rows = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
+        first = np.zeros(nodes.size, dtype=np.int64)
+        np.cumsum(counts[:-1], out=first[1:])
+        slots = starts[rows] + (np.arange(total, dtype=np.int64) - first[rows])
+        return rows, slots
+
 
 class JoinTable:
     """Path instances grouped by metapath."""
@@ -103,16 +121,9 @@ class JoinTable:
 
 def _extend_group(group: PathGroup, idx: _RelIndex) -> PathGroup | None:
     """Join every instance in `group` with the indexed relation's out-edges."""
-    starts = idx.offsets[group.dst]
-    counts = idx.offsets[group.dst + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
+    rows, take = idx.follow(group.dst)
+    if rows.size == 0:
         return None
-    rows = np.repeat(np.arange(group.size, dtype=np.int64), counts)
-    first = np.zeros(group.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=first[1:])
-    within = np.arange(total, dtype=np.int64) - first[rows]
-    take = starts[rows] + within
     edges = np.concatenate((group.edges[rows], idx.edge[take][:, None]), axis=1)
     return PathGroup(group.src[rows], idx.dst[take], edges)
 

@@ -7,6 +7,11 @@ A metapath m implies a relation q with confidence
 
 where both sides count distinct entity pairs. A rule map keeps, per
 metapath, every relation whose confidence reaches the threshold.
+
+Rules run on the miner's join: `build_rulemaps` builds one 1-hop
+`JoinTable` (and so one hop index) per call, and every metapath walks it
+with the same `follow` range join the miner extends its groups with,
+deduplicating the connected pairs after each hop.
 """
 
 from __future__ import annotations
@@ -35,55 +40,28 @@ class RuleMap:
         return sorted(self.entries.items())
 
 
-def _pair_frontier(graph: KnowledgeGraph, metapath: Metapath) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (src, dst) pairs connected by `metapath`, deduped per hop."""
-    index = JoinTable.from_graph(graph).hop_index()
-    n = np.int64(graph.num_entities)
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
+def metapath_pairs(base: JoinTable, metapath: Metapath) -> np.ndarray:
+    """Sorted unique keys head * num_entities + tail of pairs `metapath` connects.
 
-    idx = index.get(metapath[0])
-    if idx is None:
-        return empty
-    mask = graph.relations == metapath[0]
-    src, dst = graph.heads[mask], graph.tails[mask]
-    keys = np.unique(src * n + dst)
-    src, dst = keys // n, keys % n
-
+    `base` is the 1-hop table of the graph (`JoinTable.from_graph`); its hop
+    index is built on first use and reused by later calls.
+    """
+    if not metapath:
+        raise ValueError("metapath must contain at least one relation")
+    n = np.int64(base.num_entities)
+    group = base.groups.get((metapath[0],))
+    if group is None:
+        return np.empty(0, np.int64)
+    keys = np.unique(group.src * n + group.dst)
+    index = base.hop_index()
     for rel in metapath[1:]:
         idx = index.get(rel)
         if idx is None:
-            return empty
-        starts = idx.offsets[dst]
-        counts = idx.offsets[dst + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return empty
-        rows = np.repeat(np.arange(src.size, dtype=np.int64), counts)
-        first = np.zeros(src.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=first[1:])
-        take = starts[rows] + (np.arange(total, dtype=np.int64) - first[rows])
-        keys = np.unique(src[rows] * n + idx.dst[take])
-        src, dst = keys // n, keys % n
-    return src, dst
-
-
-def metapath_pairs(graph: KnowledgeGraph, metapath: Metapath) -> np.ndarray:
-    """Sorted unique keys head * num_entities + tail of pairs `metapath` connects."""
-    if not metapath:
-        raise ValueError("metapath must contain at least one relation")
-    src, dst = _pair_frontier(graph, metapath)
-    return src * np.int64(graph.num_entities) + dst
-
-
-def compute_rule_confidence(graph: KnowledgeGraph, metapath: Metapath, relation: int) -> float | None:
-    """conf(metapath -> relation), or None when the metapath connects no pairs."""
-    keys = metapath_pairs(graph, metapath)
-    if keys.size == 0:
-        return None
-    mask = graph.relations == relation
-    rel_keys = np.unique(graph.heads[mask] * np.int64(graph.num_entities) + graph.tails[mask])
-    matched = np.intersect1d(keys, rel_keys, assume_unique=True)
-    return matched.size / keys.size
+            return np.empty(0, np.int64)
+        src, dst = np.divmod(keys, n)
+        rows, slots = idx.follow(dst)
+        keys = np.unique(src[rows] * n + idx.dst[slots])
+    return keys
 
 
 def build_rulemaps(
@@ -98,18 +76,19 @@ def build_rulemaps(
     """
     if not 0.0 < conf_threshold <= 1.0:
         raise ValueError(f"confidence threshold must be in (0, 1], got {conf_threshold}")
-    n = np.int64(graph.num_entities)
-    graph_keys = graph.heads * n + graph.tails
+    base = JoinTable.from_graph(graph)
+    graph_keys = graph.pair_keys()
     out: dict[Metapath, RuleMap] = {}
     for metapath in sorted(metapaths):
-        keys = metapath_pairs(graph, metapath)
+        keys = metapath_pairs(base, metapath)
         entries: dict[int, float] = {}
         if keys.size:
-            hit = np.isin(graph_keys, keys)
+            pos = np.searchsorted(keys, graph_keys)
+            hit = keys[np.minimum(pos, keys.size - 1)] == graph_keys
             if hit.any():
-                # one key per distinct (relation, head, tail)
-                combo = np.unique(graph.relations[hit] * (n * n) + graph_keys[hit])
-                rels, counts = np.unique(combo // (n * n), return_counts=True)
+                # one key per distinct (relation, pair), the pair by its rank in `keys`
+                combo = np.unique(graph.relations[hit] * keys.size + pos[hit])
+                rels, counts = np.unique(combo // keys.size, return_counts=True)
                 for rel, count in zip(rels, counts):
                     conf = count / keys.size
                     if conf >= conf_threshold:

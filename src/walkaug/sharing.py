@@ -28,21 +28,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from .models import EmbeddingState
 
 STRATEGY_KINDS = ("none", "model", "rnn", "basis")
-COMPOSE_OPS = ("sum", "product")
 
 
 @dataclass(frozen=True)
 class SharingStrategy:
     kind: str = "none"
-    compose_op: str = "sum"          # model strategy only
     basis_count: int | None = None   # basis strategy; None -> min(|relations|, 64)
     basis_include_original: bool = False
 
     def validate(self, scoring: str | None = None) -> None:
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown sharing strategy {self.kind!r}")
-        if self.compose_op not in COMPOSE_OPS:
-            raise ConfigError(f"unknown compose op {self.compose_op!r}")
         if self.basis_count is not None and self.basis_count < 1:
             raise ConfigError(f"basis count must be positive, got {self.basis_count}")
         if self.kind == "model" and scoring == "distmult":
@@ -140,29 +136,17 @@ class SparseGrads:
             self.add_basis_coef(key, grad)
 
 
-def compose_vectors(vectors: np.ndarray, op: str = "sum") -> np.ndarray:
-    """Left fold of the composition op over the rows of `vectors`."""
+def compose_vectors(vectors: np.ndarray) -> np.ndarray:
+    """Left-fold sum over the rows of `vectors`."""
     out = vectors[0].copy()
     for row in vectors[1:]:
-        if op == "sum":
-            out += row
-        else:
-            out *= row
+        out += row
     return out
 
 
-def compose_backward(vectors: np.ndarray, grad: np.ndarray, op: str = "sum") -> np.ndarray:
+def compose_backward(vectors: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Per-row gradients of compose_vectors; shape matches `vectors`."""
-    if op == "sum":
-        return np.broadcast_to(grad, vectors.shape).copy()
-    out = np.empty_like(vectors)
-    for i in range(vectors.shape[0]):
-        others = grad.copy()
-        for j in range(vectors.shape[0]):
-            if j != i:
-                others *= vectors[j]
-        out[i] = others
-    return out
+    return np.broadcast_to(grad, vectors.shape).copy()
 
 
 def rnn_forward(params: RnnParams, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -210,7 +194,7 @@ def metapath_representation(
             raise ValueError(f"metapath {metapath} has no minted embedding row")
         return state.relation_emb[rid]
     if strategy.kind == "model":
-        return compose_vectors(state.relation_emb[list(metapath)], strategy.compose_op)
+        return compose_vectors(state.relation_emb[list(metapath)])
     if strategy.kind == "rnn":
         if state.rnn is None:
             raise ValueError("state carries no recurrence parameters")
@@ -235,7 +219,7 @@ def strategy_backward(
         out.add_relation(rid, grad)
     elif strategy.kind == "model":
         rows = state.relation_emb[list(metapath)]
-        per_row = compose_backward(rows, grad, strategy.compose_op)
+        per_row = compose_backward(rows, grad)
         for rel, row_grad in zip(metapath, per_row):
             out.add_relation(int(rel), row_grad)
     elif strategy.kind == "rnn":

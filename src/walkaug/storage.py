@@ -128,11 +128,16 @@ def load_checkpoint(directory: str) -> Checkpoint:
         minted = registry.get_or_mint(tuple(metapath))
         if minted != rid:
             raise DataError(f"checkpoint registry ids are not contiguous at {rid}")
+    strategy = dict(meta["strategy"])
+    # older checkpoints store the model composition, which is always the sum
+    compose_op = strategy.pop("compose_op", "sum")
+    if compose_op != "sum":
+        raise DataError(f"{meta_path}: unsupported compose op {compose_op!r}")
     return Checkpoint(
         state=_load_state(directory, "", meta["state"]),
         best_state=_load_state(directory, "best_", meta["best_state"]),
         config=ModelConfig(**meta["config"]),
-        strategy=SharingStrategy(**meta["strategy"]),
+        strategy=SharingStrategy(**strategy),
         registry=registry,
         rng_state=meta["rng_state"],
         epoch=meta["epoch"],

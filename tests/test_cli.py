@@ -185,6 +185,23 @@ def test_eval_rejects_mismatched_dataset(data, tmp_path, capsys):
     assert "entities" in capsys.readouterr().err
 
 
+def test_eval_reads_stored_compose_op(data, capsys):
+    # checkpoints from before the model composition was fixed to the sum carry it in meta.json
+    assert main(base_args(data, "mine")) == 0
+    assert main(base_args(data, "rules")) == 0
+    argv = base_args(data, "train") + TRAIN_SPEED + ["--strategy", "model", "--epochs", "1"]
+    assert main(argv) == 0
+    meta_path = os.path.join(data["out"], "checkpoint", "meta.json")
+    meta = json.load(open(meta_path))
+    eval_argv = base_args(data, "eval") + ["--test", data["test"]]
+    for op, code in (("sum", 0), ("product", 3)):
+        meta["strategy"]["compose_op"] = op
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        assert main(eval_argv) == code, op
+    assert "compose op 'product'" in capsys.readouterr().err
+
+
 def test_explicit_dictionaries_and_tsv_export(data, tmp_path):
     names = XS + YS + ZS
     edict, rdict = str(tmp_path / "e.dict"), str(tmp_path / "r.dict")

@@ -7,8 +7,9 @@ from conftest import make_graph, random_multigraph
 from oracles import dfs_metapath_pairs
 from walkaug import (
     Dictionary,
+    JoinTable,
+    build_adjacency,
     build_rulemaps,
-    compute_rule_confidence,
     metapath_pairs,
     read_rules_report,
     write_rules_report,
@@ -20,13 +21,31 @@ def decode_pairs(graph, keys):
     return {(int(k) // n, int(k) % n) for k in keys}
 
 
+def confidences(graph, metapath):
+    """Every non-zero conf(metapath -> q), as build_rulemaps scores it."""
+    return build_rulemaps(graph, [metapath], conf_threshold=1e-12)[metapath].entries
+
+
+def oracle_confidences(graph, metapath):
+    """Every non-zero conf(metapath -> q), from recursively enumerated pairs."""
+    pairs = dfs_metapath_pairs(graph.heads, graph.relations, graph.tails, metapath)
+    out = {}
+    for q in range(graph.num_relations):
+        q_pairs = {(int(h), int(t)) for h, r, t in
+                   zip(graph.heads, graph.relations, graph.tails) if r == q}
+        hits = len(pairs & q_pairs)
+        if hits:
+            out[q] = hits / len(pairs)
+    return out
+
+
 def test_family_fixture_perfect_confidence():
     # mother(a,b), husband(b,c), father(a,c): (mother|husband) -> father at 1.0
     mother, husband, father = 0, 1, 2
     a, b, c = 0, 1, 2
     g = make_graph([(a, mother, b), (b, husband, c), (a, father, c)])
-    conf = compute_rule_confidence(g, (mother, husband), father)
-    assert conf == 1.0
+    assert confidences(g, (mother, husband)) == {father: 1.0}
+    assert oracle_confidences(g, (mother, husband)) == {father: 1.0}
 
 
 def test_confidence_counts_distinct_pairs_only():
@@ -37,13 +56,15 @@ def test_confidence_counts_distinct_pairs_only():
         (0, 2, 3),                                   # q edge only for 0 -> 3
     ])
     # pairs: (0,3) and (0,5); only (0,3) has the q edge
-    assert metapath_pairs(g, (0, 1)).size == 2
-    assert compute_rule_confidence(g, (0, 1), 2) == 0.5
+    assert metapath_pairs(JoinTable.from_graph(g), (0, 1)).size == 2
+    assert confidences(g, (0, 1)) == {2: 0.5} == oracle_confidences(g, (0, 1))
 
 
 def test_confidence_none_when_metapath_empty():
     g = make_graph([(0, 0, 1), (1, 2, 2)])
-    assert compute_rule_confidence(g, (0, 1), 2) is None
+    assert metapath_pairs(JoinTable.from_graph(g), (0, 1)).size == 0
+    assert dfs_metapath_pairs(g.heads, g.relations, g.tails, (0, 1)) == set()
+    assert confidences(g, (0, 1)) == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -55,11 +76,15 @@ def test_pairs_match_dfs_oracle(data):
         st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_rels - 1),
                   st.integers(0, num_nodes - 1)),
         min_size=1, max_size=50))
-    metapath = tuple(data.draw(st.lists(st.integers(0, num_rels - 1), min_size=1, max_size=3)))
+    metapaths = data.draw(st.lists(
+        st.lists(st.integers(0, num_rels - 1), min_size=1, max_size=3).map(tuple),
+        min_size=1, max_size=4))
     g = make_graph(edges, num_nodes, num_rels)
-    ours = decode_pairs(g, metapath_pairs(g, metapath))
-    ref = dfs_metapath_pairs(g.heads, g.relations, g.tails, metapath)
-    assert ours == ref
+    base = JoinTable.from_graph(g)  # one table, hence one hop index, for every metapath
+    for metapath in metapaths:
+        ours = decode_pairs(g, metapath_pairs(base, metapath))
+        ref = dfs_metapath_pairs(g.heads, g.relations, g.tails, metapath)
+        assert ours == ref
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,13 +97,7 @@ def test_confidence_matches_counting_oracle(data):
                   st.integers(0, num_nodes - 1)),
         min_size=2, max_size=50))
     g = make_graph(edges, num_nodes, num_rels)
-    metapath = (0, 1)
-    pair_set = dfs_metapath_pairs(g.heads, g.relations, g.tails, metapath)
-    for q in range(num_rels):
-        q_pairs = {(int(h), int(t)) for h, r, t in
-                   zip(g.heads, g.relations, g.tails) if r == q}
-        expected = None if not pair_set else len(pair_set & q_pairs) / len(pair_set)
-        assert compute_rule_confidence(g, metapath, q) == expected
+    assert confidences(g, (0, 1)) == oracle_confidences(g, (0, 1))
 
 
 def test_build_rulemaps_thresholds_and_covers_all_inputs():
@@ -89,14 +108,9 @@ def test_build_rulemaps_thresholds_and_covers_all_inputs():
     assert set(maps) == set(metapaths)
     for metapath, rule in maps.items():
         assert rule.threshold == 0.3
-        for q, conf in rule.entries.items():
-            assert conf >= 0.3
-            assert compute_rule_confidence(g, metapath, q) == conf
-        # nothing above threshold was dropped
-        for q in range(g.num_relations):
-            ref = compute_rule_confidence(g, metapath, q)
-            if ref is not None and ref >= 0.3:
-                assert q in rule.entries
+        ref = oracle_confidences(g, metapath)
+        # exactly the oracle's confidences at or above the threshold
+        assert rule.entries == {q: conf for q, conf in ref.items() if conf >= 0.3}
 
 
 def test_build_rulemaps_empty_metapath_gets_empty_map():
@@ -116,8 +130,14 @@ def test_build_rulemaps_validates_threshold():
 def test_rule_can_target_relation_inside_the_metapath():
     # transitive relation: r0 two-hop implies r0 itself
     g = make_graph([(0, 0, 1), (1, 0, 2), (0, 0, 2)])
-    conf = compute_rule_confidence(g, (0, 0), 0)
-    assert conf == 1.0
+    assert confidences(g, (0, 0)) == {0: 1.0} == oracle_confidences(g, (0, 0))
+
+
+def test_confidence_keys_do_not_overflow_with_many_entities_and_relations():
+    # relation * n^2 exceeds int64 here; the relation id must survive counting
+    q = 599_999
+    g = build_adjacency([(0, q, 1), (1, q, 2), (0, q, 2)], 4_000_000, 600_000)
+    assert build_rulemaps(g, [(q, q)])[(q, q)].entries == {q: 1.0}
 
 
 def test_report_roundtrip(tmp_path):

@@ -43,8 +43,6 @@ def test_validation_rejects_bad_settings():
     with pytest.raises(ConfigError):
         SharingStrategy(kind="conv").validate()
     with pytest.raises(ConfigError):
-        SharingStrategy(kind="model", compose_op="concat").validate()
-    with pytest.raises(ConfigError):
         SharingStrategy(kind="basis", basis_count=0).validate()
     SharingStrategy(kind="model").validate("transe_l1")  # fine
 
@@ -84,30 +82,15 @@ def test_parameter_shapes_per_strategy():
 def test_compose_matches_left_fold_exactly(rows):
     vectors = np.array(rows, dtype=np.float64)
     want_sum = functools.reduce(np.add, list(vectors))
-    want_prod = functools.reduce(np.multiply, list(vectors))
-    assert np.array_equal(compose_vectors(vectors, "sum"), want_sum)
-    assert np.array_equal(compose_vectors(vectors, "product"), want_prod)
+    assert np.array_equal(compose_vectors(vectors), want_sum)
 
 
 def test_compose_sum_backward_broadcasts_grad():
     vectors = np.arange(12, dtype=np.float64).reshape(3, 4)
     grad = np.array([1.0, -2.0, 0.5, 3.0])
-    per_row = compose_backward(vectors, grad, "sum")
+    per_row = compose_backward(vectors, grad)
     assert per_row.shape == vectors.shape
     assert np.array_equal(per_row, np.tile(grad, (3, 1)))
-
-
-def test_compose_product_backward_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    vectors = rng.uniform(0.5, 1.5, size=(3, 4))
-    grad = rng.normal(size=4)
-    analytic = compose_backward(vectors, grad, "product")
-
-    def fn():
-        return float(grad @ compose_vectors(vectors, "product"))
-
-    numeric = numeric_gradient(fn, vectors)
-    np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
 
 def test_rnn_forward_matches_manual_recurrence():
