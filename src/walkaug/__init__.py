@@ -42,7 +42,10 @@ from .mining import (
 from .models import (
     EmbeddingState,
     ModelConfig,
+    TripletBatch,
     apply_update,
+    batch_loss_and_grad,
+    draw_negatives,
     init_state,
     loss_and_grad,
     negative_sample,
@@ -84,9 +87,10 @@ __all__ = [
     "MetapathInfo", "MiningLimitError", "ModelConfig", "NewRelationRegistry",
     "NumericError", "PathGroup", "RandomWalk", "RankingResult", "RnnParams",
     "RuleMap", "SharingStrategy", "SparseGrads", "TrainResult", "Triplet",
-    "apply_update", "build_adjacency", "build_minibatch", "build_rulemaps",
+    "TripletBatch", "apply_update", "batch_loss_and_grad", "build_adjacency",
+    "build_minibatch", "build_rulemaps",
     "compute_association", "compute_metrics", "correction_residual",
-    "evaluate", "extend_join", "init_state",
+    "draw_negatives", "evaluate", "extend_join", "init_state",
     "load_checkpoint", "load_tsv_dataset", "loss_and_grad",
     "metapath_pairs", "metapath_representation", "mine_informative_metapaths",
     "negative_sample", "random_walk", "rank_triplet", "read_embedding_matrix",

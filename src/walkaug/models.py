@@ -1,6 +1,7 @@
 """Shallow embedding models: state, scoring, logistic loss, sparse SGD.
 
-Two scorers over entity/relation vectors of one shared dimension:
+Two scorers over entity/relation vectors of one shared dimension, each
+evaluated over any leading axes:
 
   transe_l1 / transe_l2   s(h, r, t) = -|h + r - t| under the L1 / L2 norm
   distmult                s(h, r, t) = sum_i h_i * r_i * t_i
@@ -11,9 +12,10 @@ corruptions:
 
   loss = weight * [softplus(-(margin + s_pos)) + mean_j softplus(margin + s_j)]
 
-Gradients are collected per touched row (entities, relations, sharing
-parameters) and applied by plain SGD with optional L2 shrinkage on exactly
-the touched rows.
+`batch_loss_and_grad` evaluates a whole minibatch: entity gradients are
+summed onto the unique touched rows, and each relation vector is built and
+backpropagated once per batch. They are applied by plain SGD with optional
+L2 shrinkage on exactly the touched rows.
 """
 
 from __future__ import annotations
@@ -153,31 +155,39 @@ def init_state(
     return EmbeddingState(entity, relation, num_relations, dict(minted_paths), rnn, basis)
 
 
-def score(h: np.ndarray, r: np.ndarray, t: np.ndarray, scoring: str) -> float:
-    """Plausibility of one triplet from its three vectors (higher is better)."""
-    if h.shape != r.shape or h.shape != t.shape:
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def score(h: np.ndarray, r: np.ndarray, t: np.ndarray, scoring: str):
+    """Plausibility of triplets from their vectors (higher is better).
+
+    The last axis is the embedding dimension and the leading axes
+    broadcast: three (d,) vectors give one score, (B, d) blocks give (B,)
+    scores, and (B, k, d) entity blocks with a (B, 1, d) relation block
+    give (B, k) scores.
+    """
+    if not h.shape[-1:] == r.shape[-1:] == t.shape[-1:]:  # leading axes broadcast or raise
         raise ValueError(f"vector shapes differ: {h.shape}, {r.shape}, {t.shape}")
     if scoring == "transe_l2":
         delta = h + r - t
-        return float(-np.sqrt(delta @ delta))
+        return -np.sqrt(_rowdot(delta, delta))
     if scoring == "transe_l1":
-        return float(-np.abs(h + r - t).sum())
+        return -np.abs(h + r - t).sum(axis=-1)
     if scoring == "distmult":
-        return float((h * t) @ r)
+        return _rowdot(h * t, r)
     raise ValueError(f"unknown scoring {scoring!r}")
 
 
 def score_backward(
     h: np.ndarray, r: np.ndarray, t: np.ndarray, scoring: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ds/dh, ds/dr, ds/dt) for one triplet."""
+    """(ds/dh, ds/dr, ds/dt), each of the broadcast shape of the inputs."""
     if scoring == "transe_l2":
         delta = h + r - t
-        norm = math.sqrt(float(delta @ delta))
-        if norm == 0.0:
-            zero = np.zeros_like(h)
-            return zero, zero.copy(), zero.copy()
-        g = -delta / norm
+        norm = np.sqrt(_rowdot(delta, delta))[..., None]
+        # a zero norm is the kink of |.|; it gets the zero subgradient
+        g = np.divide(-delta, norm, out=np.zeros_like(delta), where=norm > 0)
         return g, g, -g
     if scoring == "transe_l1":
         g = -np.sign(h + r - t)
@@ -187,32 +197,155 @@ def score_backward(
     raise ValueError(f"unknown scoring {scoring!r}")
 
 
-def negative_sample(triplet, num_entities: int, k: int, rng) -> list[Triplet]:
-    """k corruptions of `triplet`, each replacing head or tail by a fair coin."""
+@dataclass(frozen=True)
+class TripletBatch:
+    """Weighted positives as parallel arrays of length B."""
+
+    heads: np.ndarray      # int64
+    relations: np.ndarray  # int64
+    tails: np.ndarray      # int64
+    weights: np.ndarray    # float64
+
+    @classmethod
+    def pack(cls, triplets) -> "TripletBatch":
+        """Arrays of head/relation/tail records; a record without a weight weighs 1."""
+        n = len(triplets)
+        return cls(
+            np.fromiter((t.head for t in triplets), np.int64, n),
+            np.fromiter((t.relation for t in triplets), np.int64, n),
+            np.fromiter((t.tail for t in triplets), np.int64, n),
+            np.fromiter((getattr(t, "weight", 1.0) for t in triplets), np.float64, n),
+        )
+
+    def __len__(self) -> int:
+        return int(self.heads.size)
+
+    def select(self, mask: np.ndarray) -> "TripletBatch":
+        return TripletBatch(self.heads[mask], self.relations[mask], self.tails[mask],
+                            self.weights[mask])
+
+
+def draw_negatives(
+    batch: TripletBatch, num_entities: int, k: int, rng,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, tails) of k corruptions per positive, each of shape (B, k).
+
+    Two draws per batch: first `rng.random((B, k)) < 0.5` picks the
+    replaced side of every corruption (True replaces the head), then
+    `rng.integers(num_entities, size=(B, k))` picks the replacing entities.
+    """
     if k < 1:
         raise ValueError(f"need at least one negative, got {k}")
     if num_entities < 1:
         raise ValueError("cannot corrupt over an empty entity set")
-    out = []
-    for _ in range(k):
-        corrupt_head = rng.random() < 0.5
-        entity = int(rng.integers(num_entities))
-        if corrupt_head:
-            out.append(Triplet(entity, triplet.relation, triplet.tail))
-        else:
-            out.append(Triplet(triplet.head, triplet.relation, entity))
-    return out
+    size = (len(batch), k)
+    corrupt_head = rng.random(size) < 0.5
+    entity = rng.integers(num_entities, size=size)
+    heads = np.where(corrupt_head, entity, batch.heads[:, None])
+    tails = np.where(corrupt_head, batch.tails[:, None], entity)
+    return heads, tails
 
 
-def _softplus(x: float) -> float:
-    return float(np.logaddexp(0.0, x))
+def negative_sample(triplet, num_entities: int, k: int, rng) -> list[Triplet]:
+    """k corruptions of `triplet`, each replacing head or tail by a fair coin."""
+    heads, tails = draw_negatives(TripletBatch.pack([triplet]), num_entities, k, rng)
+    return [Triplet(int(h), triplet.relation, int(t)) for h, t in zip(heads[0], tails[0])]
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def _softplus(x: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, x)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# Values in one block of vectors (128 KB of float64). A chunk of positives
+# gathers its (chunk, 2 + 2k, d) head, tail and corruption vectors as one
+# block, and the SGD step updates rows in blocks of this size, so scratch
+# memory does not grow with the length of a minibatch.
+BLOCK_VALUES = 1 << 14
+
+
+def batch_loss_and_grad(
+    batch: TripletBatch,
+    neg_heads: np.ndarray,
+    neg_tails: np.ndarray,
+    state: EmbeddingState,
+    strategy: SharingStrategy,
+    config: ModelConfig,
+) -> tuple[float, SparseGrads]:
+    """Summed weighted logistic loss of a minibatch, and its gradients.
+
+    Positive i is scored against the k corruptions in row i of the (B, k)
+    arrays `neg_heads` / `neg_tails`, which keep its relation. Weight-0
+    positives are dropped first and contribute nothing. Each distinct
+    relation's vector is built once; positives are scored in chunks sized
+    by BLOCK_VALUES; entity gradients are summed onto the unique touched
+    rows; and each relation's summed vector gradient goes through
+    `relation_backward` once.
+    """
+    grads = SparseGrads()
+    keep = batch.weights != 0.0
+    if not keep.all():
+        batch, neg_heads, neg_tails = batch.select(keep), neg_heads[keep], neg_tails[keep]
+    size = len(batch)
+    if size == 0:
+        return 0.0, grads
+
+    scoring = config.scoring
+    margin = config.margin
+    k = neg_heads.shape[1]
+    d = state.dim
+    emb = state.entity_emb
+    relations, relation_of = np.unique(batch.relations, return_inverse=True)
+    vectors = np.stack([relation_vector(state, strategy, int(rel)) for rel in relations])
+    # per positive: head, tail, k corrupted heads, k corrupted tails
+    slots = np.concatenate(
+        (batch.heads[:, None], batch.tails[:, None], neg_heads, neg_tails), axis=1)
+    rows, row_of = np.unique(slots, return_inverse=True)
+    row_of = row_of.reshape(slots.shape)
+    entity_grad = np.zeros((rows.size, d))
+    relation_grad = np.zeros((relations.size, d))
+
+    chunk = max(1, BLOCK_VALUES // (slots.shape[1] * d))
+    total = 0.0
+    for lo in range(0, size, chunk):
+        part = slice(lo, lo + chunk)
+        w = batch.weights[part]
+        r = vectors[relation_of[part]]
+        rn = r[:, None, :]
+        block = emb[slots[part]]
+        h, t = block[:, 0], block[:, 1]
+        hn, tn = block[:, 2:2 + k], block[:, 2 + k:]
+        s_pos = score(h, r, t, scoring)
+        s_neg = score(hn, rn, tn, scoring)
+        loss = w * (_softplus(-(margin + s_pos)) + (_softplus(margin + s_neg) / k).sum(axis=1))
+        bad = np.flatnonzero(~np.isfinite(loss))
+        if bad.size:
+            i = lo + int(bad[0])
+            ident = Triplet(int(batch.heads[i]), int(batch.relations[i]), int(batch.tails[i]))
+            raise NumericError(f"non-finite loss {float(loss[bad[0]])!r} for triplet "
+                               f"{tuple(ident)}", triplet=ident)
+        total += float(loss.sum())
+
+        c_pos = (-w * _sigmoid(-(margin + s_pos)))[:, None]
+        c_neg = (w[:, None] * _sigmoid(margin + s_neg) / k)[..., None]
+        dh, dr, dt = score_backward(h, r, t, scoring)
+        dhn, drn, dtn = score_backward(hn, rn, tn, scoring)
+        np.add.at(relation_grad, relation_of[part], c_pos * dr + (c_neg * drn).sum(axis=1))
+        # the gathered vectors are spent: reuse the block for their gradients
+        np.multiply(c_pos, dh, out=block[:, 0])
+        np.multiply(c_pos, dt, out=block[:, 1])
+        np.multiply(c_neg, dhn, out=block[:, 2:2 + k])
+        np.multiply(c_neg, dtn, out=block[:, 2 + k:])
+        np.add.at(entity_grad, row_of[part], block)
+
+    grads.entity_rows, grads.entity_grad = rows, entity_grad
+    for rel, grad in zip(relations.tolist(), relation_grad):
+        relation_backward(state, strategy, rel, grad, grads)
+    return total, grads
 
 
 def loss_and_grad(
@@ -225,69 +358,67 @@ def loss_and_grad(
     """Weighted logistic loss of one positive against its corruptions.
 
     `positive` needs head/relation/tail and may carry a weight (default 1).
-    All negatives must share the positive's relation; only entity rows
-    differ, so the relation vector is built and backpropagated once.
+    All negatives must share the positive's relation. This is
+    `batch_loss_and_grad` on a batch of one.
     """
-    weight = getattr(positive, "weight", 1.0)
-    grads = SparseGrads()
-    if weight == 0.0:
-        return 0.0, grads
+    if any(neg.relation != positive.relation for neg in negatives):
+        raise ValueError("negatives must share the positive's relation")
+    neg_heads = np.array([[neg.head for neg in negatives]], dtype=np.int64)
+    neg_tails = np.array([[neg.tail for neg in negatives]], dtype=np.int64)
+    return batch_loss_and_grad(TripletBatch.pack([positive]), neg_heads, neg_tails,
+                               state, strategy, config)
 
-    scoring = config.scoring
-    margin = config.margin
-    h = state.entity_emb[positive.head]
-    t = state.entity_emb[positive.tail]
-    r = relation_vector(state, strategy, positive.relation)
 
-    s_pos = score(h, r, t, scoring)
-    total = _softplus(-(margin + s_pos))
-    coeff = -weight * _sigmoid(-(margin + s_pos))
-    dh, dr, dt = score_backward(h, r, t, scoring)
-    grads.add_entity(positive.head, coeff * dh)
-    grads.add_entity(positive.tail, coeff * dt)
-    dr_total = coeff * dr
+def _finite_or_raise(values: np.ndarray, name: str, rows: np.ndarray | None = None) -> None:
+    if np.isfinite(values).all():
+        return
+    where = ""
+    if rows is not None:
+        bad = ~np.isfinite(values).reshape(len(rows), -1).all(axis=1)
+        where = f" row {int(rows[np.argmax(bad)])}"
+    raise NumericError(f"non-finite {name}{where} after the update step")
 
-    k = len(negatives)
-    for neg in negatives:
-        if neg.relation != positive.relation:
-            raise ValueError("negatives must share the positive's relation")
-        hn = state.entity_emb[neg.head]
-        tn = state.entity_emb[neg.tail]
-        s_neg = score(hn, r, tn, scoring)
-        total += _softplus(margin + s_neg) / k
-        c = weight * _sigmoid(margin + s_neg) / k
-        dh, dr, dt = score_backward(hn, r, tn, scoring)
-        grads.add_entity(neg.head, c * dh)
-        grads.add_entity(neg.tail, c * dt)
-        dr_total += c * dr
 
-    loss = weight * total
-    if not math.isfinite(loss):
-        ident = (positive.head, positive.relation, positive.tail)
-        raise NumericError(f"non-finite loss {loss!r} for triplet {ident}", triplet=positive)
-    relation_backward(state, strategy, positive.relation, dr_total, grads)
-    return loss, grads
+def _step_rows(table: np.ndarray, rows: np.ndarray, grad: np.ndarray, lr: float,
+               reg: float, name: str) -> None:
+    step = max(1, BLOCK_VALUES // table.shape[1])
+    for lo in range(0, rows.size, step):
+        part = rows[lo:lo + step]
+        current = table[part]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+            current -= lr * (grad[lo:lo + step] + reg * current)
+        _finite_or_raise(current, name, part)
+        table[part] = current
+
+
+def _step(param: np.ndarray, grad: np.ndarray, lr: float, reg: float, name: str) -> None:
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        param -= lr * (grad + reg * param)
+    _finite_or_raise(param, name)
 
 
 def apply_update(state: EmbeddingState, grads: SparseGrads, config: ModelConfig) -> None:
-    """One SGD step; L2 shrinkage hits only the touched rows and parameters."""
+    """One SGD step; L2 shrinkage hits only the touched rows and parameters.
+
+    Raises NumericError naming the parameter block the step makes
+    non-finite, so a diverging run stops where it diverges.
+    """
     lr = config.lr
     reg = config.regularization
-    for idx in sorted(grads.entity):
-        row = state.entity_emb[idx]
-        row -= lr * (grads.entity[idx] + reg * row)
-    for idx in sorted(grads.relation):
-        row = state.relation_emb[idx]
-        row -= lr * (grads.relation[idx] + reg * row)
+    if grads.entity_rows.size:
+        _step_rows(state.entity_emb, grads.entity_rows, grads.entity_grad, lr, reg, "entity_emb")
+    if grads.relation:
+        rows = np.array(sorted(grads.relation), dtype=np.int64)
+        grad = np.stack([grads.relation[idx] for idx in rows.tolist()])
+        _step_rows(state.relation_emb, rows, grad, lr, reg, "relation_emb")
     lrd = config.lr_dense
     if grads.rnn_w_in is not None:
         rnn = state.rnn
-        rnn.w_in -= lrd * (grads.rnn_w_in + reg * rnn.w_in)
-        rnn.w_rec -= lrd * (grads.rnn_w_rec + reg * rnn.w_rec)
-        rnn.bias -= lrd * (grads.rnn_bias + reg * rnn.bias)
+        _step(rnn.w_in, grads.rnn_w_in, lrd, reg, "rnn.w_in")
+        _step(rnn.w_rec, grads.rnn_w_rec, lrd, reg, "rnn.w_rec")
+        _step(rnn.bias, grads.rnn_bias, lrd, reg, "rnn.bias")
     if grads.basis_vectors is not None:
-        vectors = state.basis.vectors
-        vectors -= lrd * (grads.basis_vectors + reg * vectors)
+        _step(state.basis.vectors, grads.basis_vectors, lrd, reg, "basis.vectors")
     for key in sorted(grads.basis_coef):
-        coef = state.basis.coefficients[key]
-        coef -= lrd * (grads.basis_coef[key] + reg * coef)
+        _step(state.basis.coefficients[key], grads.basis_coef[key], lrd, reg,
+              f"basis coefficients of {key}")

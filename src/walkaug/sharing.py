@@ -81,13 +81,19 @@ class BasisParams:
 
 
 class SparseGrads:
-    """Gradients for the rows and parameters one loss term touched."""
+    """Gradients for the rows and parameters a loss touched.
 
-    __slots__ = ("entity", "relation", "rnn_w_in", "rnn_w_rec", "rnn_bias",
-                 "basis_vectors", "basis_coef")
+    Entity gradients are two arrays: the sorted unique touched rows and one
+    summed gradient per row. Relation rows and basis coefficients, a few per
+    minibatch, are keyed dicts.
+    """
+
+    __slots__ = ("entity_rows", "entity_grad", "relation", "rnn_w_in", "rnn_w_rec",
+                 "rnn_bias", "basis_vectors", "basis_coef")
 
     def __init__(self):
-        self.entity: dict[int, np.ndarray] = {}
+        self.entity_rows: np.ndarray = np.empty(0, dtype=np.int64)  # (u,) sorted, unique
+        self.entity_grad: np.ndarray = np.empty((0, 0))            # (u, d)
         self.relation: dict[int, np.ndarray] = {}
         self.rnn_w_in: np.ndarray | None = None
         self.rnn_w_rec: np.ndarray | None = None
@@ -95,13 +101,28 @@ class SparseGrads:
         self.basis_vectors: np.ndarray | None = None
         self.basis_coef: dict[Metapath, np.ndarray] = {}
 
+    @property
+    def entity(self) -> dict[int, np.ndarray]:
+        """Entity gradients keyed by row, for inspection."""
+        return dict(zip(self.entity_rows.tolist(), self.entity_grad))
+
     @staticmethod
     def _acc(table: dict, key, grad: np.ndarray) -> None:
         have = table.get(key)
         table[key] = grad.copy() if have is None else have + grad
 
-    def add_entity(self, idx: int, grad: np.ndarray) -> None:
-        self._acc(self.entity, idx, grad)
+    def add_entities(self, rows, grads: np.ndarray) -> None:
+        """Accumulate `grads[i]` onto entity row `rows[i]`; rows may repeat
+        and are summed in order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            return
+        if self.entity_rows.size:
+            rows = np.concatenate((self.entity_rows, rows))
+            grads = np.concatenate((self.entity_grad, grads))
+        self.entity_rows, inverse = np.unique(rows, return_inverse=True)
+        self.entity_grad = np.zeros((self.entity_rows.size, grads.shape[1]))
+        np.add.at(self.entity_grad, inverse.reshape(-1), grads)
 
     def add_relation(self, idx: int, grad: np.ndarray) -> None:
         self._acc(self.relation, idx, grad)
@@ -124,8 +145,7 @@ class SparseGrads:
 
     def update(self, other: "SparseGrads") -> None:
         """Accumulate another gradient bundle into this one."""
-        for idx, grad in other.entity.items():
-            self.add_entity(idx, grad)
+        self.add_entities(other.entity_rows, other.entity_grad)
         for idx, grad in other.relation.items():
             self.add_relation(idx, grad)
         if other.rnn_w_in is not None:
@@ -209,9 +229,12 @@ def metapath_representation(
 
 def strategy_backward(
     metapath: Metapath, grad: np.ndarray, state: "EmbeddingState", strategy: SharingStrategy,
+    out: SparseGrads | None = None,
 ) -> SparseGrads:
-    """Gradients of (grad . representation) for the strategy's parameters."""
-    out = SparseGrads()
+    """Gradients of (grad . representation) for the strategy's parameters,
+    accumulated into `out` (a new bundle when None) and returned."""
+    if out is None:
+        out = SparseGrads()
     if strategy.kind == "none":
         rid = state.minted_id_of(metapath)
         if rid is None:
@@ -262,11 +285,11 @@ def relation_backward(
     metapath = state.minted_paths.get(rel_id)
     if metapath is None:
         if strategy.kind == "basis" and strategy.basis_include_original:
-            out.update(strategy_backward((rel_id,), grad, state, strategy))
+            strategy_backward((rel_id,), grad, state, strategy, out)
         else:
             out.add_relation(rel_id, grad)
         return
     if strategy.kind == "none":
         out.add_relation(rel_id, grad)
         return
-    out.update(strategy_backward(metapath, grad, state, strategy))
+    strategy_backward(metapath, grad, state, strategy, out)

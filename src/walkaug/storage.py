@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -113,6 +113,17 @@ def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
         fh.write("\n")
 
 
+def _dataclass_section(cls, section, name: str):
+    """`cls(**section)` for a meta.json section that names every field once."""
+    if not isinstance(section, dict):
+        raise DataError(f"{name} is not a JSON object")
+    expected = {f.name for f in fields(cls)}
+    unknown, missing = sorted(set(section) - expected), sorted(expected - set(section))
+    if unknown or missing:
+        raise DataError(f"{name} has unknown keys {unknown} and missing keys {missing}")
+    return cls(**section)
+
+
 def load_checkpoint(directory: str) -> Checkpoint:
     meta_path = os.path.join(directory, _META)
     try:
@@ -122,22 +133,32 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise DataError(f"cannot read checkpoint: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{meta_path} is not valid JSON: {exc}") from None
+    try:
+        return _checkpoint_from_meta(directory, meta)
+    except DataError as exc:
+        raise DataError(f"{meta_path}: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{meta_path}: missing key {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise DataError(f"{meta_path}: malformed checkpoint ({exc})") from None
 
+
+def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
     registry = NewRelationRegistry(meta["registry"]["first_id"])
     for rid, metapath in meta["registry"]["minted"]:
         minted = registry.get_or_mint(tuple(metapath))
         if minted != rid:
-            raise DataError(f"checkpoint registry ids are not contiguous at {rid}")
+            raise DataError(f"registry ids are not contiguous at {rid}")
     strategy = dict(meta["strategy"])
     # older checkpoints store the model composition, which is always the sum
     compose_op = strategy.pop("compose_op", "sum")
     if compose_op != "sum":
-        raise DataError(f"{meta_path}: unsupported compose op {compose_op!r}")
+        raise DataError(f"unsupported compose op {compose_op!r}")
     return Checkpoint(
         state=_load_state(directory, "", meta["state"]),
         best_state=_load_state(directory, "best_", meta["best_state"]),
-        config=ModelConfig(**meta["config"]),
-        strategy=SharingStrategy(**strategy),
+        config=_dataclass_section(ModelConfig, meta["config"], "config"),
+        strategy=_dataclass_section(SharingStrategy, strategy, "strategy"),
         registry=registry,
         rng_state=meta["rng_state"],
         epoch=meta["epoch"],

@@ -1,8 +1,9 @@
 """Training loop: walk-augmented minibatches, accumulated SGD, early stopping.
 
 Every epoch shuffles the entity set into node batches. Each batch becomes a
-mixed list of walk-derived and original triplets, every triplet is scored
-against its negative corruptions, and the accumulated sparse gradients are
+mixed list of walk-derived and original triplets, packed into arrays; k
+corruptions per triplet are drawn as two (B, k) arrays, the batch kernel
+scores and differentiates them all, and the summed sparse gradients are
 applied in one step per batch. Validation MRR (filtered, optimistic) is
 measured after every epoch; training stops early after `patience` epochs
 without improvement and the best-validation state is returned.
@@ -23,13 +24,17 @@ from .mining import Metapath
 from .models import (
     EmbeddingState,
     ModelConfig,
+    TripletBatch,
     apply_update,
+    batch_loss_and_grad,
+    draw_negatives,
     init_state,
-    loss_and_grad,
-    negative_sample,
 )
+# The per-triplet entry points stay importable here: perfbench/spans.py
+# wraps them under these names.
+from .models import loss_and_grad, negative_sample  # noqa: F401
 from .rules import RuleMap
-from .sharing import SharingStrategy, SparseGrads
+from .sharing import SharingStrategy
 from .storage import Checkpoint, save_checkpoint
 
 
@@ -131,14 +136,12 @@ def train(
             )
             if not triplets:
                 continue
-            grads = SparseGrads()
-            for triplet in triplets:
-                negatives = negative_sample(triplet, graph.num_entities, config.negatives, rng)
-                loss, g = loss_and_grad(triplet, negatives, state, strategy, config)
-                grads.update(g)
-                loss_sum += loss
-                loss_count += 1
+            batch = TripletBatch.pack(triplets)
+            neg_heads, neg_tails = draw_negatives(batch, graph.num_entities, config.negatives, rng)
+            loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, config)
             apply_update(state, grads, config)
+            loss_sum += loss
+            loss_count += len(batch)
 
         valid_mrr = None
         if has_valid:

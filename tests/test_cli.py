@@ -220,3 +220,34 @@ def test_explicit_dictionaries_and_tsv_export(data, tmp_path):
 
     argv = base_args(data, "mine") + ["--entity-dict", edict]
     assert main(argv) == 2  # dictionaries only come as a pair
+
+
+@pytest.mark.parametrize("damage,named", [("extra config key", "extra_knob"),
+                                          ("missing registry", "registry")])
+def test_malformed_checkpoint_meta_is_a_data_error(data, tmp_path, capsys, damage, named):
+    train_argv = base_args(data, "train") + TRAIN_SPEED + ["--mode", "none", "--epochs", "1"]
+    assert main(train_argv) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    meta_path = os.path.join(checkpoint, "meta.json")
+    meta = json.load(open(meta_path))
+    if damage == "extra config key":
+        meta["config"]["extra_knob"] = 1
+    else:
+        del meta["registry"]
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    assert main(base_args(data, "eval") + ["--test", data["test"]]) == 3
+    resume_argv = train_argv + ["--epochs", "2", "--resume", checkpoint,
+                                "--checkpoint", str(tmp_path / "next")]
+    assert main(resume_argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("data error") == 2 and named in err and "Traceback" not in err
+
+
+def test_diverging_training_exits_with_numeric_error(data, capsys):
+    # the first step overflows the entity rows; the check after the update
+    # stops the run there, before any loss sees the infinities
+    argv = base_args(data, "train") + TRAIN_SPEED + ["--mode", "none", "--lr", "1e308"]
+    assert main(argv) == 4
+    assert "numeric error: non-finite entity_emb row" in capsys.readouterr().err

@@ -11,15 +11,20 @@ from walkaug import (
     AugmentedTriplet,
     ConfigError,
     ModelConfig,
+    NumericError,
     SharingStrategy,
+    SparseGrads,
     Triplet,
+    TripletBatch,
     apply_update,
+    batch_loss_and_grad,
+    draw_negatives,
     init_state,
     loss_and_grad,
     negative_sample,
     score,
 )
-from walkaug.models import default_margin, score_backward
+from walkaug.models import BLOCK_VALUES, default_margin, score_backward
 
 
 def test_score_hand_values():
@@ -175,7 +180,7 @@ def test_apply_update_row_algebra():
     grads = SparseGrads()
     ge = np.array([1.0, -2.0, 0.5])
     gr = np.array([0.25, 0.0, -1.0])
-    grads.add_entity(1, ge)
+    grads.add_entities([1], ge[None])
     grads.add_relation(0, gr)
     apply_update(state, grads, config)
 
@@ -244,3 +249,155 @@ def test_gradients_match_finite_differences_across_strategies():
     worst, failures = gradcheck.run_random_cases(22, seed=1)
     assert not failures, failures
     assert worst < 1e-4
+
+
+def test_score_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(5)
+    h, t = rng.normal(size=(2, 4, 3, 6))
+    r = rng.normal(size=(4, 1, 6))
+    for scoring in ("transe_l2", "transe_l1", "distmult"):
+        block = score(h, r, t, scoring)
+        grads = score_backward(h, r, t, scoring)
+        assert block.shape == (4, 3)
+        for i in range(4):
+            for j in range(3):
+                one = (h[i, j], r[i, 0], t[i, j])
+                assert math.isclose(block[i, j], score(*one, scoring), rel_tol=1e-12)
+                for got, want in zip(grads, score_backward(*one, scoring)):
+                    np.testing.assert_allclose(np.broadcast_to(got, h.shape)[i, j], want,
+                                               rtol=1e-12)
+
+
+def test_draw_negatives_order_and_shape():
+    batch = TripletBatch.pack([Triplet(0, 1, 2), AugmentedTriplet(3, 0, 4, 0.5)])
+    heads, tails = draw_negatives(batch, 50, 6, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    corrupt_head = rng.random((2, 6)) < 0.5
+    entity = rng.integers(50, size=(2, 6))
+    assert np.array_equal(heads, np.where(corrupt_head, entity, [[0], [3]]))
+    assert np.array_equal(tails, np.where(corrupt_head, [[2], [4]], entity))
+    assert np.array_equal(batch.weights, [1.0, 0.5])
+
+
+SHARING_CASES = [
+    (scoring, kind, include_original)
+    for scoring in ("transe_l2", "transe_l1", "distmult")
+    for kind, include_original in (("none", False), ("model", False), ("rnn", False),
+                                   ("basis", False), ("basis", True))
+    if not (scoring == "distmult" and kind == "model")
+]
+
+
+def _assert_close(got, want, rtol, name=""):
+    # A gradient summed in another order moves by rounding relative to its
+    # terms, so entries that cancel to near zero are judged against the
+    # scale of the whole array.
+    want = np.asarray(want)
+    atol = rtol * float(np.abs(want).max(initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=atol, err_msg=name)
+
+
+def _assert_grads_close(got: SparseGrads, want: SparseGrads, rtol=1e-12):
+    assert np.array_equal(got.entity_rows, want.entity_rows)
+    _assert_close(got.entity_grad, want.entity_grad, rtol, "entity")
+    assert sorted(got.relation) == sorted(want.relation)
+    for idx in want.relation:
+        _assert_close(got.relation[idx], want.relation[idx], rtol, f"relation {idx}")
+    for name in ("rnn_w_in", "rnn_w_rec", "rnn_bias", "basis_vectors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            _assert_close(a, b, rtol, name)
+    assert sorted(got.basis_coef) == sorted(want.basis_coef)
+    for key in want.basis_coef:
+        _assert_close(got.basis_coef[key], want.basis_coef[key], rtol, f"basis {key}")
+
+
+@pytest.mark.parametrize("scoring,kind,include_original", SHARING_CASES)
+def test_batch_kernel_equals_sum_of_single_positives(scoring, kind, include_original):
+    """One minibatch through the kernel equals the per-positive losses and
+    gradients summed, across chunks, relation kinds and weights."""
+    rng = np.random.default_rng(17)
+    minted = {3: (0, 1), 4: (2, 1, 0)}
+    strategy = SharingStrategy(kind=kind, basis_count=4 if kind == "basis" else None,
+                               basis_include_original=include_original)
+    config = ModelConfig(scoring=scoring, dim=64, margin=2.0, negatives=6, seed=0)
+    num_entities = 10  # few entities, so rows repeat within and across positives
+    state = init_state(num_entities, 3, minted, config, strategy, rng)
+    size = 200
+    chunk = BLOCK_VALUES // ((2 + 2 * config.negatives) * config.dim)
+    assert size > 2 * chunk  # the batch spans three chunks
+    # 0..2 are original relations (raw edges or rule-mapped walk triplets),
+    # 3 and 4 are minted metapaths
+    relations = rng.integers(5, size=size)
+    weights = rng.choice([0.0, 0.4, 1.0, 2.3], size=size)
+    positives = [
+        AugmentedTriplet(int(h), int(r), int(t), float(w))
+        for h, r, t, w in zip(rng.integers(num_entities, size=size), relations,
+                              rng.integers(num_entities, size=size), weights)
+    ]
+    batch = TripletBatch.pack(positives)
+    neg_heads, neg_tails = draw_negatives(batch, num_entities, config.negatives, rng)
+
+    loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, config)
+
+    want_loss = 0.0
+    want = SparseGrads()
+    for i, positive in enumerate(positives):
+        negatives = [Triplet(int(h), positive.relation, int(t))
+                     for h, t in zip(neg_heads[i], neg_tails[i])]
+        one_loss, one = loss_and_grad(positive, negatives, state, strategy, config)
+        want_loss += one_loss
+        want.update(one)
+    assert math.isclose(loss, want_loss, rel_tol=1e-12)
+    _assert_grads_close(grads, want)
+
+
+def test_zero_weight_positives_contribute_nothing_to_a_batch():
+    rng = np.random.default_rng(3)
+    strategy = SharingStrategy()
+    config = ModelConfig(scoring="transe_l1", dim=4, margin=1.0, negatives=2, seed=0)
+    state = init_state(6, 2, {}, config, strategy, rng)
+    kept = [AugmentedTriplet(0, 0, 1, 0.4), AugmentedTriplet(2, 1, 3, 2.3)]
+    mixed = [kept[0], AugmentedTriplet(4, 1, 5, 0.0), kept[1]]
+    neg_heads = np.array([[1, 0], [5, 4], [3, 2]])
+    neg_tails = np.array([[0, 1], [4, 5], [2, 3]])
+    loss, grads = batch_loss_and_grad(TripletBatch.pack(mixed), neg_heads, neg_tails,
+                                      state, strategy, config)
+    rows = [0, 2]
+    want_loss, want = batch_loss_and_grad(TripletBatch.pack(kept), neg_heads[rows],
+                                          neg_tails[rows], state, strategy, config)
+    assert loss == want_loss
+    assert 4 not in grads.entity and 5 not in grads.entity
+    _assert_grads_close(grads, want, rtol=0)
+
+
+def test_non_finite_loss_names_the_first_offending_triplet():
+    rng = np.random.default_rng(4)
+    strategy = SharingStrategy()
+    config = ModelConfig(scoring="transe_l2", dim=3, margin=1.0, negatives=1, seed=0)
+    state = init_state(5, 1, {}, config, strategy, rng)
+    state.entity_emb[3] = np.inf
+    positives = [Triplet(0, 0, 1), AugmentedTriplet(4, 0, 3, 0.0),  # weight 0: skipped
+                 Triplet(2, 0, 4), Triplet(3, 0, 1)]
+    neg = np.array([[1], [2], [0], [0]])
+    with pytest.raises(NumericError) as info:
+        batch_loss_and_grad(TripletBatch.pack(positives), neg, neg, state, strategy, config)
+    assert info.value.triplet == Triplet(3, 0, 1)
+    assert "(3, 0, 1)" in str(info.value)
+
+
+def test_apply_update_rejects_non_finite_parameters():
+    rng = np.random.default_rng(8)
+    strategy = SharingStrategy(kind="rnn")
+    config = ModelConfig(scoring="transe_l2", dim=3, lr=1e300, negatives=1, seed=0)
+    state = init_state(4, 1, {1: (0, 0)}, config, strategy, rng)
+    grads = SparseGrads()
+    grads.add_entities([2], np.full((1, 3), 1e10))
+    with pytest.raises(NumericError, match="entity_emb row 2"):
+        apply_update(state, grads, config)
+
+    grads = SparseGrads()
+    grads.add_rnn(np.zeros((3, 3)), np.full((3, 3), np.nan), np.zeros(3))
+    with pytest.raises(NumericError, match="rnn.w_rec"):
+        apply_update(state, grads, config)

@@ -229,11 +229,10 @@ def test_relation_backward_splits_onto_constituents():
 
 def test_sparse_grads_update_accumulates():
     a = SparseGrads()
-    a.add_entity(0, np.ones(3))
+    a.add_entities([0], np.ones((1, 3)))
     a.add_basis_coef((0, 1), np.array([1.0, 2.0]))
     b = SparseGrads()
-    b.add_entity(0, np.full(3, 2.0))
-    b.add_entity(5, np.ones(3))
+    b.add_entities([5, 0], np.array([np.ones(3), np.full(3, 2.0)]))
     b.add_basis_coef((0, 1), np.array([10.0, 20.0]))
     b.add_rnn(np.eye(2), 2 * np.eye(2), np.ones(2))
     a.update(b)
