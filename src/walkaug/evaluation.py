@@ -6,6 +6,11 @@ candidates that form a known true triplet in any split, except the positive
 itself. Ties resolve optimistically (rank = 1 + number of strictly better
 candidates) or pessimistically (1 + number of candidates at least as good,
 the positive excluded).
+
+Candidates are scored by training's `models.score` on the whole entity table
+E: score(E, r, E[t]) and score(E[h], r, E) add r to the (d,) side first, so
+each side is one pass over E, and the positive is scored in the same array
+as its rivals, so ties are exact. Relation vectors are built once per call.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triplet
-from .models import EmbeddingState
+from .graph import KnowledgeGraph
+from .models import EmbeddingState, TripletBatch, score
 from .sharing import SharingStrategy, relation_vector
 
 PROTOCOLS = ("raw", "filtered")
@@ -24,31 +29,49 @@ TIE_POLICIES = ("optimistic", "pessimistic")
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def _sorted_pairs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(key, value) pairs sorted by key then value, duplicates dropped."""
+    order = np.lexsort((values, keys))
+    keys, values = keys[order], values[order]
+    new = np.r_[True, (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])]
+    return keys[new], values[new]
+
+
 class EvalFilter:
-    """Known-true candidate sets per (head, relation) and (relation, tail)."""
+    """Known-true candidates per (head, relation) and (relation, tail): sorted
+    unique (key, candidate) arrays per side, keyed entity * num_relations +
+    relation, looked up as a `searchsorted` range."""
 
     def __init__(self):
-        self._tails: dict[tuple[int, int], np.ndarray] = {}
-        self._heads: dict[tuple[int, int], np.ndarray] = {}
+        self._num_relations = 1
+        self._by_head = self._by_tail = (_EMPTY, _EMPTY)
 
     @classmethod
     def from_graphs(cls, graphs) -> "EvalFilter":
-        tails: dict[tuple[int, int], set[int]] = {}
-        heads: dict[tuple[int, int], set[int]] = {}
-        for graph in graphs:
-            for h, r, t in zip(graph.heads, graph.relations, graph.tails):
-                tails.setdefault((int(h), int(r)), set()).add(int(t))
-                heads.setdefault((int(r), int(t)), set()).add(int(h))
+        graphs = list(graphs)
+        heads, relations, tails = (np.concatenate([_EMPTY] + [getattr(g, side) for g in graphs])
+                                   for side in ("heads", "relations", "tails"))
         out = cls()
-        out._tails = {k: np.fromiter(sorted(v), np.int64) for k, v in tails.items()}
-        out._heads = {k: np.fromiter(sorted(v), np.int64) for k, v in heads.items()}
+        if relations.size:
+            num_relations = out._num_relations = int(relations.max()) + 1
+            if max(heads.max(), tails.max()) >= np.iinfo(np.int64).max // num_relations:
+                raise ValueError("entity ids too large to pack with relation ids into int64")
+            out._by_head = _sorted_pairs(heads * num_relations + relations, tails)
+            out._by_tail = _sorted_pairs(tails * num_relations + relations, heads)
         return out
 
+    def _lookup(self, side, entity: int, relation: int) -> np.ndarray:
+        if not 0 <= relation < self._num_relations:
+            return _EMPTY
+        keys, values = side
+        key = entity * self._num_relations + relation
+        return values[keys.searchsorted(key):keys.searchsorted(key, "right")]
+
     def known_tails(self, head: int, relation: int) -> np.ndarray:
-        return self._tails.get((head, relation), _EMPTY)
+        return self._lookup(self._by_head, head, relation)
 
     def known_heads(self, relation: int, tail: int) -> np.ndarray:
-        return self._heads.get((relation, tail), _EMPTY)
+        return self._lookup(self._by_tail, tail, relation)
 
 
 @dataclass
@@ -80,33 +103,35 @@ class RankingResult:
         return "\n".join(lines)
 
 
-def _candidate_scores(
-    state: EmbeddingState, r: np.ndarray, fixed: np.ndarray, side: str, scoring: str,
-) -> np.ndarray:
-    """Scores of every entity substituted on one side, `fixed` on the other."""
-    emb = state.entity_emb
-    if scoring == "transe_l2":
-        target = fixed - r if side == "head" else fixed + r
-        delta = emb - target
-        return -np.sqrt(np.einsum("ij,ij->i", delta, delta))
-    if scoring == "transe_l1":
-        target = fixed - r if side == "head" else fixed + r
-        return -np.abs(emb - target).sum(axis=1)
-    if scoring == "distmult":
-        return (emb * fixed) @ r
-    raise ValueError(f"unknown scoring {scoring!r}")
-
-
-def _rank(scores: np.ndarray, true_idx: int, known: np.ndarray | None, tie: str) -> int:
+def _rank(scores: np.ndarray, true_idx: int, known: np.ndarray, tie: str) -> int:
     pos = scores[true_idx]
-    if tie == "optimistic":
-        better = scores > pos
-    else:
-        better = scores >= pos
-    if known is not None and known.size:
-        better[known] = False
+    better = scores > pos if tie == "optimistic" else scores >= pos
+    better[known] = False
     better[true_idx] = False
     return 1 + int(np.count_nonzero(better))
+
+
+def _rank_triplets(triplets, state: EmbeddingState, strategy: SharingStrategy, scoring: str,
+                   graph_filter: EvalFilter | None, protocol: str, tie: str):
+    """(2, n) head- and tail-corruption ranks of the id arrays of `triplets`."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if tie not in TIE_POLICIES:
+        raise ValueError(f"unknown tie policy {tie!r}")
+    filtered = protocol == "filtered"
+    if filtered and graph_filter is None:
+        raise ValueError("filtered protocol needs an EvalFilter")
+    distinct, relation_of = np.unique(triplets.relations, return_inverse=True)
+    vectors = [relation_vector(state, strategy, rel) for rel in distinct.tolist()]
+    emb = state.entity_emb
+    ranks = np.empty((2, len(triplets.heads)), dtype=np.int64)
+    for i, (h, rel, t, j) in enumerate(zip(triplets.heads.tolist(), triplets.relations.tolist(),
+                                           triplets.tails.tolist(), relation_of.tolist())):
+        known = graph_filter.known_heads(rel, t) if filtered else _EMPTY
+        ranks[0, i] = _rank(score(emb, vectors[j], emb[t], scoring), h, known, tie)
+        known = graph_filter.known_tails(h, rel) if filtered else _EMPTY
+        ranks[1, i] = _rank(score(emb[h], vectors[j], emb, scoring), t, known, tie)
+    return ranks
 
 
 def rank_triplet(
@@ -118,24 +143,11 @@ def rank_triplet(
     protocol: str = "filtered",
     tie: str = "optimistic",
 ) -> tuple[int, int]:
-    """(head-corruption rank, tail-corruption rank) of one triplet."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if tie not in TIE_POLICIES:
-        raise ValueError(f"unknown tie policy {tie!r}")
-    if protocol == "filtered" and graph_filter is None:
-        raise ValueError("filtered protocol needs an EvalFilter")
-    h, rel, t = triplet.head, triplet.relation, triplet.tail
-    r = relation_vector(state, strategy, rel)
-
-    head_known = graph_filter.known_heads(rel, t) if protocol == "filtered" else None
-    scores = _candidate_scores(state, r, state.entity_emb[t], "head", scoring)
-    head_rank = _rank(scores, h, head_known, tie)
-
-    tail_known = graph_filter.known_tails(h, rel) if protocol == "filtered" else None
-    scores = _candidate_scores(state, r, state.entity_emb[h], "tail", scoring)
-    tail_rank = _rank(scores, t, tail_known, tie)
-    return head_rank, tail_rank
+    """(head-corruption rank, tail-corruption rank) of one triplet: the
+    ranking `evaluate` runs, on a batch of one."""
+    ranks = _rank_triplets(TripletBatch.pack([triplet]), state, strategy, scoring,
+                           graph_filter, protocol, tie)
+    return int(ranks[0, 0]), int(ranks[1, 0])
 
 
 def compute_metrics(ranks, ks=(1, 3, 10), protocol: str = "filtered") -> RankingResult:
@@ -164,14 +176,7 @@ def evaluate(
     ks=(1, 3, 10),
 ) -> RankingResult:
     """Rank every triplet of `graph` in both directions and pool the ranks."""
-    head_ranks = np.empty(graph.num_triplets, dtype=np.int64)
-    tail_ranks = np.empty(graph.num_triplets, dtype=np.int64)
-    for i in range(graph.num_triplets):
-        triplet = Triplet(int(graph.heads[i]), int(graph.relations[i]), int(graph.tails[i]))
-        head_ranks[i], tail_ranks[i] = rank_triplet(
-            triplet, state, strategy, scoring, graph_filter, protocol, tie,
-        )
-    result = compute_metrics(np.concatenate((head_ranks, tail_ranks)), ks, protocol)
-    result.head_ranks = head_ranks
-    result.tail_ranks = tail_ranks
+    ranks = _rank_triplets(graph, state, strategy, scoring, graph_filter, protocol, tie)
+    result = compute_metrics(ranks.ravel(), ks, protocol)
+    result.head_ranks, result.tail_ranks = ranks
     return result

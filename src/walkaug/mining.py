@@ -99,10 +99,6 @@ class JoinTable:
             groups[(rel,)] = PathGroup(graph.heads[ids], graph.tails[ids], ids[:, None])
         return cls(groups, graph.num_entities)
 
-    @property
-    def row_count(self) -> int:
-        return sum(g.size for g in self.groups.values())
-
     def hop_index(self) -> dict[int, _RelIndex]:
         """Per-relation source index; only valid for a 1-hop table."""
         if self._index is None:

@@ -6,9 +6,12 @@ evaluated over any leading axes:
   transe_l1 / transe_l2   s(h, r, t) = -|h + r - t| under the L1 / L2 norm
   distmult                s(h, r, t) = sum_i h_i * r_i * t_i
 
-The distmult sum is computed as dot(h * t, r) so that swapping h and t
-gives the bit-identical score. Losses are per-positive with k entity
-corruptions:
+Both add r to the smaller of h and t first, so scoring against the whole
+(n, d) entity table is one pass over it: h - (t - r) or (h + r) - t, and
+dot(big, small * r). Equal-size h and t, as in every training block, keep
+h + r - t and dot(h * t, r), so training bits do not depend on the rule,
+and swapping h and t gives the bit-identical distmult score. Losses are
+per-positive with k entity corruptions:
 
   loss = weight * [softplus(-(margin + s_pos)) + mean_j softplus(margin + s_j)]
 
@@ -159,23 +162,31 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
+def _translation(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """h + r - t, adding r to the smaller of h and t first."""
+    return h - (t - r) if h.size > t.size else h + r - t
+
+
 def score(h: np.ndarray, r: np.ndarray, t: np.ndarray, scoring: str):
     """Plausibility of triplets from their vectors (higher is better).
 
     The last axis is the embedding dimension and the leading axes
     broadcast: three (d,) vectors give one score, (B, d) blocks give (B,)
-    scores, and (B, k, d) entity blocks with a (B, 1, d) relation block
-    give (B, k) scores.
+    scores, (B, k, d) entity blocks with a (B, 1, d) relation block give
+    (B, k) scores, and the (n, d) entity table with (d,) vectors gives (n,).
     """
     if not h.shape[-1:] == r.shape[-1:] == t.shape[-1:]:  # leading axes broadcast or raise
         raise ValueError(f"vector shapes differ: {h.shape}, {r.shape}, {t.shape}")
     if scoring == "transe_l2":
-        delta = h + r - t
+        delta = _translation(h, r, t)
         return -np.sqrt(_rowdot(delta, delta))
     if scoring == "transe_l1":
-        return -np.abs(h + r - t).sum(axis=-1)
+        return -np.abs(_translation(h, r, t)).sum(axis=-1)
     if scoring == "distmult":
-        return _rowdot(h * t, r)
+        if h.size == t.size:
+            return _rowdot(h * t, r)
+        big, small = (h, t) if h.size > t.size else (t, h)
+        return _rowdot(big, small * r)
     raise ValueError(f"unknown scoring {scoring!r}")
 
 
@@ -184,13 +195,13 @@ def score_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ds/dh, ds/dr, ds/dt), each of the broadcast shape of the inputs."""
     if scoring == "transe_l2":
-        delta = h + r - t
+        delta = _translation(h, r, t)
         norm = np.sqrt(_rowdot(delta, delta))[..., None]
         # a zero norm is the kink of |.|; it gets the zero subgradient
         g = np.divide(-delta, norm, out=np.zeros_like(delta), where=norm > 0)
         return g, g, -g
     if scoring == "transe_l1":
-        g = -np.sign(h + r - t)
+        g = -np.sign(_translation(h, r, t))
         return g, g, -g
     if scoring == "distmult":
         return r * t, h * t, h * r

@@ -33,9 +33,6 @@ class RuleMap:
     entries: dict[int, float] = field(default_factory=dict)
     threshold: float = 0.5
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
     def sorted_entries(self) -> list[tuple[int, float]]:
         return sorted(self.entries.items())
 

@@ -120,8 +120,8 @@ def train(
         first_epoch = 1
         log = []
 
-    graph_filter = EvalFilter.from_graphs(dataset.graphs())
     has_valid = dataset.valid.num_triplets > 0
+    graph_filter = EvalFilter.from_graphs(dataset.graphs()) if has_valid else None
 
     for epoch in range(first_epoch, config.epochs + 1):
         order = rng.permutation(graph.num_entities)

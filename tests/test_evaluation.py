@@ -1,19 +1,26 @@
-"""Ranking against hand fixtures and a score-loop oracle."""
+"""Ranking against hand fixtures, a score-loop oracle and a set-based filter."""
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph
 from oracles import brute_force_rank
 from walkaug import (
     EvalFilter,
+    ModelConfig,
     SharingStrategy,
     Triplet,
     compute_metrics,
     evaluate,
+    init_state,
     rank_triplet,
     score,
 )
+from walkaug import evaluation
 from walkaug.models import EmbeddingState
 
 STRATEGY = SharingStrategy()
@@ -55,6 +62,49 @@ def test_tie_policies_differ_on_duplicates():
     assert optimistic == 1  # entity 2 ties, nothing strictly better
     assert pessimistic == 2
 
+    # Exact duplicate rows of the true head (three copies) and tail (two)
+    # tie with it on both sides, under every scorer and any row width.
+    rng = np.random.default_rng(29)
+    for scoring in ("transe_l1", "transe_l2", "distmult"):
+        for dim in (1, 7, 16):
+            emb = rng.normal(size=(40, dim))
+            emb[[5, 17, 33]] = emb[2]
+            emb[[9, 21]] = emb[30]
+            state = EmbeddingState(emb, rng.normal(size=(1, dim)), 1)
+            positive = Triplet(2, 0, 30)
+            optimistic = rank_triplet(positive, state, STRATEGY, scoring,
+                                      protocol="raw", tie="optimistic")
+            pessimistic = rank_triplet(positive, state, STRATEGY, scoring,
+                                       protocol="raw", tie="pessimistic")
+            assert pessimistic[0] - optimistic[0] == 3, (scoring, dim)
+            assert pessimistic[1] - optimistic[1] == 2, (scoring, dim)
+
+
+def _rowdot(a, b):
+    return np.einsum("...i,...i->...", a, b)
+
+
+def test_score_keeps_training_and_table_expressions():
+    rng = np.random.default_rng(37)
+    # equal-size blocks, as in training: h + r - t and dot(h * t, r)
+    h, t = rng.normal(size=(2, 5, 3, 16))
+    r = rng.normal(size=(5, 1, 16))
+    delta = h + r - t
+    assert np.array_equal(score(h, r, t, "transe_l2"), -np.sqrt(_rowdot(delta, delta)))
+    assert np.array_equal(score(h, r, t, "transe_l1"), -np.abs(delta).sum(axis=-1))
+    assert np.array_equal(score(h, r, t, "distmult"), _rowdot(h * t, r))
+    # the whole table on one side: r joins the (d,) vector first
+    table = rng.normal(size=(50, 16))
+    a, r = rng.normal(size=(2, 16))
+    heads = table - (a - r)
+    tails = (a + r) - table
+    assert np.array_equal(score(table, r, a, "transe_l2"), -np.sqrt(_rowdot(heads, heads)))
+    assert np.array_equal(score(a, r, table, "transe_l2"), -np.sqrt(_rowdot(tails, tails)))
+    assert np.array_equal(score(table, r, a, "transe_l1"), -np.abs(heads).sum(axis=-1))
+    assert np.array_equal(score(a, r, table, "transe_l1"), -np.abs(tails).sum(axis=-1))
+    assert np.array_equal(score(table, r, a, "distmult"), _rowdot(table, a * r))
+    assert np.array_equal(score(table, r, a, "distmult"), score(a, r, table, "distmult"))
+
 
 def test_filtered_protocol_removes_known_candidates():
     state = line_state([[0.0], [1.0], [1.0], [5.0]], [[1.0]])
@@ -84,6 +134,74 @@ def test_eval_filter_lookup():
     assert list(ef.known_tails(0, 0)) == [1, 3]
     assert list(ef.known_heads(0, 1)) == [0, 2]
     assert ef.known_tails(3, 0).size == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_eval_filter_matches_set_oracle(data):
+    triplet = st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(0, 6))
+    train = data.draw(st.lists(triplet, max_size=20))
+    splits = [train]
+    for _ in range(2):  # valid and test repeat some training triplets
+        repeated = data.draw(st.lists(st.sampled_from(train), max_size=8)) if train else []
+        splits.append(repeated + data.draw(st.lists(triplet, max_size=8)))
+    ef = EvalFilter.from_graphs(make_graph(split, num_entities=7, num_relations=4)
+                                for split in splits)
+    tails, heads = defaultdict(set), defaultdict(set)
+    for split in splits:
+        for h, rel, t in split:
+            tails[h, rel].add(t)
+            heads[rel, t].add(h)
+    for entity in range(8):  # entity 7 and relation 4 never occur
+        for rel in range(5):
+            for got, want in ((ef.known_tails(entity, rel), tails.get((entity, rel), ())),
+                              (ef.known_heads(rel, entity), heads.get((rel, entity), ()))):
+                assert got.dtype == np.int64
+                assert got.tolist() == sorted(want)
+
+
+def test_eval_filter_of_zero_triplets_is_empty():
+    ef = EvalFilter.from_graphs([make_graph([], num_entities=3, num_relations=2)])
+    assert ef.known_tails(0, 0).size == 0 and ef.known_heads(1, 2).size == 0
+    assert ef.known_tails(0, 0).dtype == np.int64
+
+
+@pytest.mark.parametrize("kind,include_original", [
+    ("none", False), ("model", False), ("rnn", False), ("basis", False), ("basis", True),
+])
+def test_evaluate_minted_relations_once_per_relation(monkeypatch, kind, include_original):
+    rng = np.random.default_rng(41)
+    n = 12
+    minted = {3: (0, 1), 4: (2, 1, 0)}
+    strategy = SharingStrategy(kind=kind, basis_count=4 if kind == "basis" else None,
+                               basis_include_original=include_original)
+    # relations 0..2 are original, 3 and 4 minted metapaths
+    edges = list(zip(rng.integers(n, size=30).tolist(), rng.integers(5, size=30).tolist(),
+                     rng.integers(n, size=30).tolist()))
+    graph = make_graph(edges, num_entities=n, num_relations=5)
+    ef = EvalFilter.from_graphs([graph])
+    calls = []
+    build = evaluation.relation_vector
+
+    def counted(state, strategy, rel):
+        calls.append(rel)
+        return build(state, strategy, rel)
+
+    for scoring in ("transe_l2", "transe_l1", "distmult"):
+        if kind == "model" and scoring == "distmult":
+            continue
+        config = ModelConfig(scoring=scoring, dim=8, seed=0)
+        state = init_state(n, 3, minted, config, strategy, rng)
+        for protocol, tie in (("filtered", "optimistic"), ("raw", "pessimistic")):
+            monkeypatch.setattr(evaluation, "relation_vector", counted)
+            calls.clear()
+            result = evaluate(state, strategy, scoring, graph, ef, protocol, tie)
+            assert sorted(calls) == sorted({rel for _, rel, _ in edges})
+            monkeypatch.setattr(evaluation, "relation_vector", build)
+            want = [rank_triplet(Triplet(*edge), state, strategy, scoring, ef, protocol, tie)
+                    for edge in edges]
+            assert result.head_ranks.tolist() == [head for head, _ in want]
+            assert result.tail_ranks.tolist() == [tail for _, tail in want]
 
 
 def test_ranks_match_score_loop_oracle():

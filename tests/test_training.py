@@ -72,6 +72,15 @@ def test_loss_decreases_on_small_graph():
     assert result.state is result.final_state  # no validation: latest wins
 
 
+def test_training_without_validation_builds_no_filter(monkeypatch):
+    def no_filter(*args):
+        raise AssertionError("the filter is only read by validation ranking")
+
+    monkeypatch.setattr("walkaug.evaluation.EvalFilter.from_graphs", no_filter)
+    result = train(make_dataset(with_valid=False), INFORMATIVE, {}, small_config(epochs=2))
+    assert len(result.log) == 2
+
+
 def test_rule_less_informative_metapaths_are_minted_up_front():
     rules = {(1, 0): RuleMap((1, 0), {2: 0.9}, 0.5)}
     informative = {(0, 1): 0.9, (1, 0): 0.5}
