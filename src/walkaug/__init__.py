@@ -31,9 +31,7 @@ from .mining import (
     Metapath,
     MetapathInfo,
     PathGroup,
-    compute_association,
     correction_residual,
-    extend_join,
     mine_informative_metapaths,
     read_metapath_report,
     solve_correction,
@@ -89,8 +87,8 @@ __all__ = [
     "RuleMap", "SharingStrategy", "SparseGrads", "TrainResult", "Triplet",
     "TripletBatch", "apply_update", "batch_loss_and_grad", "build_adjacency",
     "build_minibatch", "build_rulemaps",
-    "compute_association", "compute_metrics", "correction_residual",
-    "draw_negatives", "evaluate", "extend_join", "init_state",
+    "compute_metrics", "correction_residual",
+    "draw_negatives", "evaluate", "init_state",
     "load_checkpoint", "load_tsv_dataset", "loss_and_grad",
     "metapath_pairs", "metapath_representation", "mine_informative_metapaths",
     "negative_sample", "random_walk", "rank_triplet", "read_embedding_matrix",

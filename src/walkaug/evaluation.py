@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import KnowledgeGraph
+from .mining import sorted_pairs
 from .models import EmbeddingState, TripletBatch, score
 from .sharing import SharingStrategy, relation_vector
 
@@ -27,14 +28,6 @@ PROTOCOLS = ("raw", "filtered")
 TIE_POLICIES = ("optimistic", "pessimistic")
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _sorted_pairs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(key, value) pairs sorted by key then value, duplicates dropped."""
-    order = np.lexsort((values, keys))
-    keys, values = keys[order], values[order]
-    new = np.r_[True, (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])]
-    return keys[new], values[new]
 
 
 class EvalFilter:
@@ -56,8 +49,8 @@ class EvalFilter:
             num_relations = out._num_relations = int(relations.max()) + 1
             if max(heads.max(), tails.max()) >= np.iinfo(np.int64).max // num_relations:
                 raise ValueError("entity ids too large to pack with relation ids into int64")
-            out._by_head = _sorted_pairs(heads * num_relations + relations, tails)
-            out._by_tail = _sorted_pairs(tails * num_relations + relations, heads)
+            out._by_head = sorted_pairs(heads * num_relations + relations, tails)
+            out._by_tail = sorted_pairs(tails * num_relations + relations, heads)
         return out
 
     def _lookup(self, side, entity: int, relation: int) -> np.ndarray:

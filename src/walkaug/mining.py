@@ -14,6 +14,13 @@ so the pruning never discards a metapath that could still qualify.
 When the graph is edge-sampled with probability p < 1, covered-edge counts
 are corrected back to full-graph scale by solving for the root of an
 occupancy residual (see `correction_residual`).
+
+This module is the one join layer. Each level extends every group by every
+relation through `_RelIndex.follow`, a range join over the relation's
+out-edges sorted by source, and counts a hop's covered edges by marking
+their ids in one boolean array over the mined graph's edges. The range
+expansion (`expand_ranges`) and the sorted, deduplicated (key, value)
+arrays (`sorted_pairs`) are shared with rule scoring and the eval filter.
 """
 
 from __future__ import annotations
@@ -44,9 +51,27 @@ class PathGroup:
     def size(self) -> int:
         return int(self.src.size)
 
-    @property
-    def length(self) -> int:
-        return int(self.edges.shape[1])
+
+def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position of the ranges [starts[i], starts[i] + counts[i]).
+
+    Returns parallel (rows, slots): rows index the ranges (ascending) and
+    slots are the positions, in order within each range.
+    """
+    rows = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    first = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=first[1:])
+    slots = starts[rows] + (np.arange(rows.size, dtype=np.int64) - first[rows])
+    return rows, slots
+
+
+def sorted_pairs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(key, value) pairs sorted by key then value, duplicates dropped."""
+    order = np.lexsort((values, keys))
+    keys, values = keys[order], values[order]
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
+    return keys[new], values[new]
 
 
 @dataclass(frozen=True)
@@ -65,15 +90,10 @@ class _RelIndex:
         """
         starts = self.offsets[nodes]
         counts = self.offsets[nodes + 1] - starts
-        total = int(counts.sum())
-        if total == 0:  # the common case on typed graphs; skip the index arithmetic
+        if not counts.any():  # the common case on typed graphs; skip the index arithmetic
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        rows = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
-        first = np.zeros(nodes.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=first[1:])
-        slots = starts[rows] + (np.arange(total, dtype=np.int64) - first[rows])
-        return rows, slots
+        return expand_ranges(starts, counts)
 
 
 class JoinTable:
@@ -122,18 +142,6 @@ def _extend_group(group: PathGroup, idx: _RelIndex) -> PathGroup | None:
         return None
     edges = np.concatenate((group.edges[rows], idx.edge[take][:, None]), axis=1)
     return PathGroup(group.src[rows], idx.dst[take], edges)
-
-
-def extend_join(current: JoinTable, base: JoinTable) -> JoinTable:
-    """Extend every group of `current` by every relation of the 1-hop `base`."""
-    out: dict[Metapath, PathGroup] = {}
-    index = base.hop_index()
-    for m, group in sorted(current.groups.items()):
-        for rel, idx in index.items():
-            extended = _extend_group(group, idx)
-            if extended is not None:
-                out[m + (rel,)] = extended
-    return JoinTable(out, base.num_entities)
 
 
 @dataclass(frozen=True)
@@ -223,14 +231,17 @@ def solve_correction(
 
 def _group_association(
     graph: KnowledgeGraph, metapath: Metapath, group: PathGroup, hop: int,
-    p: float, full_type_counts: np.ndarray,
+    p: float, full_type_counts: np.ndarray, mark: np.ndarray,
 ) -> AssociationStats:
+    """Coverage of hop `hop`; `mark` is an all-False scratch array with one
+    entry per edge of `graph` and is left all-False again."""
     rel = metapath[hop]
     sampled_total = int(graph.relation_counts[rel])
-    covered = int(np.unique(group.edges[:, hop]).size)
+    ids = group.edges[:, hop]
+    mark[ids] = True
+    covered = int(np.count_nonzero(mark))
+    mark[ids] = False
     full_total = int(full_type_counts[rel])
-    if full_total == 0:
-        raise ValueError(f"relation {rel} has no edges; association is undefined")
     if p == 1.0:
         return AssociationStats(metapath, hop, sampled_total, covered,
                                 float(covered), covered / full_total)
@@ -239,28 +250,6 @@ def _group_association(
     )
     return AssociationStats(metapath, hop, sampled_total, covered,
                             estimate, min(estimate / full_total, 1.0), fallback)
-
-
-def compute_association(
-    graph: KnowledgeGraph, metapath: Metapath, join_table: JoinTable, hop: int,
-    p: float = 1.0, full_type_counts: np.ndarray | None = None,
-) -> AssociationStats:
-    """Coverage ratio of hop `hop` of `metapath` in `join_table` over `graph`.
-
-    `graph` must be the graph the table was joined on (the sampled graph when
-    p < 1); `full_type_counts` are the per-relation edge counts of the
-    unsampled graph and default to the counts of `graph` (valid only at p=1).
-    """
-    if not 0 <= hop < len(metapath):
-        raise ValueError(f"hop {hop} out of range for metapath of length {len(metapath)}")
-    group = join_table.groups.get(metapath)
-    if group is None:
-        raise ValueError(f"metapath {metapath} has no instances in the join table")
-    if full_type_counts is None:
-        if p != 1.0:
-            raise ValueError("full_type_counts is required when p < 1")
-        full_type_counts = graph.relation_counts
-    return _group_association(graph, metapath, group, hop, p, full_type_counts)
 
 
 def mine_informative_metapaths(
@@ -289,6 +278,7 @@ def mine_informative_metapaths(
     full_counts = graph.relation_counts
     base = JoinTable.from_graph(mined)
     index = base.hop_index()
+    mark = np.zeros(mined.num_triplets, dtype=bool)
     current = dict(sorted(base.groups.items()))
     result: dict[Metapath, MetapathInfo] = {}
 
@@ -305,7 +295,8 @@ def mine_informative_metapaths(
                 per_hop = []
                 keep = True
                 for hop in range(length):
-                    stats = _group_association(mined, candidate, extended, hop, p, full_counts)
+                    stats = _group_association(mined, candidate, extended, hop, p, full_counts,
+                                               mark)
                     z *= stats.association
                     per_hop.append(stats)
                     if z < threshold:
@@ -365,5 +356,7 @@ def read_metapath_report(path, relation_dict=None) -> dict[Metapath, float]:
                 z = float(parts[1])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not 0.0 < z <= 1.0:
+                raise DataError(f"{path}:{lineno}: score must be in (0, 1], got {parts[1]!r}")
             out[metapath] = z
     return out

@@ -11,7 +11,11 @@ metapath, every relation whose confidence reaches the threshold.
 Rules run on the miner's join: `build_rulemaps` builds one 1-hop
 `JoinTable` (and so one hop index) per call, and every metapath walks it
 with the same `follow` range join the miner extends its groups with,
-deduplicating the connected pairs after each hop.
+deduplicating the connected pairs after each hop. Confidences come from a
+pair index built once per call: the graph's distinct (pair key, relation)
+arrays, sorted by key. A metapath's pairs find their `searchsorted` ranges
+in it, and one `bincount` of the relations in those ranges counts every
+rule's support at once (AMIE's support/confidence counting).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import KnowledgeGraph
-from .mining import JoinTable, Metapath, metapath_name
+from .mining import JoinTable, Metapath, expand_ranges, metapath_name, sorted_pairs
 
 
 @dataclass
@@ -74,22 +78,18 @@ def build_rulemaps(
     if not 0.0 < conf_threshold <= 1.0:
         raise ValueError(f"confidence threshold must be in (0, 1], got {conf_threshold}")
     base = JoinTable.from_graph(graph)
-    graph_keys = graph.pair_keys()
+    pair_keys, pair_relations = sorted_pairs(graph.pair_keys(), graph.relations)
     out: dict[Metapath, RuleMap] = {}
     for metapath in sorted(metapaths):
         keys = metapath_pairs(base, metapath)
+        starts = np.searchsorted(pair_keys, keys)
+        _, slots = expand_ranges(starts, np.searchsorted(pair_keys, keys, "right") - starts)
+        support = np.bincount(pair_relations[slots])
         entries: dict[int, float] = {}
-        if keys.size:
-            pos = np.searchsorted(keys, graph_keys)
-            hit = keys[np.minimum(pos, keys.size - 1)] == graph_keys
-            if hit.any():
-                # one key per distinct (relation, pair), the pair by its rank in `keys`
-                combo = np.unique(graph.relations[hit] * keys.size + pos[hit])
-                rels, counts = np.unique(combo // keys.size, return_counts=True)
-                for rel, count in zip(rels, counts):
-                    conf = count / keys.size
-                    if conf >= conf_threshold:
-                        entries[int(rel)] = float(conf)
+        for rel in np.flatnonzero(support):
+            conf = support[rel] / keys.size
+            if conf >= conf_threshold:
+                entries[int(rel)] = float(conf)
         out[metapath] = RuleMap(metapath, entries, conf_threshold)
     return out
 
@@ -133,6 +133,8 @@ def read_rules_report(path, relation_dict=None, conf_threshold: float = 0.5) -> 
                 conf = float(parts[2])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not 0.0 < conf <= 1.0:
+                raise DataError(f"{path}:{lineno}: confidence must be in (0, 1], got {parts[2]!r}")
             if conf < conf_threshold:
                 continue
             rule = out.setdefault(metapath, RuleMap(metapath, {}, conf_threshold))

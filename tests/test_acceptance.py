@@ -27,14 +27,11 @@ from walkaug import (
     Triplet,
     build_adjacency,
     build_rulemaps,
-    compute_association,
     compute_metrics,
     evaluate,
-    extend_join,
     load_tsv_dataset,
     mine_informative_metapaths,
     rank_triplet,
-    sample_edges,
     solve_correction,
     train,
 )
@@ -78,10 +75,10 @@ def test_criterion_1_miner_matches_exhaustive_enumeration():
         singles = {m: s for m, s in oracle.items() if len(m) == 1}
         assert set(base.groups) == set(singles)
         for m, ref in singles.items():
-            stats = compute_association(g, m, base, 0)
-            assert base.groups[m].size == ref.count
-            assert stats.edges_covered == len(ref.covered[0])
-            assert stats.association == dfs_association(ref, m, counts)[0]
+            group = base.groups[m]
+            assert group.size == ref.count
+            assert set(group.edges[:, 0].tolist()) == ref.covered[0]
+            assert dfs_association(ref, m, counts) == [1.0]
         mined = mine_informative_metapaths(g, l_max=3, threshold=TINY)
         multi = {m: s for m, s in oracle.items() if len(m) >= 2}
         assert set(mined) == set(multi)
@@ -147,11 +144,9 @@ def test_criterion_3_sampled_coverage_correction():
     corrected = []
     naive = []
     for seed in range(20):
-        sampled = sample_edges(g, 0.5, seed=seed)
-        table = extend_join(JoinTable.from_graph(sampled), JoinTable.from_graph(sampled))
-        assert (0, 1) in table.groups, f"seed {seed} lost every planted path"
-        stats = compute_association(sampled, (0, 1), table, hop=0, p=0.5,
-                                    full_type_counts=g.relation_counts)
+        mined = mine_informative_metapaths(g, l_max=2, threshold=TINY, p=0.5, seed=seed)
+        assert (0, 1) in mined, f"seed {seed} lost every planted path"
+        stats = mined[(0, 1)].per_hop[0]
         corrected.append(stats.corrected_covered)
         naive.append(stats.edges_covered / 0.5)
     corrected_err = abs(float(np.median(corrected)) - 600.0)

@@ -251,3 +251,23 @@ def test_diverging_training_exits_with_numeric_error(data, capsys):
     argv = base_args(data, "train") + TRAIN_SPEED + ["--mode", "none", "--lr", "1e308"]
     assert main(argv) == 4
     assert "numeric error: non-finite entity_emb row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report, column, value", [
+    ("metapaths.tsv", 1, "-0.9"),
+    ("metapaths.tsv", 1, "nan"),
+    ("rules.tsv", 2, "nan"),
+])
+def test_train_rejects_report_score_outside_unit_interval(data, capsys, report, column, value):
+    assert main(base_args(data, "mine")) == 0
+    assert main(base_args(data, "rules")) == 0
+    path = os.path.join(data["out"], report)
+    lines = open(path).read().splitlines()
+    parts = lines[0].split("\t")
+    parts[column] = value
+    lines[0] = "\t".join(parts)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main(base_args(data, "train") + TRAIN_SPEED) == 3
+    err = capsys.readouterr().err
+    assert f"{report}:1:" in err and "Traceback" not in err

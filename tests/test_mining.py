@@ -7,14 +7,11 @@ from scipy.optimize import brentq
 from conftest import make_graph, random_multigraph
 from oracles import dfs_association, dfs_metapath_stats, dfs_z
 from walkaug import (
-    JoinTable,
+    DataError,
     MiningLimitError,
-    compute_association,
     correction_residual,
-    extend_join,
     mine_informative_metapaths,
     read_metapath_report,
-    sample_edges,
     solve_correction,
     write_metapath_report,
 )
@@ -40,30 +37,19 @@ def test_join_table_triangle_fixture():
 def test_association_half_coverage_fixture():
     # r0 edges {a->b, d->e}, r1 edge {b->c}: hop 0 of (r0, r1) covers 1 of 2
     g = make_graph([(0, 0, 1), (3, 0, 4), (1, 1, 2)])
-    table = extend_join(JoinTable.from_graph(g), JoinTable.from_graph(g))
-    stats = compute_association(g, (0, 1), table, hop=0)
-    assert stats.edges_total == 2
-    assert stats.edges_covered == 1
-    assert stats.association == 0.5
-    assert compute_association(g, (0, 1), table, hop=1).association == 1.0
+    first, second = mine_informative_metapaths(g, l_max=2, threshold=TINY)[(0, 1)].per_hop
+    assert first.edges_total == 2
+    assert first.edges_covered == 1
+    assert first.association == 0.5
+    assert second.association == 1.0
 
 
 def test_extend_join_counts_duplicate_edges_separately():
     # two parallel r0 edges into the same node double the instance count
     g = make_graph([(0, 0, 1), (0, 0, 1), (1, 1, 2)])
-    table = extend_join(JoinTable.from_graph(g), JoinTable.from_graph(g))
-    group = table.groups[(0, 1)]
-    assert group.size == 2
-    assert compute_association(g, (0, 1), table, 0).edges_covered == 2
-
-
-def test_compute_association_requires_known_metapath():
-    g = make_graph([(0, 0, 1)])
-    table = JoinTable.from_graph(g)
-    with pytest.raises(ValueError):
-        compute_association(g, (0, 0), table, 0)
-    with pytest.raises(ValueError):
-        compute_association(g, (0,), table, 5)
+    info = mine_informative_metapaths(g, l_max=2, threshold=TINY)[(0, 1)]
+    assert info.instance_count == 2
+    assert info.per_hop[0].edges_covered == 2
 
 
 # ------------------------------------------------------- exactness vs oracle
@@ -242,12 +228,10 @@ def test_corrected_estimate_recovers_planted_coverage():
     estimates = []
     naive = []
     for seed in range(20):
-        mined = sample_edges(g, 0.5, seed=seed)
-        table = extend_join(JoinTable.from_graph(mined), JoinTable.from_graph(mined))
-        if (0, 1) not in table.groups:
+        mined = mine_informative_metapaths(g, l_max=2, threshold=TINY, p=0.5, seed=seed)
+        if (0, 1) not in mined:
             continue
-        stats = compute_association(mined, (0, 1), table, hop=0, p=0.5,
-                                    full_type_counts=g.relation_counts)
+        stats = mined[(0, 1)].per_hop[0]
         estimates.append(stats.corrected_covered)
         naive.append(stats.edges_covered / 0.5)
     assert len(estimates) >= 19
@@ -290,3 +274,11 @@ def test_report_uses_relation_names(tmp_path):
     write_metapath_report(path, mined, dct)
     assert path.read_text().startswith("knows|likes\t")
     assert read_metapath_report(path, dct) == {(0, 1): 1.0}
+
+
+@pytest.mark.parametrize("z", ["-0.9", "0.0", "7.5", "nan", "inf"])
+def test_read_report_rejects_score_outside_unit_interval(tmp_path, z):
+    path = tmp_path / "metapaths.tsv"
+    path.write_text(f"0|1\t0.5\t3\n1|0\t{z}\t3\n")
+    with pytest.raises(DataError, match=r"metapaths\.tsv:2: score must be in \(0, 1\]"):
+        read_metapath_report(path)

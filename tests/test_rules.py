@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_graph, random_multigraph
 from oracles import dfs_metapath_pairs
 from walkaug import (
+    DataError,
     Dictionary,
     JoinTable,
     build_adjacency,
@@ -96,8 +97,14 @@ def test_confidence_matches_counting_oracle(data):
         st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_rels - 1),
                   st.integers(0, num_nodes - 1)),
         min_size=2, max_size=50))
+    metapaths = data.draw(st.lists(
+        st.lists(st.integers(0, num_rels - 1), min_size=1, max_size=3).map(tuple),
+        min_size=1, max_size=4))
     g = make_graph(edges, num_nodes, num_rels)
-    assert confidences(g, (0, 1)) == oracle_confidences(g, (0, 1))
+    # one call, so every metapath is scored against the same pair index
+    maps = build_rulemaps(g, metapaths, conf_threshold=1e-12)
+    for metapath in metapaths:
+        assert maps[metapath].entries == oracle_confidences(g, metapath), metapath
 
 
 def test_build_rulemaps_thresholds_and_covers_all_inputs():
@@ -168,3 +175,12 @@ def test_read_report_drops_entries_under_threshold(tmp_path):
     parsed = read_rules_report(path, conf_threshold=0.9)
     assert {m: r.entries for m, r in parsed.items()} == {(0, 1): {2: 0.95}}
     assert (2, 1) not in parsed  # nothing survived, no empty map either
+
+
+@pytest.mark.parametrize("conf", ["-0.5", "0", "1.5", "nan"])
+def test_read_report_rejects_confidence_outside_unit_interval(tmp_path, conf):
+    # checked before the threshold, which a nan would otherwise slip past
+    path = tmp_path / "rules.tsv"
+    path.write_text(f"0|1\t2\t0.95\n0|1\t0\t{conf}\n")
+    with pytest.raises(DataError, match=r"rules\.tsv:2: confidence must be in \(0, 1\]"):
+        read_rules_report(path, conf_threshold=0.9)
