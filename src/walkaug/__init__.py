@@ -62,9 +62,7 @@ from .sharing import (
     RnnParams,
     SharingStrategy,
     SparseGrads,
-    metapath_representation,
     relation_vector,
-    strategy_backward,
 )
 from .storage import (
     Checkpoint,
@@ -90,11 +88,11 @@ __all__ = [
     "compute_metrics", "correction_residual",
     "draw_negatives", "evaluate", "init_state",
     "load_checkpoint", "load_tsv_dataset", "loss_and_grad",
-    "metapath_pairs", "metapath_representation", "mine_informative_metapaths",
+    "metapath_pairs", "mine_informative_metapaths",
     "negative_sample", "random_walk", "rank_triplet", "read_embedding_matrix",
     "read_metapath_report", "read_rules_report", "relation_vector",
     "sample_edges", "save_checkpoint", "score", "score_backward",
-    "solve_correction", "strategy_backward", "train", "walk_to_triplets",
+    "solve_correction", "train", "walk_to_triplets",
     "write_embedding_matrix", "write_embedding_tsv", "write_metapath_report",
     "write_rules_report",
 ]

@@ -4,8 +4,13 @@ Each minibatch grows from a set of start nodes: one uniform random walk per
 node, every node pair (i, j) with j - i >= 2 inspected for an informative
 metapath between them. Pairs whose metapath carries rules emit one triplet
 with a rule-sampled relation, weighted z * conf; pairs on a rule-less
-metapath emit a triplet under a freshly minted relation, weighted z. A
-sample of original graph edges (weight 1) balances the synthetic ones.
+metapath emit a triplet under its minted relation, weighted z. A sample of
+original graph edges (weight 1) balances the synthetic ones.
+
+The minted relations are fixed before training starts: `NewRelationRegistry`
+gives every rule-less informative metapath an id after the original
+relations, in sorted order, and walks only look ids up. A metapath the
+registry does not hold (all of them when minting is off) emits nothing.
 """
 
 from __future__ import annotations
@@ -39,40 +44,43 @@ class AugmentedTriplet:
 
 
 class NewRelationRegistry:
-    """Stable ids for relations minted from rule-less metapaths.
+    """The fixed id <-> metapath map of the minted relations.
 
-    Ids start right after the graph's original relations and grow in
-    first-minted order, so a fixed minting order gives a fixed id map.
+    `metapaths[i]` gets id `first_id + i`, where `first_id` is the count of
+    the graph's original relations. Two registries are equal when they mint
+    the same metapaths under the same ids.
     """
 
-    def __init__(self, first_id: int):
+    def __init__(self, first_id: int, metapaths=()):
         self.first_id = first_id
-        self._ids: dict[Metapath, int] = {}
-        self._paths: dict[int, Metapath] = {}
+        self.metapaths: tuple[Metapath, ...] = tuple(tuple(m) for m in metapaths)
+        self._ids = {m: first_id + i for i, m in enumerate(self.metapaths)}
+        if len(self._ids) != len(self.metapaths):
+            raise ValueError("a metapath is minted twice")
 
-    def get_or_mint(self, metapath: Metapath) -> int:
-        rid = self._ids.get(metapath)
-        if rid is None:
-            rid = self.first_id + len(self._ids)
-            self._ids[metapath] = rid
-            self._paths[rid] = metapath
-        return rid
+    @classmethod
+    def rule_less(cls, first_id: int, informative, rulemaps: dict[Metapath, RuleMap]):
+        """Every metapath of `informative` that carries no rule, in sorted order."""
+        return cls(first_id, [m for m in sorted(informative)
+                              if m not in rulemaps or not rulemaps[m].entries])
 
-    def id_of(self, metapath: Metapath) -> int:
-        return self._ids[metapath]
+    def id_of(self, metapath: Metapath) -> int | None:
+        return self._ids.get(metapath)
 
-    def metapath_of(self, rid: int) -> Metapath:
-        return self._paths[rid]
+    def metapath_of(self, rid: int) -> Metapath | None:
+        """The minted metapath of `rid`; None for an original relation."""
+        return self.metapaths[rid - self.first_id] if rid >= self.first_id else None
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.metapaths)
 
-    def __contains__(self, metapath: Metapath) -> bool:
-        return metapath in self._ids
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, NewRelationRegistry) and self.first_id == other.first_id
+                and self.metapaths == other.metapaths)
 
     def items(self) -> list[tuple[int, Metapath]]:
         """(id, metapath) pairs in id order."""
-        return sorted(self._paths.items())
+        return list(enumerate(self.metapaths, start=self.first_id))
 
 
 def random_walk(graph: KnowledgeGraph, start: int, l_max: int, rng) -> RandomWalk:
@@ -120,7 +128,6 @@ def walk_to_triplets(
     rulemaps: dict[Metapath, RuleMap],
     registry: NewRelationRegistry,
     rng,
-    mint_new_relations: bool = True,
     rule_sampling: str = "normalized",
 ) -> list[AugmentedTriplet]:
     """Triplets for every informative metapath between walk node pairs.
@@ -147,9 +154,10 @@ def walk_to_triplets(
                     continue
                 rel, conf = drawn
                 out.append(AugmentedTriplet(nodes[i], rel, nodes[j], z * conf))
-            elif mint_new_relations:
-                rel = registry.get_or_mint(metapath)
-                out.append(AugmentedTriplet(nodes[i], rel, nodes[j], z))
+            else:
+                rel = registry.id_of(metapath)
+                if rel is not None:
+                    out.append(AugmentedTriplet(nodes[i], rel, nodes[j], z))
     return out
 
 
@@ -161,7 +169,6 @@ def build_minibatch(
     rulemaps: dict[Metapath, RuleMap],
     registry: NewRelationRegistry,
     rng,
-    mint_new_relations: bool = True,
     rule_sampling: str = "normalized",
     original_edge_sample: int | None = None,
 ) -> list[AugmentedTriplet]:
@@ -177,9 +184,7 @@ def build_minibatch(
         for start in node_batch:
             walk = random_walk(graph, int(start), l_max, rng)
             out.extend(walk_to_triplets(
-                walk, informative, rulemaps, registry, rng,
-                mint_new_relations=mint_new_relations, rule_sampling=rule_sampling,
-            ))
+                walk, informative, rulemaps, registry, rng, rule_sampling=rule_sampling))
     count = original_edge_sample
     if count is None:
         count = len(out) if out else len(node_batch)

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 from .augment import RULE_SAMPLING_MODES
 from .errors import ConfigError, DataError, NumericError
@@ -126,21 +127,19 @@ class PipelineConfig:
         return strategy
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
-_BOOL_FIELDS = {"add_inverse", "basis_include_original"}
-_INT_FIELDS = {"l_max", "max_table_rows", "basis_count", "dim", "negatives", "epochs",
-               "batch_nodes", "patience", "original_edge_sample", "seed"}
-_FLOAT_FIELDS = {"threshold", "sample_p", "conf_threshold", "margin", "lr", "lr_dense",
-                 "regularization"}
+_HINTS = typing.get_type_hints(PipelineConfig)
 # keys where the literal "none" clears the value; for mode/strategy it is a value
-_NULLABLE_FIELDS = {"train", "valid", "test", "entity_dict", "relation_dict",
-                    "margin", "basis_count", "original_edge_sample"}
+_NULLABLE_FIELDS = {key for key, hint in _HINTS.items() if type(None) in typing.get_args(hint)}
+# each key's value type, `| None` stripped
+_FIELD_TYPES = {key: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+                for key, hint in _HINTS.items()}
 
 
 def _coerce(key: str, raw: str):
     if raw == "none" and key in _NULLABLE_FIELDS:
         return None
-    if key in _BOOL_FIELDS:
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "1", "yes"):
             return True
@@ -148,13 +147,9 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"config key {key}: cannot parse {raw!r}") from None
-    return raw
 
 
 def read_config_file(path) -> dict:
@@ -296,9 +291,9 @@ def cmd_eval(args) -> int:
         raise DataError(
             f"checkpoint has {state.num_entities} entities, dataset has {dataset.num_entities}"
         )
-    if state.num_original_relations != dataset.num_relations:
+    if state.registry.first_id != dataset.num_relations:
         raise DataError(
-            f"checkpoint has {state.num_original_relations} relations, "
+            f"checkpoint has {state.registry.first_id} relations, "
             f"dataset has {dataset.num_relations}"
         )
     graph = {"train": dataset.train, "valid": dataset.valid, "test": dataset.test}[cfg.split]

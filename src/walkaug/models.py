@@ -24,10 +24,11 @@ L2 shrinkage on exactly the touched rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .augment import NewRelationRegistry
 from .errors import ConfigError, NumericError
 from .graph import Triplet
 from .mining import Metapath
@@ -89,13 +90,9 @@ class EmbeddingState:
 
     entity_emb: np.ndarray    # (num_entities, d)
     relation_emb: np.ndarray  # (rows, d); rows include minted ids only for the free strategy
-    num_original_relations: int
-    minted_paths: dict[int, Metapath] = field(default_factory=dict)
+    registry: NewRelationRegistry  # fixed; copies share it
     rnn: RnnParams | None = None
     basis: BasisParams | None = None
-
-    def __post_init__(self):
-        self._minted_ids = {m: rid for rid, m in self.minted_paths.items()}
 
     @property
     def dim(self) -> int:
@@ -105,15 +102,11 @@ class EmbeddingState:
     def num_entities(self) -> int:
         return int(self.entity_emb.shape[0])
 
-    def minted_id_of(self, metapath: Metapath) -> int | None:
-        return self._minted_ids.get(metapath)
-
     def copy(self) -> "EmbeddingState":
         return EmbeddingState(
             self.entity_emb.copy(),
             self.relation_emb.copy(),
-            self.num_original_relations,
-            dict(self.minted_paths),
+            self.registry,
             self.rnn.copy() if self.rnn is not None else None,
             self.basis.copy() if self.basis is not None else None,
         )
@@ -121,19 +114,20 @@ class EmbeddingState:
 
 def init_state(
     num_entities: int,
-    num_relations: int,
-    minted_paths: dict[int, Metapath],
+    registry: NewRelationRegistry,
     config: ModelConfig,
     strategy: SharingStrategy,
     rng,
 ) -> EmbeddingState:
-    """Fresh parameters; the rng draw order is fixed so seeds reproduce."""
+    """Fresh parameters for the original relations (`registry.first_id` of
+    them) and the minted ones; the rng draw order is fixed so seeds reproduce."""
     strategy.validate(config.scoring)
     config.validate()
     d = config.dim
+    num_relations = registry.first_id
     bound = 6.0 / math.sqrt(d)
     entity = rng.uniform(-bound, bound, size=(num_entities, d))
-    rows = num_relations + (len(minted_paths) if strategy.kind == "none" else 0)
+    rows = num_relations + (len(registry) if strategy.kind == "none" else 0)
     relation = rng.uniform(-bound, bound, size=(rows, d))
 
     rnn = None
@@ -149,13 +143,13 @@ def init_state(
         count = strategy.basis_count or min(num_relations, DEFAULT_BASIS_CAP)
         vectors = rng.uniform(-bound, bound, size=(count, d))
         scale = math.sqrt(1.0 / count)
-        keys: list[Metapath] = sorted(m for m in minted_paths.values())
+        keys: list[Metapath] = sorted(registry.metapaths)
         if strategy.basis_include_original:
             keys += [(rel,) for rel in range(num_relations)]
         coefficients = {key: rng.normal(0.0, scale, size=count) for key in keys}
         basis = BasisParams(vectors, coefficients, strategy.basis_include_original)
 
-    return EmbeddingState(entity, relation, num_relations, dict(minted_paths), rnn, basis)
+    return EmbeddingState(entity, relation, registry, rnn, basis)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

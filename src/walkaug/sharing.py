@@ -10,8 +10,14 @@ Four strategies decide how a minted relation gets its vector:
   rnn     a single-layer tanh recurrence read over the constituent vectors
   basis   a learned combination of a small shared set of basis vectors
 
-All forward passes have matching manual backward passes that route a
-gradient on the produced vector back onto the touched parameters.
+`relation_vector` and `relation_backward` are the one dispatch from a
+relation id to its vector and back. A relation either owns a row of
+`relation_emb` (every relation under `none`, and the original ones under the
+others) or takes its vector from the shared parameters of a metapath: its
+minted metapath, or `(rel,)` for an original relation under
+`basis_include_original`. The backward routes a gradient on the produced
+vector onto the touched parameters. A state is trusted to carry the
+parameters of its strategy; `storage.load_checkpoint` checks a stored one.
 """
 
 from __future__ import annotations
@@ -156,19 +162,6 @@ class SparseGrads:
             self.add_basis_coef(key, grad)
 
 
-def compose_vectors(vectors: np.ndarray) -> np.ndarray:
-    """Left-fold sum over the rows of `vectors`."""
-    out = vectors[0].copy()
-    for row in vectors[1:]:
-        out += row
-    return out
-
-
-def compose_backward(vectors: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Per-row gradients of compose_vectors; shape matches `vectors`."""
-    return np.broadcast_to(grad, vectors.shape).copy()
-
-
 def rnn_forward(params: RnnParams, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the recurrence over rows of `inputs` from a zero state.
 
@@ -202,79 +195,27 @@ def rnn_backward(
     return d_w_in, d_w_rec, d_bias, d_inputs
 
 
-def metapath_representation(
-    metapath: Metapath, state: "EmbeddingState", strategy: SharingStrategy,
-    scoring: str | None = None,
-) -> np.ndarray:
-    """Vector standing in for `metapath` under the given sharing strategy."""
-    strategy.validate(scoring)
+def _shared_key(state: "EmbeddingState", strategy: SharingStrategy, rel_id: int) -> Metapath | None:
+    """The metapath whose shared parameters give `rel_id` its vector, or None
+    when the relation owns a row of `relation_emb`."""
     if strategy.kind == "none":
-        rid = state.minted_id_of(metapath)
-        if rid is None:
-            raise ValueError(f"metapath {metapath} has no minted embedding row")
-        return state.relation_emb[rid]
-    if strategy.kind == "model":
-        return compose_vectors(state.relation_emb[list(metapath)])
-    if strategy.kind == "rnn":
-        if state.rnn is None:
-            raise ValueError("state carries no recurrence parameters")
-        return rnn_forward(state.rnn, state.relation_emb[list(metapath)])[0]
-    if state.basis is None:
-        raise ValueError("state carries no basis parameters")
-    coef = state.basis.coefficients.get(metapath)
-    if coef is None:
-        raise ValueError(f"metapath {metapath} has no basis coefficients")
-    return state.basis.vectors.T @ coef
-
-
-def strategy_backward(
-    metapath: Metapath, grad: np.ndarray, state: "EmbeddingState", strategy: SharingStrategy,
-    out: SparseGrads | None = None,
-) -> SparseGrads:
-    """Gradients of (grad . representation) for the strategy's parameters,
-    accumulated into `out` (a new bundle when None) and returned."""
-    if out is None:
-        out = SparseGrads()
-    if strategy.kind == "none":
-        rid = state.minted_id_of(metapath)
-        if rid is None:
-            raise ValueError(f"metapath {metapath} has no minted embedding row")
-        out.add_relation(rid, grad)
-    elif strategy.kind == "model":
-        rows = state.relation_emb[list(metapath)]
-        per_row = compose_backward(rows, grad)
-        for rel, row_grad in zip(metapath, per_row):
-            out.add_relation(int(rel), row_grad)
-    elif strategy.kind == "rnn":
-        if state.rnn is None:
-            raise ValueError("state carries no recurrence parameters")
-        inputs = state.relation_emb[list(metapath)]
-        _, states = rnn_forward(state.rnn, inputs)
-        d_w_in, d_w_rec, d_bias, d_inputs = rnn_backward(state.rnn, inputs, states, grad)
-        out.add_rnn(d_w_in, d_w_rec, d_bias)
-        for rel, row_grad in zip(metapath, d_inputs):
-            out.add_relation(int(rel), row_grad)
-    else:
-        if state.basis is None:
-            raise ValueError("state carries no basis parameters")
-        coef = state.basis.coefficients.get(metapath)
-        if coef is None:
-            raise ValueError(f"metapath {metapath} has no basis coefficients")
-        out.add_basis_coef(metapath, state.basis.vectors @ grad)
-        out.add_basis_vectors(np.outer(coef, grad))
-    return out
+        return None
+    metapath = state.registry.metapath_of(rel_id)
+    if metapath is None and strategy.kind == "basis" and strategy.basis_include_original:
+        return (rel_id,)
+    return metapath
 
 
 def relation_vector(state: "EmbeddingState", strategy: SharingStrategy, rel_id: int) -> np.ndarray:
     """Vector for any relation id, original or minted."""
-    metapath = state.minted_paths.get(rel_id)
-    if metapath is None:
-        if strategy.kind == "basis" and strategy.basis_include_original:
-            return metapath_representation((rel_id,), state, strategy)
+    key = _shared_key(state, strategy, rel_id)
+    if key is None:
         return state.relation_emb[rel_id]
-    if strategy.kind == "none":
-        return state.relation_emb[rel_id]
-    return metapath_representation(metapath, state, strategy)
+    if strategy.kind == "model":
+        return state.relation_emb[list(key)].sum(axis=0)  # row by row: the left fold
+    if strategy.kind == "rnn":
+        return rnn_forward(state.rnn, state.relation_emb[list(key)])[0]
+    return state.basis.vectors.T @ state.basis.coefficients[key]
 
 
 def relation_backward(
@@ -282,14 +223,19 @@ def relation_backward(
     grad: np.ndarray, out: SparseGrads,
 ) -> None:
     """Accumulate the gradient for a relation's vector into `out`."""
-    metapath = state.minted_paths.get(rel_id)
-    if metapath is None:
-        if strategy.kind == "basis" and strategy.basis_include_original:
-            strategy_backward((rel_id,), grad, state, strategy, out)
-        else:
-            out.add_relation(rel_id, grad)
-        return
-    if strategy.kind == "none":
+    key = _shared_key(state, strategy, rel_id)
+    if key is None:
         out.add_relation(rel_id, grad)
-        return
-    strategy_backward(metapath, grad, state, strategy, out)
+    elif strategy.kind == "model":
+        for rel in key:
+            out.add_relation(int(rel), grad)
+    elif strategy.kind == "rnn":
+        inputs = state.relation_emb[list(key)]
+        _, states = rnn_forward(state.rnn, inputs)
+        d_w_in, d_w_rec, d_bias, d_inputs = rnn_backward(state.rnn, inputs, states, grad)
+        out.add_rnn(d_w_in, d_w_rec, d_bias)
+        for rel, row_grad in zip(key, d_inputs):
+            out.add_relation(int(rel), row_grad)
+    else:
+        out.add_basis_coef(key, state.basis.vectors @ grad)
+        out.add_basis_vectors(np.outer(state.basis.coefficients[key], grad))

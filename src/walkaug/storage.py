@@ -2,7 +2,11 @@
 
 A checkpoint is a directory (not an archive, so reruns are byte-identical)
 holding one .npy file per parameter array plus a meta.json with the config,
-sharing strategy, minted-relation map, rng state and training counters.
+sharing strategy, minted-relation map, rng state and training counters. The
+minted-relation map is stored once, in the `registry` section, and the
+current and best states share it. Loading checks every array against the
+strategy and the map, so a checkpoint that disagrees with itself is a
+DataError before any training or ranking starts.
 
 The embedding binary starts with an 8-byte header (little-endian uint32 row
 count, then uint32 dimension) followed by row-major float32 values.
@@ -33,7 +37,6 @@ class Checkpoint:
     best_state: EmbeddingState
     config: ModelConfig
     strategy: SharingStrategy
-    registry: NewRelationRegistry
     rng_state: dict
     epoch: int
     best_mrr: float
@@ -44,10 +47,7 @@ class Checkpoint:
 def _save_state(directory: str, prefix: str, state: EmbeddingState) -> dict:
     np.save(os.path.join(directory, f"{prefix}entity_emb.npy"), state.entity_emb)
     np.save(os.path.join(directory, f"{prefix}relation_emb.npy"), state.relation_emb)
-    meta = {
-        "num_original_relations": state.num_original_relations,
-        "minted": [[rid, list(m)] for rid, m in sorted(state.minted_paths.items())],
-    }
+    meta = {}
     if state.rnn is not None:
         np.save(os.path.join(directory, f"{prefix}rnn_w_in.npy"), state.rnn.w_in)
         np.save(os.path.join(directory, f"{prefix}rnn_w_rec.npy"), state.rnn.w_rec)
@@ -64,7 +64,8 @@ def _save_state(directory: str, prefix: str, state: EmbeddingState) -> dict:
     return meta
 
 
-def _load_state(directory: str, prefix: str, meta: dict) -> EmbeddingState:
+def _load_state(directory: str, prefix: str, meta: dict, registry: NewRelationRegistry,
+                strategy: SharingStrategy) -> EmbeddingState:
     def load(name):
         return np.load(os.path.join(directory, f"{prefix}{name}.npy"))
 
@@ -80,14 +81,43 @@ def _load_state(directory: str, prefix: str, meta: dict) -> EmbeddingState:
             {key: coef[i] for i, key in enumerate(keys)},
             meta.get("basis_include_original", False),
         )
-    return EmbeddingState(
-        load("entity_emb"),
-        load("relation_emb"),
-        meta["num_original_relations"],
-        {rid: tuple(m) for rid, m in meta["minted"]},
-        rnn,
-        basis,
-    )
+    state = EmbeddingState(load("entity_emb"), load("relation_emb"), registry, rnn, basis)
+    _check_state(state, strategy, f"{prefix}state")
+    return state
+
+
+def _check_state(state: EmbeddingState, strategy: SharingStrategy, name: str) -> None:
+    """DataError unless the arrays of `state` are the ones `strategy` trains
+    for its minted relations, all of the entity dimension."""
+    registry, kind = state.registry, strategy.kind
+    if state.entity_emb.ndim != 2:
+        raise DataError(f"{name} entity_emb has shape {state.entity_emb.shape}")
+    d = state.dim
+    rows = registry.first_id + (len(registry) if kind == "none" else 0)
+    if state.relation_emb.shape != (rows, d):
+        raise DataError(f"{name} relation_emb has shape {state.relation_emb.shape}, expected "
+                        f"{(rows, d)} for strategy {kind!r} and {len(registry)} minted relations")
+    if (state.rnn is not None) != (kind == "rnn"):
+        raise DataError(f"{name} {'has' if state.rnn else 'lacks'} rnn parameters "
+                        f"under strategy {kind!r}")
+    if state.rnn is not None:
+        shapes = (state.rnn.w_in.shape, state.rnn.w_rec.shape, state.rnn.bias.shape)
+        if shapes != ((d, d), (d, d), (d,)):
+            raise DataError(f"{name} rnn parameters have shapes {shapes}, expected dimension {d}")
+    if (state.basis is not None) != (kind == "basis"):
+        raise DataError(f"{name} {'has' if state.basis else 'lacks'} basis parameters "
+                        f"under strategy {kind!r}")
+    if state.basis is not None:
+        keys = set(registry.metapaths)
+        if strategy.basis_include_original:
+            keys |= {(rel,) for rel in range(registry.first_id)}
+        if set(state.basis.coefficients) != keys:
+            raise DataError(f"{name} basis coefficients cover {sorted(state.basis.coefficients)}, "
+                            f"expected {sorted(keys)}")
+        count = state.basis.count
+        if state.basis.vectors.shape != (count, d) or any(
+                coef.shape != (count,) for coef in state.basis.coefficients.values()):
+            raise DataError(f"{name} basis parameters are not {count} vectors of dimension {d}")
 
 
 def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
@@ -97,8 +127,8 @@ def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
         "config": asdict(ckpt.config),
         "strategy": asdict(ckpt.strategy),
         "registry": {
-            "first_id": ckpt.registry.first_id,
-            "minted": [[rid, list(m)] for rid, m in ckpt.registry.items()],
+            "first_id": ckpt.state.registry.first_id,
+            "minted": [[rid, list(m)] for rid, m in ckpt.state.registry.items()],
         },
         "rng_state": ckpt.rng_state,
         "epoch": ckpt.epoch,
@@ -139,27 +169,28 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise DataError(f"{meta_path}: {exc}") from None
     except KeyError as exc:
         raise DataError(f"{meta_path}: missing key {exc}") from None
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, IndexError, TypeError, ValueError) as exc:
         raise DataError(f"{meta_path}: malformed checkpoint ({exc})") from None
 
 
 def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
-    registry = NewRelationRegistry(meta["registry"]["first_id"])
-    for rid, metapath in meta["registry"]["minted"]:
-        minted = registry.get_or_mint(tuple(metapath))
-        if minted != rid:
+    first_id = meta["registry"]["first_id"]
+    minted = meta["registry"]["minted"]
+    for i, (rid, _) in enumerate(minted):
+        if rid != first_id + i:
             raise DataError(f"registry ids are not contiguous at {rid}")
+    registry = NewRelationRegistry(first_id, [m for _, m in minted])
     strategy = dict(meta["strategy"])
     # older checkpoints store the model composition, which is always the sum
     compose_op = strategy.pop("compose_op", "sum")
     if compose_op != "sum":
         raise DataError(f"unsupported compose op {compose_op!r}")
+    strategy = _dataclass_section(SharingStrategy, strategy, "strategy")
     return Checkpoint(
-        state=_load_state(directory, "", meta["state"]),
-        best_state=_load_state(directory, "best_", meta["best_state"]),
+        state=_load_state(directory, "", meta["state"], registry, strategy),
+        best_state=_load_state(directory, "best_", meta["best_state"], registry, strategy),
         config=_dataclass_section(ModelConfig, meta["config"], "config"),
-        strategy=_dataclass_section(SharingStrategy, strategy, "strategy"),
-        registry=registry,
+        strategy=strategy,
         rng_state=meta["rng_state"],
         epoch=meta["epoch"],
         best_mrr=meta["best_mrr"],

@@ -53,16 +53,22 @@ class TrainResult:
     state: EmbeddingState        # best validation state (last state if no validation)
     final_state: EmbeddingState
     log: list[EpochStats]
-    registry: NewRelationRegistry
 
 
-def _check_resume_config(config: ModelConfig, strategy: SharingStrategy, resume: Checkpoint) -> None:
+def _check_resume(config: ModelConfig, strategy: SharingStrategy, registry: NewRelationRegistry,
+                  resume: Checkpoint) -> None:
     ours, theirs = asdict(config), asdict(resume.config)
     ours.pop("epochs"), theirs.pop("epochs")  # training longer is the point of resuming
     mismatched = [k for k in ours if ours[k] != theirs[k]]
     mismatched += [] if asdict(strategy) == asdict(resume.strategy) else ["strategy"]
     if mismatched:
         raise ConfigError(f"resume checkpoint disagrees on: {', '.join(sorted(mismatched))}")
+    theirs = resume.state.registry
+    if theirs != registry:
+        raise ConfigError(
+            f"resume checkpoint minted relations {dict(theirs.items())} after "
+            f"{theirs.first_id} original ones, but these inputs mint "
+            f"{dict(registry.items())} after {registry.first_id}")
 
 
 def train(
@@ -83,9 +89,11 @@ def train(
     """Fit embeddings on the walk-augmented training graph.
 
     `informative` maps metapath -> z score, `rulemaps` carries the mined
-    rules for (a subset of) those metapaths. Rule-less informative metapaths
-    are minted as new relations up front, in sorted order, so relation ids
-    are fixed for a given mining result regardless of walk order.
+    rules for (a subset of) those metapaths. With `mint_new_relations`, the
+    rule-less informative metapaths are minted as new relations before the
+    first epoch, in sorted order, so relation ids are fixed for a given
+    mining result regardless of walk order; without it, walks on them emit
+    nothing. A resume must mint exactly what its checkpoint minted.
     """
     config.validate()
     strategy.validate(config.scoring)
@@ -93,9 +101,10 @@ def train(
     if graph.num_triplets == 0:
         raise DataError("training graph has no triplets")
 
+    registry = NewRelationRegistry.rule_less(
+        graph.num_relations, informative if mint_new_relations else {}, rulemaps)
     if resume is not None:
-        _check_resume_config(config, strategy, resume)
-        registry = resume.registry
+        _check_resume(config, strategy, registry, resume)
         state = resume.state
         best_state = resume.best_state
         best_mrr = resume.best_mrr
@@ -105,15 +114,8 @@ def train(
         rng = np.random.default_rng()
         rng.bit_generator.state = resume.rng_state
     else:
-        registry = NewRelationRegistry(graph.num_relations)
-        if mint_new_relations:
-            for metapath in sorted(informative):
-                rule = rulemaps.get(metapath)
-                if rule is None or not rule.entries:
-                    registry.get_or_mint(metapath)
         rng = np.random.default_rng(config.seed)
-        minted = {rid: m for rid, m in registry.items()}
-        state = init_state(graph.num_entities, graph.num_relations, minted, config, strategy, rng)
+        state = init_state(graph.num_entities, registry, config, strategy, rng)
         best_state = state.copy()
         best_mrr = -math.inf
         bad_epochs = 0
@@ -131,8 +133,7 @@ def train(
             nodes = order[start:start + config.batch_nodes]
             triplets = build_minibatch(
                 graph, nodes, l_max, informative, rulemaps, registry, rng,
-                mint_new_relations=mint_new_relations, rule_sampling=rule_sampling,
-                original_edge_sample=original_edge_sample,
+                rule_sampling=rule_sampling, original_edge_sample=original_edge_sample,
             )
             if not triplets:
                 continue
@@ -164,11 +165,11 @@ def train(
         if checkpoint_dir is not None:
             save_checkpoint(checkpoint_dir, Checkpoint(
                 state=state, best_state=best_state, config=config, strategy=strategy,
-                registry=registry, rng_state=rng.bit_generator.state,
+                rng_state=rng.bit_generator.state,
                 epoch=epoch, best_mrr=best_mrr, bad_epochs=bad_epochs,
                 log=[entry.to_dict() for entry in log],
             ))
         if has_valid and bad_epochs >= patience:
             break
 
-    return TrainResult(state=best_state, final_state=state, log=log, registry=registry)
+    return TrainResult(state=best_state, final_state=state, log=log)

@@ -6,6 +6,7 @@ from oracles import numeric_gradient
 from walkaug import (
     AugmentedTriplet,
     ModelConfig,
+    NewRelationRegistry,
     SharingStrategy,
     init_state,
     loss_and_grad,
@@ -13,7 +14,7 @@ from walkaug import (
 )
 from walkaug.sharing import relation_vector
 
-MINTED = {3: (0, 1), 4: (2, 1, 0)}  # two shared metapaths over 3 original relations
+MINTED = NewRelationRegistry(3, [(0, 1), (2, 1, 0)])  # shared metapaths over relations 0..2
 
 
 def build_case(rng, scoring, kind, weight=1.0, include_original=False):
@@ -27,8 +28,8 @@ def build_case(rng, scoring, kind, weight=1.0, include_original=False):
         scoring=scoring, dim=5, margin=float(rng.uniform(0.5, 4.0)),
         negatives=2, seed=0,
     )
-    num_entities, num_relations = 8, 3
-    state = init_state(num_entities, num_relations, dict(MINTED), config, strategy, rng)
+    num_entities = 8
+    state = init_state(num_entities, MINTED, config, strategy, rng)
     relation = int(rng.choice([0, 1, 2, 3, 4]))
     positive = AugmentedTriplet(
         int(rng.integers(num_entities)), relation, int(rng.integers(num_entities)),

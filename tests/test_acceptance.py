@@ -35,6 +35,7 @@ from walkaug import (
     solve_correction,
     train,
 )
+from walkaug.augment import NewRelationRegistry
 from walkaug.models import EmbeddingState
 
 TINY = 1e-12  # prune threshold low enough that every instanced metapath survives
@@ -199,7 +200,8 @@ def test_criterion_5_ranking_metrics_match_hand_computation():
         edges = sorted({(int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(n)))
                         for _ in range(int(rng.integers(3, 14)))})
         graph = make_graph(edges, num_entities=n, num_relations=2)
-        state = EmbeddingState(rng.normal(size=(n, 5)), rng.normal(size=(2, 5)), 2)
+        state = EmbeddingState(rng.normal(size=(n, 5)), rng.normal(size=(2, 5)),
+                               NewRelationRegistry(2))
         ef = EvalFilter.from_graphs([graph])
         for h, rel, t in edges:
             scoring = ("transe_l2", "transe_l1", "distmult")[fixtures % 3]

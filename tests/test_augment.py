@@ -53,14 +53,19 @@ def test_walk_parallel_edges_double_probability():
 
 
 def test_registry_mints_stable_ids():
-    reg = NewRelationRegistry(first_id=10)
-    assert reg.get_or_mint((0, 1)) == 10
-    assert reg.get_or_mint((2, 2)) == 11
-    assert reg.get_or_mint((0, 1)) == 10
-    assert reg.metapath_of(11) == (2, 2)
+    reg = NewRelationRegistry(first_id=10, metapaths=[(0, 1), (2, 2)])
+    assert reg.id_of((0, 1)) == 10
     assert reg.id_of((2, 2)) == 11
+    assert reg.id_of((1, 0)) is None
+    assert reg.metapath_of(11) == (2, 2)
+    assert reg.metapath_of(9) is None  # an original relation
     assert len(reg) == 2
     assert reg.items() == [(10, (0, 1)), (11, (2, 2))]
+    assert reg == NewRelationRegistry(10, [(0, 1), (2, 2)])
+    assert reg != NewRelationRegistry(10, [(2, 2), (0, 1)])
+    assert reg != NewRelationRegistry(9, [(0, 1), (2, 2)])
+    with pytest.raises(ValueError):
+        NewRelationRegistry(10, [(0, 1), (0, 1)])
 
 
 def _walk(nodes, rels):
@@ -69,7 +74,7 @@ def _walk(nodes, rels):
 
 def test_walk_pairs_skip_adjacent_and_self():
     # walk a-r0-b-r1-a: pair (0, 2) is a self pair, nothing emitted
-    reg = NewRelationRegistry(5)
+    reg = NewRelationRegistry(5, [(0, 1)])
     informative = {(0, 1): 0.8}
     out = walk_to_triplets(_walk([3, 4, 3], [0, 1]), informative, {}, reg,
                            np.random.default_rng(0))
@@ -83,7 +88,7 @@ def test_walk_pairs_skip_adjacent_and_self():
 def test_walk_emits_every_qualifying_pair():
     # l_max = 4 walk: pairs (0,2), (0,3), (1,3); all metapaths informative
     informative = {(0, 1): 0.5, (1, 2): 0.25, (0, 1, 2): 0.125}
-    reg = NewRelationRegistry(9)
+    reg = NewRelationRegistry.rule_less(9, informative, {})
     out = walk_to_triplets(_walk([10, 11, 12, 13], [0, 1, 2]), informative, {}, reg,
                            np.random.default_rng(0))
     assert len(out) == 3
@@ -91,8 +96,10 @@ def test_walk_emits_every_qualifying_pair():
     assert by_pair[(10, 12)].weight == 0.5
     assert by_pair[(10, 13)].weight == 0.125
     assert by_pair[(11, 13)].weight == 0.25
-    # minted ids follow first-use order within the walk scan
-    assert by_pair[(10, 12)].relation == reg.id_of((0, 1))
+    # each pair carries its metapath's minted id
+    assert by_pair[(10, 12)].relation == reg.id_of((0, 1)) == 9
+    assert by_pair[(10, 13)].relation == reg.id_of((0, 1, 2)) == 10
+    assert by_pair[(11, 13)].relation == reg.id_of((1, 2)) == 11
 
 
 def test_uninformative_metapaths_emit_nothing():
@@ -103,10 +110,11 @@ def test_uninformative_metapaths_emit_nothing():
 
 
 def test_minting_disabled_skips_ruleless_metapaths():
+    # with minting off the registry is empty: a rule-less metapath emits nothing
     reg = NewRelationRegistry(5)
     informative = {(0, 1): 0.9}
     out = walk_to_triplets(_walk([0, 1, 2], [0, 1]), informative, {}, reg,
-                           np.random.default_rng(0), mint_new_relations=False)
+                           np.random.default_rng(0))
     assert out == []
     assert len(reg) == 0
 
@@ -177,7 +185,7 @@ def test_minibatch_mixes_walks_and_originals():
     g = make_graph([(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 0, 0)])
     informative = {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0, (0, 1, 2): 1.0,
                    (1, 2, 0): 1.0, (2, 0, 1): 1.0}
-    reg = NewRelationRegistry(3)
+    reg = NewRelationRegistry.rule_less(3, informative, {})
     rng = np.random.default_rng(2)
     batch = build_minibatch(g, [0, 1, 2, 3], l_max=3, informative=informative,
                             rulemaps={}, registry=reg, rng=rng)
@@ -215,7 +223,7 @@ def test_minibatch_deterministic_for_seed():
     rules = {(0, 1): RuleMap((0, 1), {1: 0.8})}
 
     def run():
-        reg = NewRelationRegistry(2)
+        reg = NewRelationRegistry.rule_less(2, informative, rules)
         return build_minibatch(g, [0, 1, 2], l_max=3, informative=informative,
                                rulemaps=rules, registry=reg,
                                rng=np.random.default_rng(42))

@@ -1,12 +1,13 @@
 """End-to-end command line runs over a small composed-relation dataset."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from walkaug import Dictionary, read_embedding_matrix
-from walkaug.cli import main
+from walkaug import ConfigError, Dictionary, read_embedding_matrix
+from walkaug.cli import PipelineConfig, main, read_config_file
 
 # x_i --r0--> y_(i%3) --r1--> z_(i%3), z_(i%3+1); r2 closes the composition
 # for the first four x nodes, so the (r0, r1) -> r2 rule holds at 8/12.
@@ -243,6 +244,81 @@ def test_malformed_checkpoint_meta_is_a_data_error(data, tmp_path, capsys, damag
     assert main(resume_argv) == 3
     err = capsys.readouterr().err
     assert err.count("data error") == 2 and named in err and "Traceback" not in err
+
+
+def test_resume_refuses_inputs_that_mint_differently(data, capsys):
+    assert main(base_args(data, "mine")) == 0
+    assert main(base_args(data, "rules")) == 0
+    train_argv = base_args(data, "train") + TRAIN_SPEED + ["--epochs", "1"]
+    assert main(train_argv) == 0  # the (r0, r1) -> r2 rule holds: nothing minted
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    capsys.readouterr()
+    # at 0.9 the rule drops out and (r0, r1) would be minted as relation 3
+    resume_argv = train_argv + ["--epochs", "2", "--conf-threshold", "0.9",
+                                "--resume", checkpoint]
+    assert main(resume_argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "{3: (0, 1)}" in err and "Traceback" not in err
+
+
+def test_checkpoint_arrays_must_match_the_stored_strategy(data, tmp_path, capsys):
+    assert main(base_args(data, "mine")) == 0
+    assert main(base_args(data, "rules")) == 0
+    train_argv = base_args(data, "train") + TRAIN_SPEED + [
+        "--strategy", "rnn", "--conf-threshold", "0.9", "--epochs", "1"]
+    assert main(train_argv) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    meta_path = os.path.join(checkpoint, "meta.json")
+    meta = json.load(open(meta_path))
+    meta["strategy"]["kind"] = "basis"  # the arrays are still the rnn ones
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    resume_argv = train_argv + ["--strategy", "basis", "--epochs", "2", "--resume", checkpoint,
+                                "--checkpoint", str(tmp_path / "next")]
+    assert main(resume_argv) == 3
+    assert main(base_args(data, "eval") + ["--test", data["test"]]) == 3
+    err = capsys.readouterr().err
+    assert err.count("data error") == 2 and "rnn parameters" in err and "Traceback" not in err
+
+
+def test_config_file_sets_every_key(tmp_path):
+    values = {
+        "train": "t.tsv", "valid": "v.tsv", "test": "x.tsv", "entity_dict": "e.dict",
+        "relation_dict": "r.dict", "add_inverse": "yes", "l_max": "4", "threshold": "0.3",
+        "sample_p": "0.5", "max_table_rows": "1000", "conf_threshold": "0.7",
+        "mode": "rules-only", "strategy": "basis", "basis_count": "5",
+        "basis_include_original": "true", "scoring": "distmult", "dim": "16",
+        "margin": "1.5", "negatives": "3", "lr": "0.2", "lr_dense": "0.02",
+        "regularization": "0.001", "epochs": "7", "batch_nodes": "32", "patience": "3",
+        "original_edge_sample": "9", "rule_sampling": "raw", "protocol": "raw",
+        "tie": "pessimistic", "split": "valid", "seed": "11", "out_dir": "runs",
+    }
+    assert set(values) == {f.name for f in dataclasses.fields(PipelineConfig)}
+    conf = tmp_path / "all.conf"
+    conf.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+    want = PipelineConfig(
+        train="t.tsv", valid="v.tsv", test="x.tsv", entity_dict="e.dict",
+        relation_dict="r.dict", add_inverse=True, l_max=4, threshold=0.3, sample_p=0.5,
+        max_table_rows=1000, conf_threshold=0.7, mode="rules-only", strategy="basis",
+        basis_count=5, basis_include_original=True, scoring="distmult", dim=16, margin=1.5,
+        negatives=3, lr=0.2, lr_dense=0.02, regularization=0.001, epochs=7, batch_nodes=32,
+        patience=3, original_edge_sample=9, rule_sampling="raw", protocol="raw",
+        tie="pessimistic", split="valid", seed=11, out_dir="runs",
+    )
+    parsed = read_config_file(str(conf))
+    assert parsed == dataclasses.asdict(want)
+    assert all(type(parsed[key]) is type(value)
+               for key, value in dataclasses.asdict(want).items())
+
+    nullable = ["train", "valid", "test", "entity_dict", "relation_dict", "basis_count",
+                "margin", "original_edge_sample"]
+    conf.write_text("".join(f"{key}=none\n" for key in nullable) + "mode=none\nstrategy=none\n")
+    parsed = read_config_file(str(conf))
+    assert parsed == {**{key: None for key in nullable}, "mode": "none", "strategy": "none"}
+    conf.write_text("dim=none\n")
+    with pytest.raises(ConfigError, match="dim"):
+        read_config_file(str(conf))
 
 
 def test_diverging_training_exits_with_numeric_error(data, capsys):

@@ -21,6 +21,7 @@ from walkaug import (
     score,
 )
 from walkaug import evaluation
+from walkaug.augment import NewRelationRegistry
 from walkaug.models import EmbeddingState
 
 STRATEGY = SharingStrategy()
@@ -30,7 +31,7 @@ def line_state(entities, relations):
     return EmbeddingState(
         np.array(entities, dtype=np.float64).reshape(len(entities), -1),
         np.array(relations, dtype=np.float64).reshape(len(relations), -1),
-        len(relations),
+        NewRelationRegistry(len(relations)),
     )
 
 
@@ -70,7 +71,7 @@ def test_tie_policies_differ_on_duplicates():
             emb = rng.normal(size=(40, dim))
             emb[[5, 17, 33]] = emb[2]
             emb[[9, 21]] = emb[30]
-            state = EmbeddingState(emb, rng.normal(size=(1, dim)), 1)
+            state = EmbeddingState(emb, rng.normal(size=(1, dim)), NewRelationRegistry(1))
             positive = Triplet(2, 0, 30)
             optimistic = rank_triplet(positive, state, STRATEGY, scoring,
                                       protocol="raw", tie="optimistic")
@@ -172,7 +173,7 @@ def test_eval_filter_of_zero_triplets_is_empty():
 def test_evaluate_minted_relations_once_per_relation(monkeypatch, kind, include_original):
     rng = np.random.default_rng(41)
     n = 12
-    minted = {3: (0, 1), 4: (2, 1, 0)}
+    minted = NewRelationRegistry(3, [(0, 1), (2, 1, 0)])
     strategy = SharingStrategy(kind=kind, basis_count=4 if kind == "basis" else None,
                                basis_include_original=include_original)
     # relations 0..2 are original, 3 and 4 minted metapaths
@@ -191,7 +192,7 @@ def test_evaluate_minted_relations_once_per_relation(monkeypatch, kind, include_
         if kind == "model" and scoring == "distmult":
             continue
         config = ModelConfig(scoring=scoring, dim=8, seed=0)
-        state = init_state(n, 3, minted, config, strategy, rng)
+        state = init_state(n, minted, config, strategy, rng)
         for protocol, tie in (("filtered", "optimistic"), ("raw", "pessimistic")):
             monkeypatch.setattr(evaluation, "relation_vector", counted)
             calls.clear()
@@ -217,7 +218,7 @@ def test_ranks_match_score_loop_oracle():
         )
         graph = make_graph(edges, num_entities=n, num_relations=num_rels)
         state = EmbeddingState(
-            rng.normal(size=(n, 6)), rng.normal(size=(num_rels, 6)), num_rels
+            rng.normal(size=(n, 6)), rng.normal(size=(num_rels, 6)), NewRelationRegistry(num_rels)
         )
         ef = EvalFilter.from_graphs([graph])
         scoring = ("transe_l2", "transe_l1", "distmult")[case % 3]
@@ -248,7 +249,8 @@ def test_filtered_rank_never_exceeds_raw():
         n = int(rng.integers(4, 10))
         edges = sorted({(int(rng.integers(n)), 0, int(rng.integers(n))) for _ in range(8)})
         graph = make_graph(edges, num_entities=n, num_relations=1)
-        state = EmbeddingState(rng.normal(size=(n, 4)), rng.normal(size=(1, 4)), 1)
+        state = EmbeddingState(rng.normal(size=(n, 4)), rng.normal(size=(1, 4)),
+                               NewRelationRegistry(1))
         ef = EvalFilter.from_graphs([graph])
         for h, rel, t in edges:
             for tie in ("optimistic", "pessimistic"):

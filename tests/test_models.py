@@ -11,6 +11,7 @@ from walkaug import (
     AugmentedTriplet,
     ConfigError,
     ModelConfig,
+    NewRelationRegistry,
     NumericError,
     SharingStrategy,
     SparseGrads,
@@ -89,7 +90,7 @@ def test_loss_matches_scalar_oracle():
     strategy = SharingStrategy()
     for scoring in ("transe_l2", "transe_l1", "distmult"):
         config = ModelConfig(scoring=scoring, dim=4, margin=1.5, negatives=3, seed=0)
-        state = init_state(6, 2, {}, config, strategy, rng)
+        state = init_state(6, NewRelationRegistry(2), config, strategy, rng)
         positive = AugmentedTriplet(0, 1, 3, 0.7)
         negatives = [Triplet(4, 1, 3), Triplet(0, 1, 5), Triplet(2, 1, 3)]
         got, _ = loss_and_grad(positive, negatives, state, strategy, config)
@@ -109,7 +110,7 @@ def test_loss_scales_linearly_with_weight():
     rng = np.random.default_rng(2)
     strategy = SharingStrategy()
     config = ModelConfig(scoring="transe_l2", dim=5, margin=1.0, negatives=2, seed=0)
-    state = init_state(7, 2, {}, config, strategy, rng)
+    state = init_state(7, NewRelationRegistry(2), config, strategy, rng)
     negatives = [Triplet(5, 0, 2), Triplet(1, 0, 6)]
     base_loss, base_grads = loss_and_grad(
         AugmentedTriplet(1, 0, 2, 1.0), negatives, state, strategy, config
@@ -129,7 +130,7 @@ def test_zero_weight_short_circuits():
     rng = np.random.default_rng(2)
     strategy = SharingStrategy()
     config = ModelConfig(scoring="transe_l2", dim=5, negatives=1, seed=0)
-    state = init_state(4, 1, {}, config, strategy, rng)
+    state = init_state(4, NewRelationRegistry(1), config, strategy, rng)
     loss, grads = loss_and_grad(
         AugmentedTriplet(0, 0, 1, 0.0), [Triplet(2, 0, 1)], state, strategy, config
     )
@@ -141,7 +142,7 @@ def test_negatives_must_share_relation():
     rng = np.random.default_rng(2)
     strategy = SharingStrategy()
     config = ModelConfig(scoring="transe_l2", dim=3, negatives=1, seed=0)
-    state = init_state(4, 2, {}, config, strategy, rng)
+    state = init_state(4, NewRelationRegistry(2), config, strategy, rng)
     with pytest.raises(ValueError):
         loss_and_grad(Triplet(0, 0, 1), [Triplet(2, 1, 1)], state, strategy, config)
 
@@ -172,7 +173,7 @@ def test_apply_update_row_algebra():
     config = ModelConfig(
         scoring="transe_l2", dim=3, lr=0.05, regularization=0.2, negatives=1, seed=0
     )
-    state = init_state(3, 2, {}, config, strategy, rng)
+    state = init_state(3, NewRelationRegistry(2), config, strategy, rng)
     before_e = state.entity_emb.copy()
     before_r = state.relation_emb.copy()
     from walkaug.sharing import SparseGrads
@@ -197,9 +198,9 @@ def test_init_state_is_deterministic():
     for kind in ("none", "model", "rnn", "basis"):
         strategy = SharingStrategy(kind=kind, basis_count=2 if kind == "basis" else None)
         config = ModelConfig(scoring="transe_l2", dim=4, seed=0)
-        minted = {2: (0, 1)}
-        a = init_state(5, 2, minted, config, strategy, np.random.default_rng(42))
-        b = init_state(5, 2, minted, config, strategy, np.random.default_rng(42))
+        minted = NewRelationRegistry(2, [(0, 1)])
+        a = init_state(5, minted, config, strategy, np.random.default_rng(42))
+        b = init_state(5, minted, config, strategy, np.random.default_rng(42))
         assert np.array_equal(a.entity_emb, b.entity_emb)
         assert np.array_equal(a.relation_emb, b.relation_emb)
         if kind == "rnn":
@@ -214,7 +215,7 @@ def test_init_state_is_deterministic():
 def test_init_state_bound_scales_with_dimension():
     strategy = SharingStrategy()
     config = ModelConfig(scoring="transe_l2", dim=36, seed=0)
-    state = init_state(200, 3, {}, config, strategy, np.random.default_rng(0))
+    state = init_state(200, NewRelationRegistry(3), config, strategy, np.random.default_rng(0))
     assert np.abs(state.entity_emb).max() <= 1.0  # 6 / sqrt(36)
     assert np.abs(state.entity_emb).max() > 0.9
 
@@ -318,12 +319,12 @@ def test_batch_kernel_equals_sum_of_single_positives(scoring, kind, include_orig
     """One minibatch through the kernel equals the per-positive losses and
     gradients summed, across chunks, relation kinds and weights."""
     rng = np.random.default_rng(17)
-    minted = {3: (0, 1), 4: (2, 1, 0)}
+    minted = NewRelationRegistry(3, [(0, 1), (2, 1, 0)])
     strategy = SharingStrategy(kind=kind, basis_count=4 if kind == "basis" else None,
                                basis_include_original=include_original)
     config = ModelConfig(scoring=scoring, dim=64, margin=2.0, negatives=6, seed=0)
     num_entities = 10  # few entities, so rows repeat within and across positives
-    state = init_state(num_entities, 3, minted, config, strategy, rng)
+    state = init_state(num_entities, minted, config, strategy, rng)
     size = 200
     chunk = BLOCK_VALUES // ((2 + 2 * config.negatives) * config.dim)
     assert size > 2 * chunk  # the batch spans three chunks
@@ -357,7 +358,7 @@ def test_zero_weight_positives_contribute_nothing_to_a_batch():
     rng = np.random.default_rng(3)
     strategy = SharingStrategy()
     config = ModelConfig(scoring="transe_l1", dim=4, margin=1.0, negatives=2, seed=0)
-    state = init_state(6, 2, {}, config, strategy, rng)
+    state = init_state(6, NewRelationRegistry(2), config, strategy, rng)
     kept = [AugmentedTriplet(0, 0, 1, 0.4), AugmentedTriplet(2, 1, 3, 2.3)]
     mixed = [kept[0], AugmentedTriplet(4, 1, 5, 0.0), kept[1]]
     neg_heads = np.array([[1, 0], [5, 4], [3, 2]])
@@ -376,7 +377,7 @@ def test_non_finite_loss_names_the_first_offending_triplet():
     rng = np.random.default_rng(4)
     strategy = SharingStrategy()
     config = ModelConfig(scoring="transe_l2", dim=3, margin=1.0, negatives=1, seed=0)
-    state = init_state(5, 1, {}, config, strategy, rng)
+    state = init_state(5, NewRelationRegistry(1), config, strategy, rng)
     state.entity_emb[3] = np.inf
     positives = [Triplet(0, 0, 1), AugmentedTriplet(4, 0, 3, 0.0),  # weight 0: skipped
                  Triplet(2, 0, 4), Triplet(3, 0, 1)]
@@ -391,7 +392,7 @@ def test_apply_update_rejects_non_finite_parameters():
     rng = np.random.default_rng(8)
     strategy = SharingStrategy(kind="rnn")
     config = ModelConfig(scoring="transe_l2", dim=3, lr=1e300, negatives=1, seed=0)
-    state = init_state(4, 1, {1: (0, 0)}, config, strategy, rng)
+    state = init_state(4, NewRelationRegistry(1, [(0, 0)]), config, strategy, rng)
     grads = SparseGrads()
     grads.add_entities([2], np.full((1, 3), 1e10))
     with pytest.raises(NumericError, match="entity_emb row 2"):

@@ -9,20 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import numeric_gradient
-from walkaug import ConfigError, ModelConfig, SharingStrategy, init_state
+from walkaug import ConfigError, ModelConfig, NewRelationRegistry, SharingStrategy, init_state
+from walkaug.models import EmbeddingState
 from walkaug.sharing import (
     SparseGrads,
-    compose_backward,
-    compose_vectors,
-    metapath_representation,
     relation_backward,
     relation_vector,
     rnn_backward,
     rnn_forward,
-    strategy_backward,
 )
 
-MINTED = {3: (0, 1), 4: (2, 1, 0)}
+MINTED = NewRelationRegistry(3, [(0, 1), (2, 1, 0)])
 
 
 def make_state(kind, seed=0, include_original=False, dim=4):
@@ -33,7 +30,7 @@ def make_state(kind, seed=0, include_original=False, dim=4):
     )
     config = ModelConfig(scoring="transe_l2", dim=dim, seed=seed)
     rng = np.random.default_rng(seed)
-    state = init_state(6, 3, dict(MINTED), config, strategy, rng)
+    state = init_state(6, MINTED, config, strategy, rng)
     return state, strategy
 
 
@@ -80,17 +77,26 @@ def test_parameter_shapes_per_strategy():
     )
 )
 def test_compose_matches_left_fold_exactly(rows):
+    # model sharing: a minted relation over relations 0..L-1 is their sum,
+    # bit for bit the left fold
     vectors = np.array(rows, dtype=np.float64)
+    registry = NewRelationRegistry(len(rows), [tuple(range(len(rows)))])
+    state = EmbeddingState(np.zeros((1, vectors.shape[1])), vectors, registry)
     want_sum = functools.reduce(np.add, list(vectors))
-    assert np.array_equal(compose_vectors(vectors), want_sum)
+    got = relation_vector(state, SharingStrategy(kind="model"), len(rows))
+    assert np.array_equal(got, want_sum)
 
 
 def test_compose_sum_backward_broadcasts_grad():
-    vectors = np.arange(12, dtype=np.float64).reshape(3, 4)
+    # model sharing: each constituent gets the whole gradient, once per use
+    registry = NewRelationRegistry(3, [(2, 0, 2)])
+    state = EmbeddingState(np.zeros((1, 4)), np.arange(12.0).reshape(3, 4), registry)
     grad = np.array([1.0, -2.0, 0.5, 3.0])
-    per_row = compose_backward(vectors, grad)
-    assert per_row.shape == vectors.shape
-    assert np.array_equal(per_row, np.tile(grad, (3, 1)))
+    out = SparseGrads()
+    relation_backward(state, SharingStrategy(kind="model"), 3, grad, out)
+    assert sorted(out.relation) == [0, 2]
+    assert np.array_equal(out.relation[0], grad)
+    assert np.array_equal(out.relation[2], 2 * grad)
 
 
 def test_rnn_forward_matches_manual_recurrence():
@@ -126,15 +132,13 @@ def test_rnn_backward_matches_finite_differences():
 
 def test_representation_none_reads_minted_row():
     state, strategy = make_state("none")
-    rep = metapath_representation((0, 1), state, strategy)
+    rep = relation_vector(state, strategy, 3)  # minted (0, 1)
     assert np.array_equal(rep, state.relation_emb[3])
-    with pytest.raises(ValueError):
-        metapath_representation((1, 2), state, strategy)  # never minted
 
 
 def test_representation_model_is_vector_sum():
     state, strategy = make_state("model")
-    rep = metapath_representation((2, 1, 0), state, strategy)
+    rep = relation_vector(state, strategy, 4)  # minted (2, 1, 0)
     want = state.relation_emb[2] + state.relation_emb[1] + state.relation_emb[0]
     assert np.array_equal(rep, want)
 
@@ -142,18 +146,9 @@ def test_representation_model_is_vector_sum():
 def test_representation_basis_is_linear_combination():
     state, strategy = make_state("basis")
     coef = state.basis.coefficients[(0, 1)]
-    rep = metapath_representation((0, 1), state, strategy)
+    rep = relation_vector(state, strategy, 3)  # minted (0, 1)
     assert np.array_equal(rep, state.basis.vectors.T @ coef)
-    with pytest.raises(ValueError):
-        metapath_representation((1, 2), state, strategy)  # no coefficients
-
-
-def test_representation_requires_matching_parameters():
-    state, _ = make_state("none")
-    with pytest.raises(ValueError):
-        metapath_representation((0, 1), state, SharingStrategy(kind="rnn"))
-    with pytest.raises(ValueError):
-        metapath_representation((0, 1), state, SharingStrategy(kind="basis"))
+    assert np.array_equal(relation_vector(state, strategy, 1), state.relation_emb[1])
 
 
 @pytest.mark.parametrize("kind", ["none", "model", "rnn", "basis"])
@@ -162,10 +157,12 @@ def test_strategy_backward_matches_finite_differences(kind):
     rng = np.random.default_rng(13)
     grad = rng.normal(size=4)
     metapath = (2, 1, 0)
-    out = strategy_backward(metapath, grad, state, strategy)
+    minted = MINTED.id_of(metapath)
+    out = SparseGrads()
+    relation_backward(state, strategy, minted, grad, out)
 
     def fn():
-        return float(grad @ metapath_representation(metapath, state, strategy))
+        return float(grad @ relation_vector(state, strategy, minted))
 
     dense_rel = np.zeros_like(state.relation_emb)
     for rid, g in out.relation.items():

@@ -2,6 +2,7 @@
 checkpoint and export formats."""
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -82,13 +83,19 @@ def test_training_without_validation_builds_no_filter(monkeypatch):
 
 
 def test_rule_less_informative_metapaths_are_minted_up_front():
-    rules = {(1, 0): RuleMap((1, 0), {2: 0.9}, 0.5)}
-    informative = {(0, 1): 0.9, (1, 0): 0.5}
+    rules = {(1, 0): RuleMap((1, 0), {2: 0.9}, 0.5), (2, 2): RuleMap((2, 2), {}, 0.5)}
+    informative = {(1, 1): 0.7, (0, 1): 0.9, (1, 0): 0.5, (2, 2): 0.6}
     result = train(make_dataset(with_valid=False), informative, rules,
                    small_config(epochs=1))
-    assert result.registry.id_of((0, 1)) == R
-    assert (1, 0) not in result.registry  # covered by a rule instead
-    assert result.state.minted_paths == {R: (0, 1)}
+    # sorted, ids after the R original relations; (1, 0) is covered by a rule
+    assert result.state.registry.items() == [(R, (0, 1)), (R + 1, (1, 1)), (R + 2, (2, 2))]
+    assert result.final_state.registry is result.state.registry
+    assert result.state.relation_emb.shape == (R + 3, 8)
+
+    result = train(make_dataset(with_valid=False), informative, rules,
+                   small_config(epochs=1), mint_new_relations=False)
+    assert len(result.state.registry) == 0 and result.state.registry.first_id == R
+    assert result.state.relation_emb.shape == (R, 8)
 
 
 def test_early_stopping_follows_validation(monkeypatch):
@@ -128,10 +135,11 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(ckpt.state.relation_emb, result.final_state.relation_emb)
     assert np.array_equal(ckpt.best_state.entity_emb, result.state.entity_emb)
     assert dataclasses.asdict(ckpt.config) == dataclasses.asdict(config)
-    assert list(ckpt.registry.items()) == list(result.registry.items())
+    assert ckpt.state.registry == result.state.registry
+    assert ckpt.best_state.registry is ckpt.state.registry
     assert ckpt.epoch == len(result.log)
     assert ckpt.log == [e.to_dict() for e in result.log]
-    assert ckpt.state.minted_paths == {R: (0, 1)}
+    assert ckpt.state.registry.items() == [(R, (0, 1))]
 
 
 @pytest.mark.parametrize("kind", ["rnn", "basis"])
@@ -140,13 +148,11 @@ def test_checkpoint_preserves_sharing_parameters(tmp_path, kind):
                                basis_include_original=(kind == "basis"))
     config = small_config()
     rng = np.random.default_rng(5)
-    state = init_state(N, R, {R: (0, 1)}, config, strategy, rng)
-    registry = NewRelationRegistry(R)
-    registry.get_or_mint((0, 1))
+    state = init_state(N, NewRelationRegistry(R, [(0, 1)]), config, strategy, rng)
     ckpt_dir = str(tmp_path / kind)
     save_checkpoint(ckpt_dir, Checkpoint(
         state=state, best_state=state.copy(), config=config, strategy=strategy,
-        registry=registry, rng_state=rng.bit_generator.state,
+        rng_state=rng.bit_generator.state,
         epoch=1, best_mrr=0.25, bad_epochs=0, log=[],
     ))
     ckpt = load_checkpoint(ckpt_dir)
@@ -161,6 +167,39 @@ def test_checkpoint_preserves_sharing_parameters(tmp_path, kind):
         for key, coef in state.basis.coefficients.items():
             assert np.array_equal(ckpt.state.basis.coefficients[key], coef)
         assert ckpt.state.basis.include_original
+
+
+@pytest.mark.parametrize("kind,damage,message", [
+    ("none", "drop the minted row", "relation_emb has shape"),
+    ("rnn", "widen w_in", "rnn parameters have shapes"),
+    ("basis", "mint one more metapath", "basis coefficients cover"),
+    ("basis", "widen the basis vectors", "basis parameters are not"),
+])
+def test_load_checkpoint_checks_arrays_against_strategy_and_registry(tmp_path, kind, damage,
+                                                                     message):
+    strategy = SharingStrategy(kind=kind, basis_count=2 if kind == "basis" else None)
+    config = small_config()
+    rng = np.random.default_rng(5)
+    state = init_state(N, NewRelationRegistry(R, [(0, 1)]), config, strategy, rng)
+    if damage == "drop the minted row":
+        state.relation_emb = state.relation_emb[:R]
+    elif damage == "widen w_in":
+        state.rnn.w_in = np.zeros((8, 9))
+    elif damage == "widen the basis vectors":
+        state.basis.vectors = np.zeros((2, 9))
+    ckpt_dir = str(tmp_path / "ckpt")
+    save_checkpoint(ckpt_dir, Checkpoint(
+        state=state, best_state=state.copy(), config=config, strategy=strategy,
+        rng_state=rng.bit_generator.state, epoch=1, best_mrr=0.25, bad_epochs=0, log=[],
+    ))
+    if damage == "mint one more metapath":
+        meta_path = os.path.join(ckpt_dir, "meta.json")
+        meta = json.load(open(meta_path))
+        meta["registry"]["minted"].append([R + 1, [1, 1]])
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(ckpt_dir)
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path):
