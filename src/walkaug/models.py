@@ -147,7 +147,7 @@ def init_state(
         if strategy.basis_include_original:
             keys += [(rel,) for rel in range(num_relations)]
         coefficients = {key: rng.normal(0.0, scale, size=count) for key in keys}
-        basis = BasisParams(vectors, coefficients, strategy.basis_include_original)
+        basis = BasisParams(vectors, coefficients)
 
     return EmbeddingState(entity, relation, registry, rnn, basis)
 

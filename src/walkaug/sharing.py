@@ -72,7 +72,6 @@ class BasisParams:
 
     vectors: np.ndarray                       # (B, d)
     coefficients: dict[Metapath, np.ndarray]  # key -> (B,)
-    include_original: bool = False
 
     @property
     def count(self) -> int:
@@ -82,7 +81,6 @@ class BasisParams:
         return BasisParams(
             self.vectors.copy(),
             {k: v.copy() for k, v in self.coefficients.items()},
-            self.include_original,
         )
 
 

@@ -4,9 +4,10 @@ A checkpoint is a directory (not an archive, so reruns are byte-identical)
 holding one .npy file per parameter array plus a meta.json with the config,
 sharing strategy, minted-relation map, rng state and training counters. The
 minted-relation map is stored once, in the `registry` section, and the
-current and best states share it. Loading checks every array against the
-strategy and the map, so a checkpoint that disagrees with itself is a
-DataError before any training or ranking starts.
+current and best states share it. Loading validates the stored config and
+strategy and checks every array against the strategy and the map, so a
+checkpoint that disagrees with itself is a DataError before any training or
+ranking starts.
 
 The embedding binary starts with an 8-byte header (little-endian uint32 row
 count, then uint32 dimension) followed by row-major float32 values.
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .augment import NewRelationRegistry
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .models import EmbeddingState, ModelConfig
 from .sharing import BasisParams, RnnParams, SharingStrategy
 
@@ -60,7 +61,6 @@ def _save_state(directory: str, prefix: str, state: EmbeddingState) -> dict:
             np.zeros((0, state.basis.count))
         np.save(os.path.join(directory, f"{prefix}basis_coef.npy"), coef)
         meta["basis_keys"] = [list(k) for k in keys]
-        meta["basis_include_original"] = state.basis.include_original
     return meta
 
 
@@ -76,11 +76,9 @@ def _load_state(directory: str, prefix: str, meta: dict, registry: NewRelationRe
     if "basis_keys" in meta:
         keys = [tuple(k) for k in meta["basis_keys"]]
         coef = load("basis_coef")
-        basis = BasisParams(
-            load("basis_vectors"),
-            {key: coef[i] for i, key in enumerate(keys)},
-            meta.get("basis_include_original", False),
-        )
+        # older checkpoints also hold "basis_include_original" here; the
+        # strategy's flag is the one that counts
+        basis = BasisParams(load("basis_vectors"), {key: coef[i] for i, key in enumerate(keys)})
     state = EmbeddingState(load("entity_emb"), load("relation_emb"), registry, rnn, basis)
     _check_state(state, strategy, f"{prefix}state")
     return state
@@ -186,10 +184,16 @@ def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
     if compose_op != "sum":
         raise DataError(f"unsupported compose op {compose_op!r}")
     strategy = _dataclass_section(SharingStrategy, strategy, "strategy")
+    config = _dataclass_section(ModelConfig, meta["config"], "config")
+    try:
+        config.validate()
+        strategy.validate(config.scoring)
+    except ConfigError as exc:
+        raise DataError(f"stored configuration is invalid: {exc}") from None
     return Checkpoint(
         state=_load_state(directory, "", meta["state"], registry, strategy),
         best_state=_load_state(directory, "best_", meta["best_state"], registry, strategy),
-        config=_dataclass_section(ModelConfig, meta["config"], "config"),
+        config=config,
         strategy=strategy,
         rng_state=meta["rng_state"],
         epoch=meta["epoch"],

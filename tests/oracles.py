@@ -2,12 +2,16 @@
 
 Nothing here may import the package's join/gradient machinery: the oracle
 answers must come from a second, dumber route (recursive enumeration,
-central finite differences, scalar loops).
+central finite differences, scalar loops). The ranking oracle scores with
+`models.score` itself, one pass over the entity table per triplet side.
 """
 
 from collections import defaultdict
 
 import numpy as np
+
+from walkaug.models import score
+from walkaug.sharing import relation_vector
 
 
 class PathStats:
@@ -138,3 +142,27 @@ def brute_force_rank(scores, true_idx, known_true, tie) -> int:
             if s >= pos:
                 rank += 1
     return rank
+
+
+def _table_rank(scores, true_idx, known, tie) -> int:
+    pos = scores[true_idx]
+    better = scores > pos if tie == "optimistic" else scores >= pos
+    better[known] = False
+    better[true_idx] = False
+    return 1 + int(np.count_nonzero(better))
+
+
+def loop_ranks(triplets, state, strategy, scoring, graph_filter, protocol, tie):
+    """(2, m) head- and tail-corruption ranks, one `models.score` pass over
+    the whole entity table per triplet side."""
+    filtered = protocol == "filtered"
+    emb = state.entity_emb
+    ranks = np.empty((2, len(triplets.heads)), dtype=np.int64)
+    for i, (h, rel, t) in enumerate(zip(triplets.heads.tolist(), triplets.relations.tolist(),
+                                        triplets.tails.tolist())):
+        r = relation_vector(state, strategy, rel)
+        known = graph_filter.known_heads(rel, t) if filtered else []
+        ranks[0, i] = _table_rank(score(emb, r, emb[t], scoring), h, known, tie)
+        known = graph_filter.known_tails(h, rel) if filtered else []
+        ranks[1, i] = _table_rank(score(emb[h], r, emb, scoring), t, known, tie)
+    return ranks

@@ -246,6 +246,31 @@ def test_malformed_checkpoint_meta_is_a_data_error(data, tmp_path, capsys, damag
     assert err.count("data error") == 2 and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("damage,named", [("unknown scoring", "unknown scoring 'foo'"),
+                                          ("model strategy with distmult", "bilinear distmult")])
+def test_checkpoint_with_invalid_stored_config_is_a_data_error(data, tmp_path, capsys, damage,
+                                                               named):
+    train_argv = base_args(data, "train") + TRAIN_SPEED + ["--mode", "none", "--epochs", "1"]
+    assert main(train_argv) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    meta_path = os.path.join(checkpoint, "meta.json")
+    meta = json.load(open(meta_path))
+    if damage == "unknown scoring":
+        meta["config"]["scoring"] = "foo"
+    else:  # nothing is minted under --mode none, so the arrays still fit the strategy
+        meta["strategy"]["kind"] = "model"
+        meta["config"]["scoring"] = "distmult"
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    assert main(base_args(data, "eval") + ["--test", data["test"]]) == 3
+    resume_argv = train_argv + ["--epochs", "2", "--resume", checkpoint,
+                                "--checkpoint", str(tmp_path / "next")]
+    assert main(resume_argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("data error") == 2 and named in err and "Traceback" not in err
+
+
 def test_resume_refuses_inputs_that_mint_differently(data, capsys):
     assert main(base_args(data, "mine")) == 0
     assert main(base_args(data, "rules")) == 0

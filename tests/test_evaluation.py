@@ -1,6 +1,7 @@
 """Ranking against hand fixtures, a score-loop oracle and a set-based filter."""
 
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph
-from oracles import brute_force_rank
+from oracles import brute_force_rank, loop_ranks
 from walkaug import (
     EvalFilter,
     ModelConfig,
@@ -153,12 +154,24 @@ def test_eval_filter_matches_set_oracle(data):
         for h, rel, t in split:
             tails[h, rel].add(t)
             heads[rel, t].add(h)
-    for entity in range(8):  # entity 7 and relation 4 never occur
-        for rel in range(5):
-            for got, want in ((ef.known_tails(entity, rel), tails.get((entity, rel), ())),
-                              (ef.known_heads(rel, entity), heads.get((rel, entity), ()))):
-                assert got.dtype == np.int64
-                assert got.tolist() == sorted(want)
+    # entity 7 and relation 4 never occur; -1 and 4 lie outside the filter's relations
+    keys = [(entity, rel) for entity in range(8) for rel in range(-1, 5)]
+    for entity, rel in keys:
+        for got, want in ((ef.known_tails(entity, rel), tails.get((entity, rel), ())),
+                          (ef.known_heads(rel, entity), heads.get((rel, entity), ()))):
+            assert got.dtype == np.int64
+            assert got.tolist() == sorted(want)
+    # a block of keys, in any order and with repeats, finds what each key finds alone
+    order = data.draw(st.lists(st.sampled_from(keys), max_size=30))
+    entities = np.array([entity for entity, _ in order], dtype=np.int64)
+    relations = np.array([rel for _, rel in order], dtype=np.int64)
+    for (rows, got), single in ((ef.known_tails_block(entities, relations), ef.known_tails),
+                                (ef.known_heads_block(relations, entities),
+                                 lambda entity, rel: ef.known_heads(rel, entity))):
+        assert rows.dtype == got.dtype == np.int64
+        assert np.all(np.diff(rows) >= 0)
+        for i, (entity, rel) in enumerate(order):
+            assert got[rows == i].tolist() == single(entity, rel).tolist()
 
 
 def test_eval_filter_of_zero_triplets_is_empty():
@@ -241,6 +254,93 @@ def test_ranks_match_score_loop_oracle():
                 known_t = known_h = set()
             assert tail_rank == brute_force_rank(tail_scores, t, known_t - {t}, tie)
             assert head_rank == brute_force_rank(head_scores, h, known_h - {h}, tie)
+
+
+SCORINGS = ("transe_l2", "transe_l1", "distmult")
+CASES = [(scoring, protocol, tie) for scoring in SCORINGS for protocol in ("raw", "filtered")
+         for tie in ("optimistic", "pessimistic")]
+
+
+def adversarial_table(rng, kind, n, d, scale):
+    """(n, d) entity and (3, d) relation tables built to tie or nearly tie."""
+    if kind == "one_decimal":  # dense exact ties, and sums that round
+        return np.round(rng.normal(size=(n, d)), 1), np.round(rng.normal(size=(3, d)), 1)
+    emb = rng.normal(size=(n, d)) * scale
+    relations = rng.normal(size=(3, d)) * scale
+    if kind == "duplicates":  # exact copies of a few rows
+        emb = emb[rng.integers(max(1, n // 4), size=n)]
+    elif kind == "ulps":  # copies moved a few ulps, so distances differ in the last bits
+        emb = emb[rng.integers(max(1, n // 4), size=n)]
+        emb += rng.integers(-3, 4, size=emb.shape) * np.spacing(emb)
+    return emb, relations
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["scaled", "one_decimal", "duplicates", "ulps"]),
+       n=st.integers(1, 40), d=st.integers(1, 80), m=st.integers(1, 12),
+       scale_exp=st.integers(-3, 3), block=st.one_of(st.none(), st.integers(1, 120)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_ranks_equal_the_loop_oracle(kind, n, d, m, scale_exp, block, seed):
+    rng = np.random.default_rng(seed)
+    emb, relations = adversarial_table(rng, kind, n, d, 10.0 ** scale_exp)
+    state = EmbeddingState(emb, relations, NewRelationRegistry(3))
+    edges = np.column_stack((rng.integers(n, size=m), rng.integers(3, size=m),
+                             rng.integers(n, size=m)))
+    graph = make_graph(edges, num_entities=n, num_relations=3)
+    known = make_graph(np.column_stack((rng.integers(n, size=3 * n), rng.integers(3, size=3 * n),
+                                        rng.integers(n, size=3 * n))), n, 3)
+    ef = EvalFilter.from_graphs([graph, known])
+    block = evaluation.RANK_BLOCK_VALUES if block is None else block
+    with mock.patch.object(evaluation, "RANK_BLOCK_VALUES", block):
+        for scoring, protocol, tie in CASES:
+            got = evaluate(state, STRATEGY, scoring, graph, ef, protocol, tie)
+            want = loop_ranks(graph, state, STRATEGY, scoring, ef, protocol, tie)
+            assert got.head_ranks.tolist() == want[0].tolist(), (scoring, protocol, tie)
+            assert got.tail_ranks.tolist() == want[1].tolist(), (scoring, protocol, tie)
+
+
+def test_zero_band_misranks_a_tie_table(monkeypatch):
+    # the screen alone, without its rounding band, gets near-ties wrong
+    rng = np.random.default_rng(31)
+    n, d, m = 3000, 8, 200
+    emb, relations = adversarial_table(rng, "one_decimal", n, d, 1.0)
+    state = EmbeddingState(emb, relations, NewRelationRegistry(3))
+    edges = np.column_stack((rng.integers(n, size=m), rng.integers(3, size=m),
+                             rng.integers(n, size=m)))
+    graph = make_graph(edges, num_entities=n, num_relations=3)
+    band = evaluation._band
+    for scoring in ("transe_l2", "distmult"):
+        for tie in ("optimistic", "pessimistic"):
+            want = loop_ranks(graph, state, STRATEGY, scoring, None, "raw", tie)
+            got = evaluate(state, STRATEGY, scoring, graph, None, "raw", tie)
+            assert np.array_equal(np.stack((got.head_ranks, got.tail_ranks)), want)
+            monkeypatch.setattr(evaluation, "_band", lambda *args: np.zeros(args[3].shape))
+            got = evaluate(state, STRATEGY, scoring, graph, None, "raw", tie)
+            monkeypatch.setattr(evaluation, "_band", band)
+            assert not np.array_equal(np.stack((got.head_ranks, got.tail_ranks)), want)
+
+
+@pytest.mark.parametrize("scoring", SCORINGS)
+def test_recheck_expression_is_the_table_score(scoring):
+    # rows gathered in any order, or broadcast against a block of side
+    # vectors, score exactly as `score` scores the whole table
+    rng = np.random.default_rng(43)
+    for d in (1, 2, 7, 8, 9, 16, 33, 80, 200):
+        table = rng.normal(size=(60, d)) * 10.0 ** rng.integers(-3, 4, size=(60, 1))
+        anchors, r = rng.normal(size=(4, d)), rng.normal(size=d)
+        order = rng.permutation(60)
+        for side in ("head", "tail"):
+            if scoring == "distmult":
+                x = anchors * r
+            else:
+                x = anchors - r if side == "head" else anchors + r
+            want = np.stack([score(table, r, a, scoring) if side == "head"
+                             else score(a, r, table, scoring) for a in anchors])
+            for j in range(len(anchors)):
+                gathered = evaluation._table_scores(table[order], x[[j] * 60], scoring)
+                assert np.array_equal(gathered, want[j][order]), (d, side)
+            broadcast = evaluation._table_scores(table[None], x[:, None], scoring)
+            assert np.array_equal(broadcast, want), (d, side)
 
 
 def test_filtered_rank_never_exceeds_raw():

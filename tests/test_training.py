@@ -166,7 +166,16 @@ def test_checkpoint_preserves_sharing_parameters(tmp_path, kind):
         assert set(ckpt.state.basis.coefficients) == set(state.basis.coefficients)
         for key, coef in state.basis.coefficients.items():
             assert np.array_equal(ckpt.state.basis.coefficients[key], coef)
-        assert ckpt.state.basis.include_original
+        assert ckpt.strategy.basis_include_original
+        # the flag lives on the strategy; older checkpoints also wrote it per state
+        meta_path = os.path.join(ckpt_dir, "meta.json")
+        meta = json.load(open(meta_path))
+        assert "basis_include_original" not in meta["state"]
+        meta["state"]["basis_include_original"] = True
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        assert set(load_checkpoint(ckpt_dir).state.basis.coefficients) == set(
+            state.basis.coefficients)
 
 
 @pytest.mark.parametrize("kind,damage,message", [
