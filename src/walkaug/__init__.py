@@ -7,9 +7,8 @@ minted relations, and evaluate by filtered link-prediction ranking.
 """
 
 from .augment import (
-    AugmentedTriplet,
     NewRelationRegistry,
-    RandomWalk,
+    SegmentTable,
     build_minibatch,
     random_walk,
     walk_to_triplets,
@@ -77,12 +76,12 @@ from .training import EpochStats, TrainResult, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssociationStats", "AugmentedTriplet", "BasisParams", "Checkpoint",
+    "AssociationStats", "BasisParams", "Checkpoint",
     "ConfigError", "DataError", "DatasetSplit", "Dictionary", "EmbeddingState",
     "EpochStats", "EvalFilter", "JoinTable", "KnowledgeGraph", "Metapath",
     "MetapathInfo", "MiningLimitError", "ModelConfig", "NewRelationRegistry",
-    "NumericError", "PathGroup", "RandomWalk", "RankingResult", "RnnParams",
-    "RuleMap", "SharingStrategy", "SparseGrads", "TrainResult", "Triplet",
+    "NumericError", "PathGroup", "RankingResult", "RnnParams",
+    "RuleMap", "SegmentTable", "SharingStrategy", "SparseGrads", "TrainResult", "Triplet",
     "TripletBatch", "apply_update", "batch_loss_and_grad", "build_adjacency",
     "build_minibatch", "build_rulemaps",
     "compute_metrics", "correction_residual",

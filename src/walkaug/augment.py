@@ -1,11 +1,14 @@
 """Training-set augmentation from random walks.
 
-Each minibatch grows from a set of start nodes: one uniform random walk per
-node, every node pair (i, j) with j - i >= 2 inspected for an informative
-metapath between them. Pairs whose metapath carries rules emit one triplet
-with a rule-sampled relation, weighted z * conf; pairs on a rule-less
-metapath emit a triplet under its minted relation, weighted z. A sample of
-original graph edges (weight 1) balances the synthetic ones.
+A minibatch walks its start nodes together, one `rng.integers(degree)` draw
+per step for the walkers still moving. Each node pair (i, j >= i + 2) of a
+walk is a segment, keyed by its relations r as the base-(R+1) integer with
+digits r + 1 (so (0, 1) and (0, 0, 1) differ; keys too wide for int64 are a
+`DataError`). A segment on an informative metapath with rules emits one
+triplet under a rule-sampled relation, weighted z * conf; one on a rule-less
+metapath emits under its minted relation, weighted z; self-pairs emit
+nothing. The rng draws the walk steps, one uniform per rule-mapped segment in
+(walk, i, j) order, then the original edges (weight 1) that balance them.
 
 The minted relations are fixed before training starts: `NewRelationRegistry`
 gives every rule-less informative metapath an id after the original
@@ -15,32 +18,15 @@ registry does not hold (all of them when minting is off) emits nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .errors import DataError
 from .graph import KnowledgeGraph
 from .mining import Metapath
+from .models import TripletBatch
 from .rules import RuleMap
 
 RULE_SAMPLING_MODES = ("normalized", "raw")
-
-
-@dataclass(frozen=True)
-class RandomWalk:
-    nodes: tuple[int, ...]
-    relations: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class AugmentedTriplet:
-    head: int
-    relation: int
-    tail: int
-    weight: float = 1.0
 
 
 class NewRelationRegistry:
@@ -83,114 +69,131 @@ class NewRelationRegistry:
         return list(enumerate(self.metapaths, start=self.first_id))
 
 
-def random_walk(graph: KnowledgeGraph, start: int, l_max: int, rng) -> RandomWalk:
-    """Uniform out-edge walk from `start`, at most l_max nodes, stops at sinks."""
+class SegmentTable:
+    """The sorted segment keys of the metapaths a walk of l_max nodes can emit under.
+
+    Per key: the z score, the minted id or -1, and a rule row or -1. Rule row
+    q holds its relations and confidences in relation order and `rule_acc`
+    their running sums (`np.cumsum`); past the last entry the row repeats it
+    under a running sum of +inf. `rule_totals` are the rules' Python sums.
+    """
+
+    def __init__(self, informative, rulemaps, registry: NewRelationRegistry, l_max: int):
+        self.first_id, self.l_max, self.base = registry.first_id, l_max, registry.first_id + 1
+        held, rules = [], []  # held: (key, z, minted id, rule row)
+        for metapath, z in informative.items():
+            if not (2 <= len(metapath) < l_max and all(0 <= r < self.first_id for r in metapath)):
+                continue  # no walk segment traces it
+            entries = sorted(rulemaps[metapath].entries.items()) if metapath in rulemaps else []
+            minted = -1 if entries else registry.id_of(metapath)
+            if minted is not None:
+                key = sum((r + 1) * self.base ** k for k, r in enumerate(reversed(metapath)))
+                held.append((key, z, minted, len(rules) if entries else -1))
+                rules += [entries] if entries else []
+        if held and self.base ** (l_max - 1) > np.iinfo(np.int64).max:
+            raise DataError(f"segment keys of {l_max - 1} of {self.first_id} relations "
+                            "do not fit in int64; lower l_max")
+        keys, z, minted, rule = zip(*sorted(held)) if held else ((),) * 4
+        self.keys, self.minted, self.rule = (np.array(c, np.int64) for c in (keys, minted, rule))
+        self.z = np.array(z, dtype=np.float64)
+        width = 1 + max(map(len, rules), default=0)
+        padded = np.array([row + row[-1:] * (width - len(row)) for row in rules])
+        padded = padded.reshape(len(rules), width, 2)  # (relation, confidence) pairs
+        self.rule_relations, self.rule_confs = padded[..., 0].astype(np.int64), padded[..., 1]
+        self.rule_acc = np.full((len(rules), width), np.inf)
+        for q, row in enumerate(rules):
+            self.rule_acc[q, :len(row)] = np.cumsum([conf for _, conf in row])
+        self.rule_totals = np.array([sum(conf for _, conf in row) for row in rules])
+
+    def __len__(self) -> int:
+        return int(self.keys.size)
+
+
+def random_walk(graph: KnowledgeGraph, starts, l_max: int, rng):
+    """Uniform out-edge walks of at most l_max nodes from each node of `starts`:
+    (nodes (B, l_max), relations (B, l_max - 1), lengths (B,)), padded with -1."""
     if l_max < 1:
         raise ValueError(f"l_max must be positive, got {l_max}")
-    nodes = [start]
-    rels: list[int] = []
-    while len(nodes) < l_max:
-        here = nodes[-1]
-        degree = graph.out_degree(here)
-        if degree == 0:
-            break
-        slot = int(rng.integers(degree))
-        rel, nxt = graph.out_edge_at(here, slot)
-        rels.append(rel)
-        nodes.append(nxt)
-    return RandomWalk(tuple(nodes), tuple(rels))
+    here = np.asarray(starts, dtype=np.int64)
+    nodes = np.full((here.size, l_max), -1, dtype=np.int64)
+    relations = np.full((here.size, l_max - 1), -1, dtype=np.int64)
+    lengths = np.ones(here.size, dtype=np.int64)
+    nodes[:, 0] = here
+    walkers = np.arange(here.size)
+    for step in range(1, l_max):
+        lo = graph.offsets[here]
+        degree = graph.offsets[here + 1] - lo
+        moving = degree > 0  # the others stopped at a sink
+        walkers, lo, degree = walkers[moving], lo[moving], degree[moving]
+        slot = lo + rng.integers(degree)
+        relations[walkers, step - 1] = graph.adj_relations[slot]
+        here = nodes[walkers, step] = graph.adj_tails[slot]
+        lengths[walkers] = step + 1
+    return nodes, relations, lengths
 
 
-def _sample_rule(rule: RuleMap, rng, mode: str) -> tuple[int, float] | None:
-    """Draw one (relation, confidence) from a rule map, or None for no emission.
+def walk_to_triplets(nodes, relations, lengths, table: SegmentTable, rng,
+                     rule_sampling: str = "normalized") -> TripletBatch:
+    """Triplets for every segment of `random_walk`'s walks that `table` holds.
 
-    normalized: confidences renormalized to a distribution, always emits.
-    raw: confidences taken as probabilities; leftover mass emits nothing
-    (renormalized only when they sum above one).
-    """
-    entries = rule.sorted_entries()
-    total = sum(conf for _, conf in entries)
-    scale = total if mode == "normalized" else max(1.0, total)
-    u = rng.random() * scale
-    acc = 0.0
-    for rel, conf in entries:
-        acc += conf
-        if u < acc:
-            return rel, conf
-    if mode == "normalized":
-        return entries[-1]  # u landed on accumulated rounding slack
-    return None
-
-
-def walk_to_triplets(
-    walk: RandomWalk,
-    informative: dict[Metapath, float],
-    rulemaps: dict[Metapath, RuleMap],
-    registry: NewRelationRegistry,
-    rng,
-    rule_sampling: str = "normalized",
-) -> list[AugmentedTriplet]:
-    """Triplets for every informative metapath between walk node pairs.
-
-    `informative` maps metapath -> z score. Pairs closer than two hops and
-    self-pairs emit nothing.
+    A rule-mapped segment draws u = rng.random() times its rule's total
+    (`normalized`) or max(1, total) (`raw`) and takes the first relation whose
+    running sum exceeds u; past the last one, `normalized` takes the last
+    relation (u fell on rounding slack) and `raw` emits nothing.
     """
     if rule_sampling not in RULE_SAMPLING_MODES:
         raise ValueError(f"unknown rule sampling mode {rule_sampling!r}")
-    out: list[AugmentedTriplet] = []
-    nodes, rels = walk.nodes, walk.relations
-    for i in range(len(nodes) - 2):
-        for j in range(i + 2, len(nodes)):
-            if nodes[i] == nodes[j]:
-                continue
-            metapath = tuple(rels[i:j])
-            z = informative.get(metapath)
-            if z is None:
-                continue
-            rule = rulemaps.get(metapath)
-            if rule is not None and rule.entries:
-                drawn = _sample_rule(rule, rng, rule_sampling)
-                if drawn is None:
-                    continue
-                rel, conf = drawn
-                out.append(AugmentedTriplet(nodes[i], rel, nodes[j], z * conf))
-            else:
-                rel = registry.id_of(metapath)
-                if rel is not None:
-                    out.append(AugmentedTriplet(nodes[i], rel, nodes[j], z))
-    return out
+    width = nodes.shape[1]
+    if width > table.l_max:
+        raise ValueError(f"walks of {width} nodes exceed the table's l_max {table.l_max}")
+    if not len(table):
+        return TripletBatch.pack([])
+    prefix = np.zeros(nodes.shape, dtype=np.int64)  # prefix[:, k]: key of relations[:, :k]
+    for k in range(1, width):
+        prefix[:, k] = prefix[:, k - 1] * table.base + relations[:, k - 1] + 1
+    starts, ends = np.triu_indices(width, 2)  # every (i, j >= i + 2), in (i, j) order
+    heads, tails = nodes[:, starts], nodes[:, ends]
+    keep = (ends < lengths[:, None]) & (heads != tails)
+    keys = (prefix[:, ends] - prefix[:, starts] * table.base ** (ends - starts))[keep]
+    pos = np.minimum(np.searchsorted(table.keys, keys), len(table) - 1)
+    hit = table.keys[pos] == keys
+    heads, tails, pos = heads[keep][hit], tails[keep][hit], pos[hit]
+
+    relation, weight, emit = table.minted[pos], table.z[pos], np.ones(pos.size, dtype=bool)
+    mapped = np.flatnonzero(table.rule[pos] >= 0)
+    q = table.rule[pos[mapped]]
+    total = table.rule_totals[q]
+    scale = total if rule_sampling == "normalized" else np.maximum(1.0, total)
+    u = rng.random(mapped.size) * scale
+    slot = np.argmax(u[:, None] < table.rule_acc[q], axis=1)
+    if rule_sampling == "raw":
+        emit[mapped] = np.isfinite(table.rule_acc[q, slot])
+    relation[mapped] = table.rule_relations[q, slot]
+    weight[mapped] *= table.rule_confs[q, slot]
+    return TripletBatch(heads[emit], relation[emit], tails[emit], weight[emit])
 
 
-def build_minibatch(
-    graph: KnowledgeGraph,
-    node_batch,
-    l_max: int,
-    informative: dict[Metapath, float],
-    rulemaps: dict[Metapath, RuleMap],
-    registry: NewRelationRegistry,
-    rng,
-    rule_sampling: str = "normalized",
-    original_edge_sample: int | None = None,
-) -> list[AugmentedTriplet]:
+def build_minibatch(graph: KnowledgeGraph, node_batch, table: SegmentTable, rng,
+                    rule_sampling: str = "normalized",
+                    original_edge_sample: int | None = None) -> TripletBatch:
     """Walk triplets for a batch of start nodes plus sampled original edges.
 
-    `original_edge_sample` defaults to the walk triplet count, keeping a 1:1
-    mix; when no walk triplets arise (an empty `informative`, say) one
-    original edge per batch node is drawn instead so training still sees
-    signal.
+    Nodes are walked only when `table` holds a metapath. `original_edge_sample`
+    defaults to the walk triplet count, keeping a 1:1 mix; when no walk
+    triplets arise one original edge per batch node is drawn instead, so
+    training still sees signal.
     """
-    out: list[AugmentedTriplet] = []
-    if informative:
-        for start in node_batch:
-            walk = random_walk(graph, int(start), l_max, rng)
-            out.extend(walk_to_triplets(
-                walk, informative, rulemaps, registry, rng, rule_sampling=rule_sampling))
+    walked = TripletBatch.pack([])
+    if len(table):
+        walked = walk_to_triplets(*random_walk(graph, node_batch, table.l_max, rng), table, rng,
+                                  rule_sampling)
     count = original_edge_sample
     if count is None:
-        count = len(out) if out else len(node_batch)
-    if count > 0 and graph.num_triplets > 0:
-        picks = rng.integers(graph.num_triplets, size=count)
-        for edge in picks:
-            h, r, t = graph.triplet(int(edge))
-            out.append(AugmentedTriplet(h, r, t, 1.0))
-    return out
+        count = len(walked) or len(node_batch)
+    edges = []
+    if count > 0 and graph.num_triplets:
+        edges = rng.integers(graph.num_triplets, size=count)
+    return TripletBatch(np.concatenate((walked.heads, graph.heads[edges])),
+                        np.concatenate((walked.relations, graph.relations[edges])),
+                        np.concatenate((walked.tails, graph.tails[edges])),
+                        np.concatenate((walked.weights, np.ones(len(edges)))))

@@ -161,19 +161,6 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return self.num_triplets
 
-    def out_degree(self, node: int) -> int:
-        return int(self.offsets[node + 1] - self.offsets[node])
-
-    def out_edges(self, node: int):
-        """Views (relations, tails, edge_ids) of the out-edges of `node`."""
-        lo, hi = self.offsets[node], self.offsets[node + 1]
-        return self.adj_relations[lo:hi], self.adj_tails[lo:hi], self.adj_edge_ids[lo:hi]
-
-    def out_edge_at(self, node: int, slot: int) -> tuple[int, int]:
-        """The (relation, tail) of out-edge number `slot` of `node`."""
-        pos = self.offsets[node] + slot
-        return int(self.adj_relations[pos]), int(self.adj_tails[pos])
-
     def triplet(self, edge_id: int) -> Triplet:
         return Triplet(int(self.heads[edge_id]), int(self.relations[edge_id]), int(self.tails[edge_id]))
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .augment import NewRelationRegistry
 from .errors import ConfigError, NumericError
 from .graph import Triplet
 from .mining import Metapath
@@ -40,6 +40,9 @@ from .sharing import (
     relation_backward,
     relation_vector,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .augment import NewRelationRegistry
 
 SCORINGS = ("transe_l1", "transe_l2", "distmult")
 
@@ -224,6 +227,10 @@ class TripletBatch:
 
     def __len__(self) -> int:
         return int(self.heads.size)
+
+    def __iter__(self):
+        """The (head, relation, tail) rows as `Triplet`s, in batch order."""
+        return map(Triplet, self.heads.tolist(), self.relations.tolist(), self.tails.tolist())
 
     def select(self, mask: np.ndarray) -> "TripletBatch":
         return TripletBatch(self.heads[mask], self.relations[mask], self.tails[mask],

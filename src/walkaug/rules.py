@@ -37,9 +37,6 @@ class RuleMap:
     entries: dict[int, float] = field(default_factory=dict)
     threshold: float = 0.5
 
-    def sorted_entries(self) -> list[tuple[int, float]]:
-        return sorted(self.entries.items())
-
 
 def metapath_pairs(base: JoinTable, metapath: Metapath) -> np.ndarray:
     """Sorted unique keys head * num_entities + tail of pairs `metapath` connects.

@@ -4,10 +4,10 @@ A checkpoint is a directory (not an archive, so reruns are byte-identical)
 holding one .npy file per parameter array plus a meta.json with the config,
 sharing strategy, minted-relation map, rng state and training counters. The
 minted-relation map is stored once, in the `registry` section, and the
-current and best states share it. Loading validates the stored config and
-strategy and checks every array against the strategy and the map, so a
-checkpoint that disagrees with itself is a DataError before any training or
-ranking starts.
+current and best states share it. Loading validates the stored config,
+strategy, rng state, counters and log, and checks every array against the
+strategy and the map, so a malformed checkpoint is a DataError before any
+training or ranking starts.
 
 The embedding binary starts with an 8-byte header (little-endian uint32 row
 count, then uint32 dimension) followed by row-major float32 values.
@@ -190,6 +190,15 @@ def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
         strategy.validate(config.scoring)
     except ConfigError as exc:
         raise DataError(f"stored configuration is invalid: {exc}") from None
+    np.random.PCG64().state = meta["rng_state"]  # raises unless it is a PCG64 state
+    for name in ("epoch", "bad_epochs"):
+        if type(meta[name]) is not int or meta[name] < 0:
+            raise DataError(f"{name} must be a non-negative integer, got {meta[name]!r}")
+    if type(meta["best_mrr"]) not in (int, float):
+        raise DataError(f"best_mrr must be a number, got {meta['best_mrr']!r}")
+    log_keys = {"epoch", "mean_loss", "valid_mrr"}
+    if any(not isinstance(entry, dict) or set(entry) != log_keys for entry in meta["log"]):
+        raise DataError(f"every log entry must hold exactly the keys {sorted(log_keys)}")
     return Checkpoint(
         state=_load_state(directory, "", meta["state"], registry, strategy),
         best_state=_load_state(directory, "best_", meta["best_state"], registry, strategy),

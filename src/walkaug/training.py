@@ -1,10 +1,10 @@
 """Training loop: walk-augmented minibatches, accumulated SGD, early stopping.
 
-Every epoch shuffles the entity set into node batches. Each batch becomes a
-mixed list of walk-derived and original triplets, packed into arrays; k
-corruptions per triplet are drawn as two (B, k) arrays, the batch kernel
-scores and differentiates them all, and the summed sparse gradients are
-applied in one step per batch. Validation MRR (filtered, optimistic) is
+Every epoch shuffles the entity set into node batches. Each batch becomes
+one `TripletBatch` of walk-derived and original triplets; k corruptions per
+triplet are drawn as two (B, k) arrays, the batch kernel scores and
+differentiates them all, and the summed sparse gradients are applied in
+one step per batch. Validation MRR (filtered, optimistic) is
 measured after every epoch; training stops early after `patience` epochs
 without improvement and the best-validation state is returned.
 """
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .augment import NewRelationRegistry, build_minibatch
+from .augment import NewRelationRegistry, SegmentTable, build_minibatch
 from .errors import ConfigError, DataError
 from .evaluation import EvalFilter, evaluate
 from .graph import DatasetSplit
@@ -24,7 +24,6 @@ from .mining import Metapath
 from .models import (
     EmbeddingState,
     ModelConfig,
-    TripletBatch,
     apply_update,
     batch_loss_and_grad,
     draw_negatives,
@@ -103,6 +102,7 @@ def train(
 
     registry = NewRelationRegistry.rule_less(
         graph.num_relations, informative if mint_new_relations else {}, rulemaps)
+    table = SegmentTable(informative, rulemaps, registry, l_max)
     if resume is not None:
         _check_resume(config, strategy, registry, resume)
         state = resume.state
@@ -131,13 +131,10 @@ def train(
         loss_count = 0
         for start in range(0, order.size, config.batch_nodes):
             nodes = order[start:start + config.batch_nodes]
-            triplets = build_minibatch(
-                graph, nodes, l_max, informative, rulemaps, registry, rng,
-                rule_sampling=rule_sampling, original_edge_sample=original_edge_sample,
-            )
-            if not triplets:
+            batch = build_minibatch(graph, nodes, table, rng, rule_sampling=rule_sampling,
+                                    original_edge_sample=original_edge_sample)
+            if not batch:
                 continue
-            batch = TripletBatch.pack(triplets)
             neg_heads, neg_tails = draw_negatives(batch, graph.num_entities, config.negatives, rng)
             loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, config)
             apply_update(state, grads, config)

@@ -2,9 +2,8 @@
 
 import numpy as np
 
-from oracles import numeric_gradient
+from oracles import WeightedTriplet, numeric_gradient
 from walkaug import (
-    AugmentedTriplet,
     ModelConfig,
     NewRelationRegistry,
     SharingStrategy,
@@ -31,7 +30,7 @@ def build_case(rng, scoring, kind, weight=1.0, include_original=False):
     num_entities = 8
     state = init_state(num_entities, MINTED, config, strategy, rng)
     relation = int(rng.choice([0, 1, 2, 3, 4]))
-    positive = AugmentedTriplet(
+    positive = WeightedTriplet(
         int(rng.integers(num_entities)), relation, int(rng.integers(num_entities)),
         weight,
     )

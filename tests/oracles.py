@@ -3,10 +3,12 @@
 Nothing here may import the package's join/gradient machinery: the oracle
 answers must come from a second, dumber route (recursive enumeration,
 central finite differences, scalar loops). The ranking oracle scores with
-`models.score` itself, one pass over the entity table per triplet side.
+`models.score` itself, one pass over the entity table per triplet side. The
+walk oracle walks one node at a time and maps each walk pair by pair.
 """
 
 from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,3 +168,84 @@ def loop_ranks(triplets, state, strategy, scoring, graph_filter, protocol, tie):
         known = graph_filter.known_tails(h, rel) if filtered else []
         ranks[1, i] = _table_rank(score(emb[h], r, emb, scoring), t, known, tie)
     return ranks
+
+
+class RandomWalk(NamedTuple):
+    nodes: tuple
+    relations: tuple
+
+
+class WeightedTriplet(NamedTuple):
+    head: int
+    relation: int
+    tail: int
+    weight: float = 1.0
+
+
+def random_walk(graph, start, l_max, rng) -> RandomWalk:
+    """Uniform out-edge walk from `start`, at most l_max nodes, stops at sinks."""
+    if l_max < 1:
+        raise ValueError(f"l_max must be positive, got {l_max}")
+    nodes = [start]
+    rels = []
+    while len(nodes) < l_max:
+        here = nodes[-1]
+        degree = int(graph.offsets[here + 1] - graph.offsets[here])
+        if degree == 0:
+            break
+        slot = int(rng.integers(degree))
+        pos = graph.offsets[here] + slot
+        rel, nxt = int(graph.adj_relations[pos]), int(graph.adj_tails[pos])
+        rels.append(rel)
+        nodes.append(nxt)
+    return RandomWalk(tuple(nodes), tuple(rels))
+
+
+def _sample_rule(rule, rng, mode):
+    """Draw one (relation, confidence) from a rule map, or None for no emission.
+
+    normalized: confidences renormalized to a distribution, always emits.
+    raw: confidences taken as probabilities; leftover mass emits nothing
+    (renormalized only when they sum above one).
+    """
+    entries = sorted(rule.entries.items())
+    total = sum(conf for _, conf in entries)
+    scale = total if mode == "normalized" else max(1.0, total)
+    u = rng.random() * scale
+    acc = 0.0
+    for rel, conf in entries:
+        acc += conf
+        if u < acc:
+            return rel, conf
+    if mode == "normalized":
+        return entries[-1]  # u landed on accumulated rounding slack
+    return None
+
+
+def walk_to_triplets(walk, informative, rulemaps, registry, rng, rule_sampling="normalized"):
+    """Triplets for every informative metapath between the node pairs of one
+    walk; pairs closer than two hops and self-pairs emit nothing."""
+    if rule_sampling not in ("normalized", "raw"):
+        raise ValueError(f"unknown rule sampling mode {rule_sampling!r}")
+    out = []
+    nodes, rels = walk.nodes, walk.relations
+    for i in range(len(nodes) - 2):
+        for j in range(i + 2, len(nodes)):
+            if nodes[i] == nodes[j]:
+                continue
+            metapath = tuple(rels[i:j])
+            z = informative.get(metapath)
+            if z is None:
+                continue
+            rule = rulemaps.get(metapath)
+            if rule is not None and rule.entries:
+                drawn = _sample_rule(rule, rng, rule_sampling)
+                if drawn is None:
+                    continue
+                rel, conf = drawn
+                out.append(WeightedTriplet(nodes[i], rel, nodes[j], z * conf))
+            else:
+                rel = registry.id_of(metapath)
+                if rel is not None:
+                    out.append(WeightedTriplet(nodes[i], rel, nodes[j], z))
+    return out

@@ -4,7 +4,11 @@ import importlib
 import os
 import sys
 
+import numpy as np
 import pytest
+
+from conftest import make_graph
+from walkaug import NewRelationRegistry, RuleMap, SegmentTable, training
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -29,3 +33,20 @@ def test_tracer_patches_and_restores_every_hook(spans):
         during = current()
     assert all(a is not b for a, b in zip(during, before))
     assert all(a is b for a, b in zip(current(), before))
+
+
+def test_tracer_counts_one_minibatch(spans):
+    # a fully informative 4-cycle: every walk segment maps through a rule or a minted id
+    g = make_graph([(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 0, 0)])
+    informative = {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0, (0, 0): 1.0}
+    rulemaps = {(0, 1): RuleMap((0, 1), {2: 0.9})}
+    registry = NewRelationRegistry.rule_less(g.num_relations, informative, rulemaps)
+    table = SegmentTable(informative, rulemaps, registry, l_max=3)
+    tracer = spans.Tracer()
+    with tracer.patched():
+        training.build_minibatch(g, np.arange(4), table, np.random.default_rng(0))
+    count = tracer.count
+    assert count["augment.walk_triplets"] > 0
+    assert count["augment.rule_mapped"] + count["augment.minted"] > 0
+    assert count["augment.batch_triplets"] > 0
+    assert spans.layer_metrics(tracer)["augment.walks"] == 1  # one batched walk call

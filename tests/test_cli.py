@@ -271,6 +271,37 @@ def test_checkpoint_with_invalid_stored_config_is_a_data_error(data, tmp_path, c
     assert err.count("data error") == 2 and named in err and "Traceback" not in err
 
 
+RESUME_FIELD_DAMAGE = {
+    "rng_state of another generator": (
+        lambda meta: meta["rng_state"].update(bit_generator="MT19937"), "for a PCG64 RNG"),
+    "rng_state not an object": (lambda meta: meta.update(rng_state="seed"), "must be a dict"),
+    "epoch a string": (lambda meta: meta.update(epoch="1"), "epoch must be"),
+    "negative bad_epochs": (lambda meta: meta.update(bad_epochs=-1), "bad_epochs must be"),
+    "best_mrr a string": (lambda meta: meta.update(best_mrr="high"), "best_mrr must be"),
+    "log entry missing keys": (lambda meta: meta["log"][0].pop("valid_mrr"), "log entry"),
+    "log entry with an extra key": (lambda meta: meta["log"][0].update(extra=1), "log entry"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(RESUME_FIELD_DAMAGE))
+def test_checkpoint_resume_fields_are_checked_on_load(data, tmp_path, capsys, damage):
+    train_argv = base_args(data, "train") + TRAIN_SPEED + ["--mode", "none", "--epochs", "1"]
+    assert main(train_argv) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    meta_path = os.path.join(checkpoint, "meta.json")
+    meta = json.load(open(meta_path))
+    edit, named = RESUME_FIELD_DAMAGE[damage]
+    edit(meta)
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    resume_argv = train_argv + ["--epochs", "2", "--resume", checkpoint,
+                                "--checkpoint", str(tmp_path / "next")]
+    assert main(resume_argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and named in err and "Traceback" not in err
+
+
 def test_resume_refuses_inputs_that_mint_differently(data, capsys):
     assert main(base_args(data, "mine")) == 0
     assert main(base_args(data, "rules")) == 0

@@ -56,10 +56,10 @@ def test_dictionary_file_rejects_gap(tmp_path):
 def test_adjacency_groups_out_edges():
     g = make_graph([(0, 0, 1), (0, 1, 2), (1, 0, 2), (0, 0, 1)])
     assert g.num_triplets == 4
-    assert g.out_degree(0) == 3
-    assert g.out_degree(2) == 0
-    rels, tails, edge_ids = g.out_edges(0)
-    assert sorted(zip(rels, tails)) == [(0, 1), (0, 1), (1, 2)]
+    assert np.diff(g.offsets).tolist() == [3, 1, 0]  # out-degrees
+    lo, hi = g.offsets[0], g.offsets[1]
+    rels, tails, edge_ids = g.adj_relations[lo:hi], g.adj_tails[lo:hi], g.adj_edge_ids[lo:hi]
+    assert sorted(zip(rels.tolist(), tails.tolist())) == [(0, 1), (0, 1), (1, 2)]
     # edge ids recover the original triplets
     for rel, tail, eid in zip(rels, tails, edge_ids):
         assert g.triplet(eid) == (0, rel, tail)
@@ -74,11 +74,13 @@ def test_adjacency_keeps_duplicates_and_counts():
 def test_adjacency_covers_every_edge_once():
     rng = np.random.default_rng(3)
     g = random_multigraph(rng, 17, 4, 120)
-    seen = []
-    for node in range(g.num_entities):
-        _, _, edge_ids = g.out_edges(node)
-        seen.extend(edge_ids.tolist())
-    assert sorted(seen) == list(range(120))
+    assert g.offsets[0] == 0 and g.offsets[-1] == 120
+    assert sorted(g.adj_edge_ids.tolist()) == list(range(120))
+    # slots offsets[v]:offsets[v + 1] hold exactly the out-edges of v
+    owner = np.repeat(np.arange(g.num_entities), np.diff(g.offsets))
+    assert np.array_equal(g.heads[g.adj_edge_ids], owner)
+    assert np.array_equal(g.relations[g.adj_edge_ids], g.adj_relations)
+    assert np.array_equal(g.tails[g.adj_edge_ids], g.adj_tails)
 
 
 def test_graph_arrays_are_frozen():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import gradcheck
-from oracles import scalar_loss
+from oracles import WeightedTriplet, scalar_loss
 from walkaug import (
-    AugmentedTriplet,
     ConfigError,
     ModelConfig,
     NewRelationRegistry,
@@ -91,7 +90,7 @@ def test_loss_matches_scalar_oracle():
     for scoring in ("transe_l2", "transe_l1", "distmult"):
         config = ModelConfig(scoring=scoring, dim=4, margin=1.5, negatives=3, seed=0)
         state = init_state(6, NewRelationRegistry(2), config, strategy, rng)
-        positive = AugmentedTriplet(0, 1, 3, 0.7)
+        positive = WeightedTriplet(0, 1, 3, 0.7)
         negatives = [Triplet(4, 1, 3), Triplet(0, 1, 5), Triplet(2, 1, 3)]
         got, _ = loss_and_grad(positive, negatives, state, strategy, config)
         want = scalar_loss(
@@ -113,11 +112,11 @@ def test_loss_scales_linearly_with_weight():
     state = init_state(7, NewRelationRegistry(2), config, strategy, rng)
     negatives = [Triplet(5, 0, 2), Triplet(1, 0, 6)]
     base_loss, base_grads = loss_and_grad(
-        AugmentedTriplet(1, 0, 2, 1.0), negatives, state, strategy, config
+        WeightedTriplet(1, 0, 2, 1.0), negatives, state, strategy, config
     )
     w = 2.3
     loss_w, grads_w = loss_and_grad(
-        AugmentedTriplet(1, 0, 2, w), negatives, state, strategy, config
+        WeightedTriplet(1, 0, 2, w), negatives, state, strategy, config
     )
     assert loss_w == w * base_loss  # identical float product
     for idx, g in base_grads.entity.items():
@@ -132,7 +131,7 @@ def test_zero_weight_short_circuits():
     config = ModelConfig(scoring="transe_l2", dim=5, negatives=1, seed=0)
     state = init_state(4, NewRelationRegistry(1), config, strategy, rng)
     loss, grads = loss_and_grad(
-        AugmentedTriplet(0, 0, 1, 0.0), [Triplet(2, 0, 1)], state, strategy, config
+        WeightedTriplet(0, 0, 1, 0.0), [Triplet(2, 0, 1)], state, strategy, config
     )
     assert loss == 0.0
     assert not grads.entity and not grads.relation
@@ -270,7 +269,7 @@ def test_score_broadcasts_over_leading_axes():
 
 
 def test_draw_negatives_order_and_shape():
-    batch = TripletBatch.pack([Triplet(0, 1, 2), AugmentedTriplet(3, 0, 4, 0.5)])
+    batch = TripletBatch.pack([Triplet(0, 1, 2), WeightedTriplet(3, 0, 4, 0.5)])
     heads, tails = draw_negatives(batch, 50, 6, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     corrupt_head = rng.random((2, 6)) < 0.5
@@ -278,6 +277,8 @@ def test_draw_negatives_order_and_shape():
     assert np.array_equal(heads, np.where(corrupt_head, entity, [[0], [3]]))
     assert np.array_equal(tails, np.where(corrupt_head, [[2], [4]], entity))
     assert np.array_equal(batch.weights, [1.0, 0.5])
+    assert list(batch) == [Triplet(0, 1, 2), Triplet(3, 0, 4)]
+    assert all(type(t) is Triplet and type(t.head) is int for t in batch)
 
 
 SHARING_CASES = [
@@ -333,7 +334,7 @@ def test_batch_kernel_equals_sum_of_single_positives(scoring, kind, include_orig
     relations = rng.integers(5, size=size)
     weights = rng.choice([0.0, 0.4, 1.0, 2.3], size=size)
     positives = [
-        AugmentedTriplet(int(h), int(r), int(t), float(w))
+        WeightedTriplet(int(h), int(r), int(t), float(w))
         for h, r, t, w in zip(rng.integers(num_entities, size=size), relations,
                               rng.integers(num_entities, size=size), weights)
     ]
@@ -359,8 +360,8 @@ def test_zero_weight_positives_contribute_nothing_to_a_batch():
     strategy = SharingStrategy()
     config = ModelConfig(scoring="transe_l1", dim=4, margin=1.0, negatives=2, seed=0)
     state = init_state(6, NewRelationRegistry(2), config, strategy, rng)
-    kept = [AugmentedTriplet(0, 0, 1, 0.4), AugmentedTriplet(2, 1, 3, 2.3)]
-    mixed = [kept[0], AugmentedTriplet(4, 1, 5, 0.0), kept[1]]
+    kept = [WeightedTriplet(0, 0, 1, 0.4), WeightedTriplet(2, 1, 3, 2.3)]
+    mixed = [kept[0], WeightedTriplet(4, 1, 5, 0.0), kept[1]]
     neg_heads = np.array([[1, 0], [5, 4], [3, 2]])
     neg_tails = np.array([[0, 1], [4, 5], [2, 3]])
     loss, grads = batch_loss_and_grad(TripletBatch.pack(mixed), neg_heads, neg_tails,
@@ -379,7 +380,7 @@ def test_non_finite_loss_names_the_first_offending_triplet():
     config = ModelConfig(scoring="transe_l2", dim=3, margin=1.0, negatives=1, seed=0)
     state = init_state(5, NewRelationRegistry(1), config, strategy, rng)
     state.entity_emb[3] = np.inf
-    positives = [Triplet(0, 0, 1), AugmentedTriplet(4, 0, 3, 0.0),  # weight 0: skipped
+    positives = [Triplet(0, 0, 1), WeightedTriplet(4, 0, 3, 0.0),  # weight 0: skipped
                  Triplet(2, 0, 4), Triplet(3, 0, 1)]
     neg = np.array([[1], [2], [0], [0]])
     with pytest.raises(NumericError) as info:
