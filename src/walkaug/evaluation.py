@@ -308,12 +308,11 @@ def _rank_triplets(triplets, state: EmbeddingState, strategy: SharingStrategy, s
     if filtered and graph_filter is None:
         raise ValueError("filtered protocol needs an EvalFilter")
     distinct, relation_of = np.unique(triplets.relations, return_inverse=True)
-    vectors = [relation_vector(state, strategy, rel) for rel in distinct.tolist()]
+    vectors = relation_vector(state, strategy, distinct)
     heads, relations, tails = triplets.heads, triplets.relations, triplets.tails
     ranks = np.empty((2, heads.size), dtype=np.int64)
     if heads.size == 0:
         return ranks
-    vectors = np.stack(vectors)
     emb = state.entity_emb
     n = emb.shape[0]
     sq_norms = None if scoring == "transe_l1" else _rowdot(emb, emb)

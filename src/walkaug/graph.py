@@ -10,7 +10,7 @@ edges exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -69,19 +69,18 @@ class Dictionary:
     def from_file(cls, path) -> "Dictionary":
         """Load an `id<TAB>name` file; ids must be exactly 0..n-1."""
         entries = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(
-                        f"{path}:{lineno}: expected id<TAB>name, got {len(parts)} columns"
-                    )
-                try:
-                    idx = int(parts[0])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: id {parts[0]!r} is not an integer") from None
-                entries.append((idx, parts[1]))
+        for lineno, raw in enumerate(read_lines(path), start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(
+                    f"{path}:{lineno}: expected id<TAB>name, got {len(parts)} columns"
+                )
+            try:
+                idx = int(parts[0])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: id {parts[0]!r} is not an integer") from None
+            entries.append((idx, parts[1]))
         entries.sort()
         dct = cls()
         for expected, (idx, name) in enumerate(entries):
@@ -102,8 +101,8 @@ class KnowledgeGraph:
     """Immutable directed multigraph of (head, relation, tail) triplets.
 
     Out-adjacency is CSR over heads: slots `offsets[v]:offsets[v+1]` of
-    `adj_relations` / `adj_tails` / `adj_edge_ids` hold the out-edges of v.
-    Edge ids index the original `heads`/`relations`/`tails` arrays.
+    `adj_relations` / `adj_tails` hold the out-edges of v, in the order of
+    the original `heads`/`relations`/`tails` arrays.
     """
 
     def __init__(
@@ -145,13 +144,11 @@ class KnowledgeGraph:
         np.cumsum(counts, out=self.offsets[1:])
         self.adj_relations = relations[order]
         self.adj_tails = tails[order]
-        self.adj_edge_ids = order
         self.relation_counts = (
             np.bincount(relations, minlength=num_relations) if relations.size else np.zeros(num_relations, np.int64)
         )
         for arr in (self.heads, self.relations, self.tails, self.offsets,
-                    self.adj_relations, self.adj_tails, self.adj_edge_ids,
-                    self.relation_counts):
+                    self.adj_relations, self.adj_tails, self.relation_counts):
             arr.setflags(write=False)
 
     @property
@@ -160,9 +157,6 @@ class KnowledgeGraph:
 
     def __len__(self) -> int:
         return self.num_triplets
-
-    def triplet(self, edge_id: int) -> Triplet:
-        return Triplet(int(self.heads[edge_id]), int(self.relations[edge_id]), int(self.tails[edge_id]))
 
     def pair_keys(self) -> np.ndarray:
         """head * num_entities + tail for every edge, as int64."""
@@ -236,22 +230,27 @@ class DatasetSplit:
         return self.train, self.valid, self.test
 
 
+def read_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read as they are iterated; a DataError
+    naming the path when the file cannot be opened or read or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
 def read_triples_file(path) -> list[tuple[str, str, str]]:
     """Read a `head<TAB>relation<TAB>tail` file into name triples."""
     rows = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}"
-                )
-            rows.append((parts[0], parts[1], parts[2]))
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(
+                f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}"
+            )
+        rows.append((parts[0], parts[1], parts[2]))
     return rows
 
 

@@ -16,9 +16,10 @@ per-positive with k entity corruptions:
   loss = weight * [softplus(-(margin + s_pos)) + mean_j softplus(margin + s_j)]
 
 `batch_loss_and_grad` evaluates a whole minibatch: entity gradients are
-summed onto the unique touched rows, and each relation vector is built and
-backpropagated once per batch. They are applied by plain SGD with optional
-L2 shrinkage on exactly the touched rows.
+summed onto the unique touched rows, and the vectors of the batch's distinct
+relations are built and backpropagated by one sharing call each. The
+gradients are row arrays (`SparseGrads`), applied by plain SGD with optional
+L2 shrinkage on exactly the touched rows of each table.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .graph import Triplet
-from .mining import Metapath
 from .sharing import (
     BasisParams,
     RnnParams,
     SharingStrategy,
     SparseGrads,
+    basis_keys,
     relation_backward,
     relation_vector,
 )
@@ -145,11 +146,8 @@ def init_state(
     elif strategy.kind == "basis":
         count = strategy.basis_count or min(num_relations, DEFAULT_BASIS_CAP)
         vectors = rng.uniform(-bound, bound, size=(count, d))
-        scale = math.sqrt(1.0 / count)
-        keys: list[Metapath] = sorted(registry.metapaths)
-        if strategy.basis_include_original:
-            keys += [(rel,) for rel in range(num_relations)]
-        coefficients = {key: rng.normal(0.0, scale, size=count) for key in keys}
+        rows = len(basis_keys(registry, strategy))
+        coefficients = rng.normal(0.0, math.sqrt(1.0 / count), size=(rows, count))
         basis = BasisParams(vectors, coefficients)
 
     return EmbeddingState(entity, relation, registry, rnn, basis)
@@ -292,11 +290,11 @@ def batch_loss_and_grad(
 
     Positive i is scored against the k corruptions in row i of the (B, k)
     arrays `neg_heads` / `neg_tails`, which keep its relation. Weight-0
-    positives are dropped first and contribute nothing. Each distinct
-    relation's vector is built once; positives are scored in chunks sized
-    by BLOCK_VALUES; entity gradients are summed onto the unique touched
-    rows; and each relation's summed vector gradient goes through
-    `relation_backward` once.
+    positives are dropped first and contribute nothing. One
+    `relation_vector` call builds the vectors of the distinct relations;
+    positives are scored in chunks sized by BLOCK_VALUES; entity gradients
+    are summed onto the unique touched rows; and one `relation_backward`
+    call routes each relation's summed vector gradient.
     """
     grads = SparseGrads()
     keep = batch.weights != 0.0
@@ -312,7 +310,7 @@ def batch_loss_and_grad(
     d = state.dim
     emb = state.entity_emb
     relations, relation_of = np.unique(batch.relations, return_inverse=True)
-    vectors = np.stack([relation_vector(state, strategy, int(rel)) for rel in relations])
+    vectors = relation_vector(state, strategy, relations)
     # per positive: head, tail, k corrupted heads, k corrupted tails
     slots = np.concatenate(
         (batch.heads[:, None], batch.tails[:, None], neg_heads, neg_tails), axis=1)
@@ -355,8 +353,7 @@ def batch_loss_and_grad(
         np.add.at(entity_grad, row_of[part], block)
 
     grads.entity_rows, grads.entity_grad = rows, entity_grad
-    for rel, grad in zip(relations.tolist(), relation_grad):
-        relation_backward(state, strategy, rel, grad, grads)
+    relation_backward(state, strategy, relations, relation_grad, grads)
     return total, grads
 
 
@@ -415,22 +412,15 @@ def apply_update(state: EmbeddingState, grads: SparseGrads, config: ModelConfig)
     Raises NumericError naming the parameter block the step makes
     non-finite, so a diverging run stops where it diverges.
     """
-    lr = config.lr
-    reg = config.regularization
-    if grads.entity_rows.size:
-        _step_rows(state.entity_emb, grads.entity_rows, grads.entity_grad, lr, reg, "entity_emb")
-    if grads.relation:
-        rows = np.array(sorted(grads.relation), dtype=np.int64)
-        grad = np.stack([grads.relation[idx] for idx in rows.tolist()])
-        _step_rows(state.relation_emb, rows, grad, lr, reg, "relation_emb")
-    lrd = config.lr_dense
-    if grads.rnn_w_in is not None:
-        rnn = state.rnn
-        _step(rnn.w_in, grads.rnn_w_in, lrd, reg, "rnn.w_in")
-        _step(rnn.w_rec, grads.rnn_w_rec, lrd, reg, "rnn.w_rec")
-        _step(rnn.bias, grads.rnn_bias, lrd, reg, "rnn.bias")
+    lr, lrd, reg = config.lr, config.lr_dense, config.regularization
+    _step_rows(state.entity_emb, grads.entity_rows, grads.entity_grad, lr, reg, "entity_emb")
+    _step_rows(state.relation_emb, grads.relation_rows, grads.relation_grad, lr, reg,
+               "relation_emb")
+    if grads.rnn is not None:
+        for name in ("w_in", "w_rec", "bias"):
+            _step(getattr(state.rnn, name), getattr(grads.rnn, name), lrd, reg, f"rnn.{name}")
     if grads.basis_vectors is not None:
         _step(state.basis.vectors, grads.basis_vectors, lrd, reg, "basis.vectors")
-    for key in sorted(grads.basis_coef):
-        _step(state.basis.coefficients[key], grads.basis_coef[key], lrd, reg,
-              f"basis coefficients of {key}")
+    if grads.basis_coef_rows.size:
+        _step_rows(state.basis.coefficients, grads.basis_coef_rows, grads.basis_coef_grad,
+                   lrd, reg, "basis coefficients")

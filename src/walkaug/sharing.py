@@ -10,14 +10,15 @@ Four strategies decide how a minted relation gets its vector:
   rnn     a single-layer tanh recurrence read over the constituent vectors
   basis   a learned combination of a small shared set of basis vectors
 
-`relation_vector` and `relation_backward` are the one dispatch from a
-relation id to its vector and back. A relation either owns a row of
-`relation_emb` (every relation under `none`, and the original ones under the
-others) or takes its vector from the shared parameters of a metapath: its
-minted metapath, or `(rel,)` for an original relation under
-`basis_include_original`. The backward routes a gradient on the produced
-vector onto the touched parameters. A state is trusted to carry the
-parameters of its strategy; `storage.load_checkpoint` checks a stored one.
+`relation_vector` and `relation_backward` are the one dispatch from an array
+of relation ids to their vectors and back, called once per minibatch or
+ranking call. A relation either owns a row of `relation_emb` (every relation
+under `none`, and the original ones under the others) or takes its vector
+from shared parameters: the rows of its minted metapath, or its basis
+coefficient row (`basis_rows`). The backward routes the gradients onto the
+touched parameters as the row arrays of `SparseGrads`. A state is trusted to
+carry the parameters of its strategy; `storage.load_checkpoint` checks a
+stored one.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import ConfigError
 from .mining import Metapath
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .augment import NewRelationRegistry
     from .models import EmbeddingState
 
 STRATEGY_KINDS = ("none", "model", "rnn", "basis")
@@ -65,99 +67,100 @@ class RnnParams:
     def copy(self) -> "RnnParams":
         return RnnParams(self.w_in.copy(), self.w_rec.copy(), self.bias.copy())
 
+    def __add__(self, other: "RnnParams") -> "RnnParams":
+        return RnnParams(self.w_in + other.w_in, self.w_rec + other.w_rec,
+                         self.bias + other.bias)
+
 
 @dataclass
 class BasisParams:
-    """Shared basis vectors plus one coefficient vector per metapath key."""
+    """Shared basis vectors plus one coefficient row per shared relation:
+    the minted ones in registry order, then under `basis_include_original`
+    the original ones (`basis_keys`, `basis_rows`)."""
 
-    vectors: np.ndarray                       # (B, d)
-    coefficients: dict[Metapath, np.ndarray]  # key -> (B,)
+    vectors: np.ndarray       # (B, d)
+    coefficients: np.ndarray  # (K, B)
 
     @property
     def count(self) -> int:
         return int(self.vectors.shape[0])
 
     def copy(self) -> "BasisParams":
-        return BasisParams(
-            self.vectors.copy(),
-            {k: v.copy() for k, v in self.coefficients.items()},
-        )
+        return BasisParams(self.vectors.copy(), self.coefficients.copy())
+
+
+def basis_keys(registry: "NewRelationRegistry", strategy: SharingStrategy) -> list[Metapath]:
+    """The metapath of each basis coefficient row, in row order; an original
+    relation r shares under `(r,)`."""
+    keys = list(registry.metapaths)
+    if strategy.basis_include_original:
+        keys += [(rel,) for rel in range(registry.first_id)]
+    return keys
+
+
+def basis_rows(registry: "NewRelationRegistry", strategy: SharingStrategy,
+               rel_ids: np.ndarray) -> np.ndarray:
+    """The basis coefficient row of each relation id, or -1 for a relation
+    that owns a row of `relation_emb`."""
+    first = registry.first_id
+    own = len(registry) + rel_ids if strategy.basis_include_original else -1
+    return np.where(rel_ids >= first, rel_ids - first, own)
+
+
+def sum_rows(rows: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted unique rows, per-row sums) of `grads[i]` added onto `rows[i]`;
+    each sum adds its terms in array order, so it rounds as a running total."""
+    unique, inverse = np.unique(rows, return_inverse=True)
+    total = np.zeros((unique.size, *grads.shape[1:]))
+    np.add.at(total, inverse.reshape(-1), grads)
+    return unique, total
+
+
+def _plus(a, b):
+    """a + b, where None stands for zero."""
+    return b if a is None else a if b is None else a + b
 
 
 class SparseGrads:
     """Gradients for the rows and parameters a loss touched.
 
-    Entity gradients are two arrays: the sorted unique touched rows and one
-    summed gradient per row. Relation rows and basis coefficients, a few per
-    minibatch, are keyed dicts.
+    Three row tables, entity rows, relation rows and basis coefficient rows,
+    each hold a sorted array of unique rows (`<table>_rows`) and one summed
+    gradient per row (`<table>_grad`). The recurrence gradient `rnn` and the
+    basis-vector gradient `basis_vectors` are dense, None until touched.
     """
 
-    __slots__ = ("entity_rows", "entity_grad", "relation", "rnn_w_in", "rnn_w_rec",
-                 "rnn_bias", "basis_vectors", "basis_coef")
+    __slots__ = ("entity_rows", "entity_grad", "relation_rows", "relation_grad",
+                 "basis_coef_rows", "basis_coef_grad", "rnn", "basis_vectors")
+
+    TABLES = ("entity", "relation", "basis_coef")
 
     def __init__(self):
-        self.entity_rows: np.ndarray = np.empty(0, dtype=np.int64)  # (u,) sorted, unique
-        self.entity_grad: np.ndarray = np.empty((0, 0))            # (u, d)
-        self.relation: dict[int, np.ndarray] = {}
-        self.rnn_w_in: np.ndarray | None = None
-        self.rnn_w_rec: np.ndarray | None = None
-        self.rnn_bias: np.ndarray | None = None
+        for table in self.TABLES:
+            setattr(self, f"{table}_rows", np.empty(0, dtype=np.int64))  # (u,) sorted, unique
+            setattr(self, f"{table}_grad", np.empty((0, 0)))             # (u, width)
+        self.rnn: RnnParams | None = None
         self.basis_vectors: np.ndarray | None = None
-        self.basis_coef: dict[Metapath, np.ndarray] = {}
 
-    @property
-    def entity(self) -> dict[int, np.ndarray]:
-        """Entity gradients keyed by row, for inspection."""
-        return dict(zip(self.entity_rows.tolist(), self.entity_grad))
-
-    @staticmethod
-    def _acc(table: dict, key, grad: np.ndarray) -> None:
-        have = table.get(key)
-        table[key] = grad.copy() if have is None else have + grad
-
-    def add_entities(self, rows, grads: np.ndarray) -> None:
-        """Accumulate `grads[i]` onto entity row `rows[i]`; rows may repeat
-        and are summed in order."""
-        rows = np.asarray(rows, dtype=np.int64)
+    def _add_rows(self, table: str, rows: np.ndarray, grads: np.ndarray) -> None:
+        """Sum `grads[i]` onto row `rows[i]` of `table`, after what it holds."""
         if rows.size == 0:
             return
-        if self.entity_rows.size:
-            rows = np.concatenate((self.entity_rows, rows))
-            grads = np.concatenate((self.entity_grad, grads))
-        self.entity_rows, inverse = np.unique(rows, return_inverse=True)
-        self.entity_grad = np.zeros((self.entity_rows.size, grads.shape[1]))
-        np.add.at(self.entity_grad, inverse.reshape(-1), grads)
-
-    def add_relation(self, idx: int, grad: np.ndarray) -> None:
-        self._acc(self.relation, idx, grad)
-
-    def add_rnn(self, d_w_in: np.ndarray, d_w_rec: np.ndarray, d_bias: np.ndarray) -> None:
-        if self.rnn_w_in is None:
-            self.rnn_w_in = d_w_in.copy()
-            self.rnn_w_rec = d_w_rec.copy()
-            self.rnn_bias = d_bias.copy()
-        else:
-            self.rnn_w_in += d_w_in
-            self.rnn_w_rec += d_w_rec
-            self.rnn_bias += d_bias
-
-    def add_basis_vectors(self, grad: np.ndarray) -> None:
-        self.basis_vectors = grad.copy() if self.basis_vectors is None else self.basis_vectors + grad
-
-    def add_basis_coef(self, key: Metapath, grad: np.ndarray) -> None:
-        self._acc(self.basis_coef, key, grad)
+        held = getattr(self, f"{table}_rows")
+        if held.size:
+            rows = np.concatenate((held, rows))
+            grads = np.concatenate((getattr(self, f"{table}_grad"), grads))
+        unique, total = sum_rows(rows, grads)
+        setattr(self, f"{table}_rows", unique)
+        setattr(self, f"{table}_grad", total)
 
     def update(self, other: "SparseGrads") -> None:
         """Accumulate another gradient bundle into this one."""
-        self.add_entities(other.entity_rows, other.entity_grad)
-        for idx, grad in other.relation.items():
-            self.add_relation(idx, grad)
-        if other.rnn_w_in is not None:
-            self.add_rnn(other.rnn_w_in, other.rnn_w_rec, other.rnn_bias)
-        if other.basis_vectors is not None:
-            self.add_basis_vectors(other.basis_vectors)
-        for key, grad in other.basis_coef.items():
-            self.add_basis_coef(key, grad)
+        for table in self.TABLES:
+            self._add_rows(table, getattr(other, f"{table}_rows"),
+                           getattr(other, f"{table}_grad"))
+        self.rnn = _plus(self.rnn, other.rnn)
+        self.basis_vectors = _plus(self.basis_vectors, other.basis_vectors)
 
 
 def rnn_forward(params: RnnParams, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -193,47 +196,61 @@ def rnn_backward(
     return d_w_in, d_w_rec, d_bias, d_inputs
 
 
-def _shared_key(state: "EmbeddingState", strategy: SharingStrategy, rel_id: int) -> Metapath | None:
-    """The metapath whose shared parameters give `rel_id` its vector, or None
-    when the relation owns a row of `relation_emb`."""
+def relation_vector(state: "EmbeddingState", strategy: SharingStrategy,
+                    rel_ids: np.ndarray) -> np.ndarray:
+    """(m, d) vectors of the m relation ids `rel_ids`, original or minted."""
+    rel_ids = np.asarray(rel_ids, dtype=np.int64)
     if strategy.kind == "none":
-        return None
-    metapath = state.registry.metapath_of(rel_id)
-    if metapath is None and strategy.kind == "basis" and strategy.basis_include_original:
-        return (rel_id,)
-    return metapath
-
-
-def relation_vector(state: "EmbeddingState", strategy: SharingStrategy, rel_id: int) -> np.ndarray:
-    """Vector for any relation id, original or minted."""
-    key = _shared_key(state, strategy, rel_id)
-    if key is None:
-        return state.relation_emb[rel_id]
-    if strategy.kind == "model":
-        return state.relation_emb[list(key)].sum(axis=0)  # row by row: the left fold
-    if strategy.kind == "rnn":
-        return rnn_forward(state.rnn, state.relation_emb[list(key)])[0]
-    return state.basis.vectors.T @ state.basis.coefficients[key]
+        return state.relation_emb[rel_ids]
+    out = np.empty((rel_ids.size, state.dim))
+    if strategy.kind == "basis":
+        rows = basis_rows(state.registry, strategy, rel_ids)
+        shared = rows >= 0
+        out[~shared] = state.relation_emb[rel_ids[~shared]]
+        # a stack of matrix-vector products, each rounding as `vectors.T @ coef`
+        coef = state.basis.coefficients[rows[shared]]
+        out[shared] = np.matmul(state.basis.vectors.T, coef[:, :, None])[:, :, 0]
+        return out
+    for i, rel in enumerate(rel_ids.tolist()):
+        metapath = state.registry.metapath_of(rel)
+        inputs = state.relation_emb[list(metapath or (rel,))]  # an original relation: its row
+        if metapath and strategy.kind == "rnn":
+            out[i] = rnn_forward(state.rnn, inputs)[0]
+        else:
+            out[i] = inputs.sum(axis=0)  # row by row: the left fold
+    return out
 
 
 def relation_backward(
-    state: "EmbeddingState", strategy: SharingStrategy, rel_id: int,
-    grad: np.ndarray, out: SparseGrads,
+    state: "EmbeddingState", strategy: SharingStrategy, rel_ids: np.ndarray,
+    grads: np.ndarray, out: SparseGrads,
 ) -> None:
-    """Accumulate the gradient for a relation's vector into `out`."""
-    key = _shared_key(state, strategy, rel_id)
-    if key is None:
-        out.add_relation(rel_id, grad)
-    elif strategy.kind == "model":
-        for rel in key:
-            out.add_relation(int(rel), grad)
-    elif strategy.kind == "rnn":
-        inputs = state.relation_emb[list(key)]
-        _, states = rnn_forward(state.rnn, inputs)
-        d_w_in, d_w_rec, d_bias, d_inputs = rnn_backward(state.rnn, inputs, states, grad)
-        out.add_rnn(d_w_in, d_w_rec, d_bias)
-        for rel, row_grad in zip(key, d_inputs):
-            out.add_relation(int(rel), row_grad)
-    else:
-        out.add_basis_coef(key, state.basis.vectors @ grad)
-        out.add_basis_vectors(np.outer(state.basis.coefficients[key], grad))
+    """Accumulate `grads[i]`, the gradient on the vector of relation
+    `rel_ids[i]`, into `out`; the contributions of the ids add in id order."""
+    rel_ids = np.asarray(rel_ids, dtype=np.int64)
+    if rel_ids.size == 0:
+        return
+    if strategy.kind == "basis":
+        rows = basis_rows(state.registry, strategy, rel_ids)
+        shared = rows >= 0
+        if shared.any():
+            rows, shared_grads = rows[shared], grads[shared]
+            out._add_rows("basis_coef", rows,
+                          np.matmul(state.basis.vectors, shared_grads[:, :, None])[:, :, 0])
+            # np.outer per relation, summed in id order
+            outer = state.basis.coefficients[rows][:, :, None] * shared_grads[:, None, :]
+            out.basis_vectors = _plus(out.basis_vectors, outer.sum(axis=0))
+        rel_ids, grads = rel_ids[~shared], grads[~shared]
+    elif strategy.kind != "none":
+        paths, row_grads = [], []
+        for rel, grad in zip(rel_ids.tolist(), grads):
+            metapath = state.registry.metapath_of(rel)
+            if metapath and strategy.kind == "rnn":
+                inputs = state.relation_emb[list(metapath)]
+                _, states = rnn_forward(state.rnn, inputs)
+                *params, grad = rnn_backward(state.rnn, inputs, states, grad)
+                out.rnn = _plus(out.rnn, RnnParams(*params))
+            paths.append(metapath or (rel,))
+            row_grads.append(np.broadcast_to(grad, (len(paths[-1]), grad.shape[-1])))
+        rel_ids, grads = np.concatenate(paths), np.concatenate(row_grads)
+    out._add_rows("relation", rel_ids, grads)

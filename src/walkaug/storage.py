@@ -9,6 +9,10 @@ strategy, rng state, counters and log, and checks every array against the
 strategy and the map, so a malformed checkpoint is a DataError before any
 training or ranking starts.
 
+`basis_keys` in meta.json names the metapath of each `basis_coef.npy` row.
+Saves write the rows in state order (`sharing.basis_keys`); loads map each
+stored key to its row, so older checkpoints with sorted keys still load.
+
 The embedding binary starts with an 8-byte header (little-endian uint32 row
 count, then uint32 dimension) followed by row-major float32 values.
 """
@@ -25,7 +29,7 @@ import numpy as np
 from .augment import NewRelationRegistry
 from .errors import ConfigError, DataError
 from .models import EmbeddingState, ModelConfig
-from .sharing import BasisParams, RnnParams, SharingStrategy
+from .sharing import BasisParams, RnnParams, SharingStrategy, basis_keys
 
 _META = "meta.json"
 
@@ -45,7 +49,8 @@ class Checkpoint:
     log: list[dict] = field(default_factory=list)
 
 
-def _save_state(directory: str, prefix: str, state: EmbeddingState) -> dict:
+def _save_state(directory: str, prefix: str, state: EmbeddingState,
+                strategy: SharingStrategy) -> dict:
     np.save(os.path.join(directory, f"{prefix}entity_emb.npy"), state.entity_emb)
     np.save(os.path.join(directory, f"{prefix}relation_emb.npy"), state.relation_emb)
     meta = {}
@@ -55,12 +60,9 @@ def _save_state(directory: str, prefix: str, state: EmbeddingState) -> dict:
         np.save(os.path.join(directory, f"{prefix}rnn_bias.npy"), state.rnn.bias)
         meta["rnn"] = True
     if state.basis is not None:
-        keys = sorted(state.basis.coefficients)
         np.save(os.path.join(directory, f"{prefix}basis_vectors.npy"), state.basis.vectors)
-        coef = np.stack([state.basis.coefficients[k] for k in keys]) if keys else \
-            np.zeros((0, state.basis.count))
-        np.save(os.path.join(directory, f"{prefix}basis_coef.npy"), coef)
-        meta["basis_keys"] = [list(k) for k in keys]
+        np.save(os.path.join(directory, f"{prefix}basis_coef.npy"), state.basis.coefficients)
+        meta["basis_keys"] = [list(k) for k in basis_keys(state.registry, strategy)]
     return meta
 
 
@@ -74,11 +76,16 @@ def _load_state(directory: str, prefix: str, meta: dict, registry: NewRelationRe
         rnn = RnnParams(load("rnn_w_in"), load("rnn_w_rec"), load("rnn_bias"))
     basis = None
     if "basis_keys" in meta:
+        # keys may come in any order (older checkpoints sort them and also hold
+        # "basis_include_original" here, but the strategy's flag counts)
         keys = [tuple(k) for k in meta["basis_keys"]]
+        expected = basis_keys(registry, strategy)
         coef = load("basis_coef")
-        # older checkpoints also hold "basis_include_original" here; the
-        # strategy's flag is the one that counts
-        basis = BasisParams(load("basis_vectors"), {key: coef[i] for i, key in enumerate(keys)})
+        if sorted(keys) != sorted(expected) or coef.shape[:1] != (len(keys),):
+            raise DataError(f"{prefix}state basis coefficients cover {sorted(keys)} with "
+                            f"shape {coef.shape}, expected {sorted(expected)}")
+        row_of = {key: i for i, key in enumerate(keys)}
+        basis = BasisParams(load("basis_vectors"), coef[[row_of[key] for key in expected]])
     state = EmbeddingState(load("entity_emb"), load("relation_emb"), registry, rnn, basis)
     _check_state(state, strategy, f"{prefix}state")
     return state
@@ -106,16 +113,11 @@ def _check_state(state: EmbeddingState, strategy: SharingStrategy, name: str) ->
         raise DataError(f"{name} {'has' if state.basis else 'lacks'} basis parameters "
                         f"under strategy {kind!r}")
     if state.basis is not None:
-        keys = set(registry.metapaths)
-        if strategy.basis_include_original:
-            keys |= {(rel,) for rel in range(registry.first_id)}
-        if set(state.basis.coefficients) != keys:
-            raise DataError(f"{name} basis coefficients cover {sorted(state.basis.coefficients)}, "
-                            f"expected {sorted(keys)}")
-        count = state.basis.count
-        if state.basis.vectors.shape != (count, d) or any(
-                coef.shape != (count,) for coef in state.basis.coefficients.values()):
-            raise DataError(f"{name} basis parameters are not {count} vectors of dimension {d}")
+        count, rows = state.basis.count, len(basis_keys(registry, strategy))
+        if (state.basis.vectors.shape != (count, d)
+                or state.basis.coefficients.shape != (rows, count)):
+            raise DataError(f"{name} basis parameters are not {count} vectors of dimension {d} "
+                            f"and {rows} coefficient rows")
 
 
 def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
@@ -133,8 +135,8 @@ def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
         "best_mrr": ckpt.best_mrr,
         "bad_epochs": ckpt.bad_epochs,
         "log": ckpt.log,
-        "state": _save_state(directory, "", ckpt.state),
-        "best_state": _save_state(directory, "best_", ckpt.best_state),
+        "state": _save_state(directory, "", ckpt.state, ckpt.strategy),
+        "best_state": _save_state(directory, "best_", ckpt.best_state, ckpt.strategy),
     }
     with open(os.path.join(directory, _META), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -42,7 +42,7 @@ def away_from_kinks(state, strategy, config, positive, negatives) -> bool:
     """True when no |.| fold or zero norm sits within finite-difference reach."""
     if config.scoring == "distmult":
         return True
-    r = relation_vector(state, strategy, positive.relation)
+    r = relation_vector(state, strategy, [positive.relation])[0]
     margin = np.inf
     for t in [positive] + list(negatives):
         delta = state.entity_emb[t.head] + r - state.entity_emb[t.tail]
@@ -79,32 +79,27 @@ def check_case(state, strategy, config, positive, negatives, rtol=1e-4, atol=1e-
         if rel_max >= rtol or diff[~big].max(initial=0.0) > atol:
             failures.append((name, rel_max))
 
-    dense_entity = np.zeros_like(state.entity_emb)
-    for idx, g in grads.entity.items():
-        dense_entity[idx] += g
-    compare("entity_emb", dense_entity, state.entity_emb)
+    def dense(table, rows, grad):
+        out = np.zeros_like(table)
+        if rows.size:  # an untouched table has an empty (0, 0) gradient
+            out[rows] = grad  # the rows are unique
+        return out
 
-    dense_relation = np.zeros_like(state.relation_emb)
-    for idx, g in grads.relation.items():
-        dense_relation[idx] += g
-    compare("relation_emb", dense_relation, state.relation_emb)
+    compare("entity_emb", dense(state.entity_emb, grads.entity_rows, grads.entity_grad),
+            state.entity_emb)
+    compare("relation_emb", dense(state.relation_emb, grads.relation_rows, grads.relation_grad),
+            state.relation_emb)
 
     if state.rnn is not None:
-        zero = np.zeros_like
-        compare("rnn_w_in", grads.rnn_w_in if grads.rnn_w_in is not None
-                else zero(state.rnn.w_in), state.rnn.w_in)
-        compare("rnn_w_rec", grads.rnn_w_rec if grads.rnn_w_rec is not None
-                else zero(state.rnn.w_rec), state.rnn.w_rec)
-        compare("rnn_bias", grads.rnn_bias if grads.rnn_bias is not None
-                else zero(state.rnn.bias), state.rnn.bias)
+        for name in ("w_in", "w_rec", "bias"):
+            param = getattr(state.rnn, name)
+            analytic = getattr(grads.rnn, name) if grads.rnn is not None else np.zeros_like(param)
+            compare(f"rnn_{name}", analytic, param)
     if state.basis is not None:
         compare("basis_vectors", grads.basis_vectors if grads.basis_vectors is not None
                 else np.zeros_like(state.basis.vectors), state.basis.vectors)
-        for key in sorted(state.basis.coefficients):
-            analytic = grads.basis_coef.get(key)
-            if analytic is None:
-                analytic = np.zeros_like(state.basis.coefficients[key])
-            compare(f"basis_coef{key}", analytic, state.basis.coefficients[key])
+        compare("basis_coef", dense(state.basis.coefficients, grads.basis_coef_rows,
+                                    grads.basis_coef_grad), state.basis.coefficients)
     return worst, failures
 
 

@@ -162,7 +162,7 @@ def loop_ranks(triplets, state, strategy, scoring, graph_filter, protocol, tie):
     ranks = np.empty((2, len(triplets.heads)), dtype=np.int64)
     for i, (h, rel, t) in enumerate(zip(triplets.heads.tolist(), triplets.relations.tolist(),
                                         triplets.tails.tolist())):
-        r = relation_vector(state, strategy, rel)
+        r = relation_vector(state, strategy, [rel])[0]
         known = graph_filter.known_heads(rel, t) if filtered else []
         ranks[0, i] = _table_rank(score(emb, r, emb[t], scoring), h, known, tie)
         known = graph_filter.known_tails(h, rel) if filtered else []

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from walkaug import NewRelationRegistry, RuleMap, SegmentTable, training
+from walkaug import (
+    DatasetSplit,
+    ModelConfig,
+    NewRelationRegistry,
+    RuleMap,
+    SegmentTable,
+    SharingStrategy,
+    training,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -50,3 +58,19 @@ def test_tracer_counts_one_minibatch(spans):
     assert count["augment.rule_mapped"] + count["augment.minted"] > 0
     assert count["augment.batch_triplets"] > 0
     assert spans.layer_metrics(tracer)["augment.walks"] == 1  # one batched walk call
+
+
+def test_tracer_times_the_sharing_dispatch_of_a_training_run(spans):
+    # the rule-less (0, 1) is minted, and rnn sharing builds its vector
+    g = make_graph([(i, i % 2, (i + 1) % 6) for i in range(6)] + [(0, 2, 2)])
+    valid = make_graph([(1, 0, 2)], num_entities=6, num_relations=3)
+    config = ModelConfig(scoring="transe_l2", dim=4, margin=2.0, negatives=2, epochs=1,
+                         batch_nodes=6, seed=0)
+    tracer = spans.Tracer()
+    with tracer.patched():
+        result = training.train(DatasetSplit(g, valid, valid), {(0, 1): 0.9}, {}, config,
+                                SharingStrategy(kind="rnn"))
+    assert result.state.registry.metapaths == ((0, 1),)
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["sharing.relation_vector_calls"] > 0
+    assert metrics["sharing.relation_backward_s"] > 0

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from walkaug import ConfigError, Dictionary, read_embedding_matrix
@@ -403,3 +404,62 @@ def test_train_rejects_report_score_outside_unit_interval(data, capsys, report, 
     assert main(base_args(data, "train") + TRAIN_SPEED) == 3
     err = capsys.readouterr().err
     assert f"{report}:1:" in err and "Traceback" not in err
+
+
+def _spoil(path):
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")  # not UTF-8
+
+
+@pytest.mark.parametrize("fault", ["missing entity dictionary", "non-UTF-8 training file",
+                                   "non-UTF-8 dictionary", "non-UTF-8 metapaths.tsv",
+                                   "non-UTF-8 rules.tsv"])
+def test_unreadable_inputs_are_data_errors(data, tmp_path, capsys, fault):
+    argv = base_args(data, "train") + TRAIN_SPEED
+    edict, rdict = str(tmp_path / "e.dict"), str(tmp_path / "r.dict")
+    Dictionary(XS + YS + ZS).write(edict)
+    Dictionary(["r0", "r1", "r2"]).write(rdict)
+    if fault == "missing entity dictionary":
+        argv += ["--mode", "none", "--entity-dict", str(tmp_path / "nope.dict"),
+                 "--relation-dict", rdict]
+    elif fault == "non-UTF-8 training file":
+        _spoil(data["train"])
+        argv += ["--mode", "none"]
+    elif fault == "non-UTF-8 dictionary":
+        _spoil(edict)
+        argv += ["--mode", "none", "--entity-dict", edict, "--relation-dict", rdict]
+    else:
+        assert main(base_args(data, "mine")) == 0
+        assert main(base_args(data, "rules")) == 0
+        _spoil(os.path.join(data["out"], fault.split()[-1]))
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", ["extra coefficient row", "wrong key set"])
+def test_basis_coefficients_must_match_their_keys(data, capsys, damage):
+    assert main(base_args(data, "mine")) == 0
+    assert main(base_args(data, "rules")) == 0
+    train_argv = base_args(data, "train") + TRAIN_SPEED + [
+        "--strategy", "basis", "--conf-threshold", "0.9", "--epochs", "1"]
+    assert main(train_argv) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    eval_argv = base_args(data, "eval") + ["--test", data["test"]]
+    assert main(eval_argv) == 0
+    meta_path = os.path.join(checkpoint, "meta.json")
+    meta = json.load(open(meta_path))
+    assert meta["state"]["basis_keys"], "the run mints a basis-shared relation"
+    if damage == "extra coefficient row":
+        coef_path = os.path.join(checkpoint, "basis_coef.npy")
+        coef = np.load(coef_path)
+        np.save(coef_path, np.concatenate((coef, coef[:1])))
+    else:
+        meta["state"]["basis_keys"][0] = [2, 2]
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+    capsys.readouterr()
+    assert main(eval_argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "basis" in err and "Traceback" not in err

@@ -197,9 +197,9 @@ def test_evaluate_minted_relations_once_per_relation(monkeypatch, kind, include_
     calls = []
     build = evaluation.relation_vector
 
-    def counted(state, strategy, rel):
-        calls.append(rel)
-        return build(state, strategy, rel)
+    def counted(state, strategy, rel_ids):
+        calls.append(np.asarray(rel_ids).tolist())
+        return build(state, strategy, rel_ids)
 
     for scoring in ("transe_l2", "transe_l1", "distmult"):
         if kind == "model" and scoring == "distmult":
@@ -210,7 +210,7 @@ def test_evaluate_minted_relations_once_per_relation(monkeypatch, kind, include_
             monkeypatch.setattr(evaluation, "relation_vector", counted)
             calls.clear()
             result = evaluate(state, strategy, scoring, graph, ef, protocol, tie)
-            assert sorted(calls) == sorted({rel for _, rel, _ in edges})
+            assert calls == [sorted({rel for _, rel, _ in edges})]  # one call, each relation once
             monkeypatch.setattr(evaluation, "relation_vector", build)
             want = [rank_triplet(Triplet(*edge), state, strategy, scoring, ef, protocol, tie)
                     for edge in edges]

@@ -58,11 +58,12 @@ def test_adjacency_groups_out_edges():
     assert g.num_triplets == 4
     assert np.diff(g.offsets).tolist() == [3, 1, 0]  # out-degrees
     lo, hi = g.offsets[0], g.offsets[1]
-    rels, tails, edge_ids = g.adj_relations[lo:hi], g.adj_tails[lo:hi], g.adj_edge_ids[lo:hi]
+    edge_ids = np.argsort(g.heads, kind="stable")[lo:hi]  # slot -> edge
+    rels, tails = g.adj_relations[lo:hi], g.adj_tails[lo:hi]
     assert sorted(zip(rels.tolist(), tails.tolist())) == [(0, 1), (0, 1), (1, 2)]
     # edge ids recover the original triplets
     for rel, tail, eid in zip(rels, tails, edge_ids):
-        assert g.triplet(eid) == (0, rel, tail)
+        assert (g.heads[eid], g.relations[eid], g.tails[eid]) == (0, rel, tail)
 
 
 def test_adjacency_keeps_duplicates_and_counts():
@@ -75,12 +76,13 @@ def test_adjacency_covers_every_edge_once():
     rng = np.random.default_rng(3)
     g = random_multigraph(rng, 17, 4, 120)
     assert g.offsets[0] == 0 and g.offsets[-1] == 120
-    assert sorted(g.adj_edge_ids.tolist()) == list(range(120))
+    edge_ids = np.argsort(g.heads, kind="stable")  # slot -> edge
+    assert sorted(edge_ids.tolist()) == list(range(120))
     # slots offsets[v]:offsets[v + 1] hold exactly the out-edges of v
     owner = np.repeat(np.arange(g.num_entities), np.diff(g.offsets))
-    assert np.array_equal(g.heads[g.adj_edge_ids], owner)
-    assert np.array_equal(g.relations[g.adj_edge_ids], g.adj_relations)
-    assert np.array_equal(g.tails[g.adj_edge_ids], g.adj_tails)
+    assert np.array_equal(g.heads[edge_ids], owner)
+    assert np.array_equal(g.relations[edge_ids], g.adj_relations)
+    assert np.array_equal(g.tails[edge_ids], g.adj_tails)
 
 
 def test_graph_arrays_are_frozen():
@@ -132,6 +134,10 @@ def _write(path, rows):
     path.write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows), encoding="utf-8")
 
 
+def _edge(g, edge_id):
+    return int(g.heads[edge_id]), int(g.relations[edge_id]), int(g.tails[edge_id])
+
+
 def test_load_tsv_dataset_roundtrip(tmp_path):
     _write(tmp_path / "train.tsv", [("a", "likes", "b"), ("b", "likes", "c"), ("a", "knows", "c")])
     _write(tmp_path / "valid.tsv", [("a", "likes", "c")])
@@ -141,7 +147,7 @@ def test_load_tsv_dataset_roundtrip(tmp_path):
     assert ds.train.num_triplets == 3
     assert ds.valid.num_triplets == 1 and ds.test.num_triplets == 1
     ed, rd = ds.entity_dict, ds.relation_dict
-    assert ds.train.triplet(0) == (ed.id_of("a"), rd.id_of("likes"), ed.id_of("b"))
+    assert _edge(ds.train, 0) == (ed.id_of("a"), rd.id_of("likes"), ed.id_of("b"))
     # shared dictionaries across splits
     assert ds.valid.entity_dict is ed and ds.test.relation_dict is rd
 
@@ -152,7 +158,7 @@ def test_load_tsv_dataset_with_dict_files(tmp_path):
     (tmp_path / "r.dict").write_text("0\tr\n")
     ds = load_tsv_dataset(tmp_path / "train.tsv", None, None,
                           dict_paths=(tmp_path / "e.dict", tmp_path / "r.dict"))
-    assert ds.train.triplet(0) == (1, 0, 0)
+    assert _edge(ds.train, 0) == (1, 0, 0)
 
 
 def test_load_tsv_dataset_unknown_name_with_dicts(tmp_path):
@@ -186,7 +192,7 @@ def test_add_inverse_extends_train_only(tmp_path):
     assert ds.train.num_triplets == 4
     # the flipped twin of (a, r, b)
     a, b = ds.entity_dict.id_of("a"), ds.entity_dict.id_of("b")
-    assert ds.train.triplet(2) == (b, 2, a)
+    assert _edge(ds.train, 2) == (b, 2, a)
     # valid keeps only original triplets
     assert ds.valid.num_triplets == 1
-    assert ds.valid.triplet(0)[1] == rd.id_of("r")
+    assert _edge(ds.valid, 0)[1] == rd.id_of("r")

@@ -25,6 +25,7 @@ from walkaug import (
     score,
 )
 from walkaug.models import BLOCK_VALUES, default_margin, score_backward
+from walkaug.sharing import RnnParams
 
 
 def test_score_hand_values():
@@ -119,10 +120,10 @@ def test_loss_scales_linearly_with_weight():
         WeightedTriplet(1, 0, 2, w), negatives, state, strategy, config
     )
     assert loss_w == w * base_loss  # identical float product
-    for idx, g in base_grads.entity.items():
-        np.testing.assert_allclose(grads_w.entity[idx], w * g, rtol=1e-12)
-    for idx, g in base_grads.relation.items():
-        np.testing.assert_allclose(grads_w.relation[idx], w * g, rtol=1e-12)
+    assert np.array_equal(grads_w.entity_rows, base_grads.entity_rows)
+    np.testing.assert_allclose(grads_w.entity_grad, w * base_grads.entity_grad, rtol=1e-12)
+    assert np.array_equal(grads_w.relation_rows, base_grads.relation_rows)
+    np.testing.assert_allclose(grads_w.relation_grad, w * base_grads.relation_grad, rtol=1e-12)
 
 
 def test_zero_weight_short_circuits():
@@ -134,7 +135,7 @@ def test_zero_weight_short_circuits():
         WeightedTriplet(0, 0, 1, 0.0), [Triplet(2, 0, 1)], state, strategy, config
     )
     assert loss == 0.0
-    assert not grads.entity and not grads.relation
+    assert grads.entity_rows.size == 0 and grads.relation_rows.size == 0
 
 
 def test_negatives_must_share_relation():
@@ -175,13 +176,11 @@ def test_apply_update_row_algebra():
     state = init_state(3, NewRelationRegistry(2), config, strategy, rng)
     before_e = state.entity_emb.copy()
     before_r = state.relation_emb.copy()
-    from walkaug.sharing import SparseGrads
-
     grads = SparseGrads()
     ge = np.array([1.0, -2.0, 0.5])
     gr = np.array([0.25, 0.0, -1.0])
-    grads.add_entities([1], ge[None])
-    grads.add_relation(0, gr)
+    grads.entity_rows, grads.entity_grad = np.array([1]), ge[None]
+    grads.relation_rows, grads.relation_grad = np.array([0]), gr[None]
     apply_update(state, grads, config)
 
     want_e1 = before_e[1] - 0.05 * (ge + 0.2 * before_e[1])
@@ -207,8 +206,7 @@ def test_init_state_is_deterministic():
             assert np.array_equal(a.rnn.w_rec, b.rnn.w_rec)
         if kind == "basis":
             assert np.array_equal(a.basis.vectors, b.basis.vectors)
-            for key in a.basis.coefficients:
-                assert np.array_equal(a.basis.coefficients[key], b.basis.coefficients[key])
+            assert np.array_equal(a.basis.coefficients, b.basis.coefficients)
 
 
 def test_init_state_bound_scales_with_dimension():
@@ -300,19 +298,17 @@ def _assert_close(got, want, rtol, name=""):
 
 
 def _assert_grads_close(got: SparseGrads, want: SparseGrads, rtol=1e-12):
-    assert np.array_equal(got.entity_rows, want.entity_rows)
-    _assert_close(got.entity_grad, want.entity_grad, rtol, "entity")
-    assert sorted(got.relation) == sorted(want.relation)
-    for idx in want.relation:
-        _assert_close(got.relation[idx], want.relation[idx], rtol, f"relation {idx}")
-    for name in ("rnn_w_in", "rnn_w_rec", "rnn_bias", "basis_vectors"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            _assert_close(a, b, rtol, name)
-    assert sorted(got.basis_coef) == sorted(want.basis_coef)
-    for key in want.basis_coef:
-        _assert_close(got.basis_coef[key], want.basis_coef[key], rtol, f"basis {key}")
+    for table in SparseGrads.TABLES:
+        assert np.array_equal(getattr(got, f"{table}_rows"), getattr(want, f"{table}_rows"))
+        _assert_close(getattr(got, f"{table}_grad"), getattr(want, f"{table}_grad"), rtol,
+                      table)
+    assert (got.rnn is None) == (want.rnn is None)
+    if got.rnn is not None:
+        for name in ("w_in", "w_rec", "bias"):
+            _assert_close(getattr(got.rnn, name), getattr(want.rnn, name), rtol, f"rnn {name}")
+    assert (got.basis_vectors is None) == (want.basis_vectors is None)
+    if got.basis_vectors is not None:
+        _assert_close(got.basis_vectors, want.basis_vectors, rtol, "basis_vectors")
 
 
 @pytest.mark.parametrize("scoring,kind,include_original", SHARING_CASES)
@@ -370,7 +366,7 @@ def test_zero_weight_positives_contribute_nothing_to_a_batch():
     want_loss, want = batch_loss_and_grad(TripletBatch.pack(kept), neg_heads[rows],
                                           neg_tails[rows], state, strategy, config)
     assert loss == want_loss
-    assert 4 not in grads.entity and 5 not in grads.entity
+    assert 4 not in grads.entity_rows and 5 not in grads.entity_rows
     _assert_grads_close(grads, want, rtol=0)
 
 
@@ -395,11 +391,11 @@ def test_apply_update_rejects_non_finite_parameters():
     config = ModelConfig(scoring="transe_l2", dim=3, lr=1e300, negatives=1, seed=0)
     state = init_state(4, NewRelationRegistry(1, [(0, 0)]), config, strategy, rng)
     grads = SparseGrads()
-    grads.add_entities([2], np.full((1, 3), 1e10))
+    grads.entity_rows, grads.entity_grad = np.array([2]), np.full((1, 3), 1e10)
     with pytest.raises(NumericError, match="entity_emb row 2"):
         apply_update(state, grads, config)
 
     grads = SparseGrads()
-    grads.add_rnn(np.zeros((3, 3)), np.full((3, 3), np.nan), np.zeros(3))
+    grads.rnn = RnnParams(np.zeros((3, 3)), np.full((3, 3), np.nan), np.zeros(3))
     with pytest.raises(NumericError, match="rnn.w_rec"):
         apply_update(state, grads, config)

@@ -12,11 +12,15 @@ from oracles import numeric_gradient
 from walkaug import ConfigError, ModelConfig, NewRelationRegistry, SharingStrategy, init_state
 from walkaug.models import EmbeddingState
 from walkaug.sharing import (
+    RnnParams,
     SparseGrads,
+    basis_keys,
+    basis_rows,
     relation_backward,
     relation_vector,
     rnn_backward,
     rnn_forward,
+    sum_rows,
 )
 
 MINTED = NewRelationRegistry(3, [(0, 1), (2, 1, 0)])
@@ -58,12 +62,15 @@ def test_parameter_shapes_per_strategy():
     assert state.rnn.w_rec.shape == (4, 4)
     assert np.all(state.rnn.bias == 0.0)
 
-    state, _ = make_state("basis")
+    state, strategy = make_state("basis")
     assert state.basis.vectors.shape == (3, 4)
-    assert set(state.basis.coefficients) == {(0, 1), (2, 1, 0)}
+    assert state.basis.coefficients.shape == (2, 3)
+    assert basis_keys(MINTED, strategy) == [(0, 1), (2, 1, 0)]
 
-    state, _ = make_state("basis", include_original=True)
-    assert set(state.basis.coefficients) == {(0, 1), (2, 1, 0), (0,), (1,), (2,)}
+    state, strategy = make_state("basis", include_original=True)
+    assert state.basis.coefficients.shape == (5, 3)
+    assert basis_keys(MINTED, strategy) == [(0, 1), (2, 1, 0), (0,), (1,), (2,)]
+    assert basis_rows(MINTED, strategy, np.arange(5)).tolist() == [2, 3, 4, 0, 1]
 
 
 @settings(max_examples=60)
@@ -83,7 +90,7 @@ def test_compose_matches_left_fold_exactly(rows):
     registry = NewRelationRegistry(len(rows), [tuple(range(len(rows)))])
     state = EmbeddingState(np.zeros((1, vectors.shape[1])), vectors, registry)
     want_sum = functools.reduce(np.add, list(vectors))
-    got = relation_vector(state, SharingStrategy(kind="model"), len(rows))
+    got = relation_vector(state, SharingStrategy(kind="model"), [len(rows)])[0]
     assert np.array_equal(got, want_sum)
 
 
@@ -93,10 +100,10 @@ def test_compose_sum_backward_broadcasts_grad():
     state = EmbeddingState(np.zeros((1, 4)), np.arange(12.0).reshape(3, 4), registry)
     grad = np.array([1.0, -2.0, 0.5, 3.0])
     out = SparseGrads()
-    relation_backward(state, SharingStrategy(kind="model"), 3, grad, out)
-    assert sorted(out.relation) == [0, 2]
-    assert np.array_equal(out.relation[0], grad)
-    assert np.array_equal(out.relation[2], 2 * grad)
+    relation_backward(state, SharingStrategy(kind="model"), [3], grad[None], out)
+    assert out.relation_rows.tolist() == [0, 2]
+    assert np.array_equal(out.relation_grad[0], grad)
+    assert np.array_equal(out.relation_grad[1], 2 * grad)
 
 
 def test_rnn_forward_matches_manual_recurrence():
@@ -132,23 +139,23 @@ def test_rnn_backward_matches_finite_differences():
 
 def test_representation_none_reads_minted_row():
     state, strategy = make_state("none")
-    rep = relation_vector(state, strategy, 3)  # minted (0, 1)
+    rep = relation_vector(state, strategy, [3])[0]  # minted (0, 1)
     assert np.array_equal(rep, state.relation_emb[3])
 
 
 def test_representation_model_is_vector_sum():
     state, strategy = make_state("model")
-    rep = relation_vector(state, strategy, 4)  # minted (2, 1, 0)
+    rep = relation_vector(state, strategy, [4])[0]  # minted (2, 1, 0)
     want = state.relation_emb[2] + state.relation_emb[1] + state.relation_emb[0]
     assert np.array_equal(rep, want)
 
 
 def test_representation_basis_is_linear_combination():
     state, strategy = make_state("basis")
-    coef = state.basis.coefficients[(0, 1)]
-    rep = relation_vector(state, strategy, 3)  # minted (0, 1)
+    coef = state.basis.coefficients[0]  # the row of the first minted metapath
+    rep = relation_vector(state, strategy, [3])[0]  # minted (0, 1)
     assert np.array_equal(rep, state.basis.vectors.T @ coef)
-    assert np.array_equal(relation_vector(state, strategy, 1), state.relation_emb[1])
+    assert np.array_equal(relation_vector(state, strategy, [1])[0], state.relation_emb[1])
 
 
 @pytest.mark.parametrize("kind", ["none", "model", "rnn", "basis"])
@@ -159,26 +166,26 @@ def test_strategy_backward_matches_finite_differences(kind):
     metapath = (2, 1, 0)
     minted = MINTED.id_of(metapath)
     out = SparseGrads()
-    relation_backward(state, strategy, minted, grad, out)
+    relation_backward(state, strategy, [minted], grad[None], out)
 
     def fn():
-        return float(grad @ relation_vector(state, strategy, minted))
+        return float(grad @ relation_vector(state, strategy, [minted])[0])
 
     dense_rel = np.zeros_like(state.relation_emb)
-    for rid, g in out.relation.items():
-        dense_rel[rid] += g
+    if out.relation_rows.size:  # none under basis: an untouched table is (0, 0)
+        dense_rel[out.relation_rows] = out.relation_grad
     np.testing.assert_allclose(
         dense_rel, numeric_gradient(fn, state.relation_emb), rtol=1e-5, atol=1e-9
     )
     if kind == "rnn":
         np.testing.assert_allclose(
-            out.rnn_w_in, numeric_gradient(fn, state.rnn.w_in), rtol=1e-5, atol=1e-9
+            out.rnn.w_in, numeric_gradient(fn, state.rnn.w_in), rtol=1e-5, atol=1e-9
         )
         np.testing.assert_allclose(
-            out.rnn_w_rec, numeric_gradient(fn, state.rnn.w_rec), rtol=1e-5, atol=1e-9
+            out.rnn.w_rec, numeric_gradient(fn, state.rnn.w_rec), rtol=1e-5, atol=1e-9
         )
         np.testing.assert_allclose(
-            out.rnn_bias, numeric_gradient(fn, state.rnn.bias), rtol=1e-5, atol=1e-9
+            out.rnn.bias, numeric_gradient(fn, state.rnn.bias), rtol=1e-5, atol=1e-9
         )
     if kind == "basis":
         np.testing.assert_allclose(
@@ -187,9 +194,11 @@ def test_strategy_backward_matches_finite_differences(kind):
             rtol=1e-5,
             atol=1e-9,
         )
+        row = MINTED.metapaths.index(metapath)
+        assert out.basis_coef_rows.tolist() == [row]
         np.testing.assert_allclose(
-            out.basis_coef[metapath],
-            numeric_gradient(fn, state.basis.coefficients[metapath]),
+            out.basis_coef_grad[0],
+            numeric_gradient(fn, state.basis.coefficients[row]),
             rtol=1e-5,
             atol=1e-9,
         )
@@ -197,45 +206,125 @@ def test_strategy_backward_matches_finite_differences(kind):
 
 def test_relation_vector_routing():
     state, strategy = make_state("model")
-    assert np.array_equal(relation_vector(state, strategy, 1), state.relation_emb[1])
-    composed = relation_vector(state, strategy, 3)
+    assert np.array_equal(relation_vector(state, strategy, [1])[0], state.relation_emb[1])
+    composed = relation_vector(state, strategy, [3])[0]
     assert np.array_equal(composed, state.relation_emb[0] + state.relation_emb[1])
 
     state, strategy = make_state("basis", include_original=True)
-    vec = relation_vector(state, strategy, 2)
-    want = state.basis.vectors.T @ state.basis.coefficients[(2,)]
+    vec = relation_vector(state, strategy, [2])[0]
+    want = state.basis.vectors.T @ state.basis.coefficients[len(MINTED) + 2]  # the row of (2,)
     assert np.array_equal(vec, want)
 
     state, strategy = make_state("none")
-    assert np.array_equal(relation_vector(state, strategy, 4), state.relation_emb[4])
+    assert np.array_equal(relation_vector(state, strategy, [4])[0], state.relation_emb[4])
 
 
 def test_relation_backward_splits_onto_constituents():
     state, strategy = make_state("model")
     grad = np.array([1.0, 0.0, -1.0, 2.0])
     out = SparseGrads()
-    relation_backward(state, strategy, 4, grad, out)  # minted (2, 1, 0)
-    assert set(out.relation) == {0, 1, 2}
-    for rid in (0, 1, 2):
-        assert np.array_equal(out.relation[rid], grad)
+    relation_backward(state, strategy, [4], grad[None], out)  # minted (2, 1, 0)
+    assert out.relation_rows.tolist() == [0, 1, 2]
+    for row_grad in out.relation_grad:
+        assert np.array_equal(row_grad, grad)
 
     out = SparseGrads()
-    relation_backward(state, strategy, 1, grad, out)  # original: free row
-    assert set(out.relation) == {1}
+    relation_backward(state, strategy, [1], grad[None], out)  # original: free row
+    assert out.relation_rows.tolist() == [1]
 
 
 def test_sparse_grads_update_accumulates():
     a = SparseGrads()
-    a.add_entities([0], np.ones((1, 3)))
-    a.add_basis_coef((0, 1), np.array([1.0, 2.0]))
+    a.entity_rows, a.entity_grad = np.array([0]), np.ones((1, 3))
+    a.basis_coef_rows, a.basis_coef_grad = np.array([0]), np.array([[1.0, 2.0]])
     b = SparseGrads()
-    b.add_entities([5, 0], np.array([np.ones(3), np.full(3, 2.0)]))
-    b.add_basis_coef((0, 1), np.array([10.0, 20.0]))
-    b.add_rnn(np.eye(2), 2 * np.eye(2), np.ones(2))
+    b.entity_rows, b.entity_grad = sum_rows(np.array([5, 0]), np.array([np.ones(3),
+                                                                        np.full(3, 2.0)]))
+    b.basis_coef_rows, b.basis_coef_grad = np.array([0]), np.array([[10.0, 20.0]])
+    b.rnn = RnnParams(np.eye(2), 2 * np.eye(2), np.ones(2))
     a.update(b)
-    assert np.array_equal(a.entity[0], np.full(3, 3.0))
-    assert np.array_equal(a.entity[5], np.ones(3))
-    assert np.array_equal(a.basis_coef[(0, 1)], np.array([11.0, 22.0]))
-    assert np.array_equal(a.rnn_w_rec, 2 * np.eye(2))
+    assert a.entity_rows.tolist() == [0, 5]
+    assert np.array_equal(a.entity_grad, [np.full(3, 3.0), np.ones(3)])
+    assert np.array_equal(a.basis_coef_grad, [[11.0, 22.0]])
+    assert np.array_equal(a.rnn.w_rec, 2 * np.eye(2))
     a.update(b)
-    assert np.array_equal(a.rnn_w_rec, 4 * np.eye(2))
+    assert np.array_equal(a.rnn.w_rec, 4 * np.eye(2))
+
+
+def _bundle(tables):
+    """A SparseGrads whose row tables sum the (rows, grads) contributions in `tables`."""
+    out = SparseGrads()
+    for table, (rows, grads) in tables.items():
+        if rows:
+            unique, total = sum_rows(np.array(rows), np.array(grads, dtype=np.float64))
+            setattr(out, f"{table}_rows", unique)
+            setattr(out, f"{table}_grad", total)
+    return out
+
+
+# integer-valued contributions, so every order of summation is exact
+_contributions = st.lists(
+    st.tuples(st.integers(0, 5), st.lists(st.integers(-50, 50), min_size=2, max_size=2)),
+    max_size=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fixed_dictionaries({table: _contributions for table in SparseGrads.TABLES}),
+                min_size=1, max_size=4))
+def test_update_equals_a_dense_sum_of_every_contribution(bundles):
+    merged = SparseGrads()
+    dense = {table: np.zeros((6, 2)) for table in SparseGrads.TABLES}
+    for contributions in bundles:
+        tables = {table: ([row for row, _ in c], [g for _, g in c])
+                  for table, c in contributions.items()}
+        merged.update(_bundle(tables))
+        for table, (rows, grads) in tables.items():
+            np.add.at(dense[table], np.array(rows, dtype=np.int64),
+                      np.array(grads, dtype=np.float64).reshape(-1, 2))
+    before = {table: (getattr(merged, f"{table}_rows").copy(),
+                      getattr(merged, f"{table}_grad").copy()) for table in SparseGrads.TABLES}
+    merged.update(SparseGrads())  # an empty bundle changes nothing
+    for table in SparseGrads.TABLES:
+        rows, grad = getattr(merged, f"{table}_rows"), getattr(merged, f"{table}_grad")
+        assert np.array_equal(rows, before[table][0])
+        assert np.array_equal(grad, before[table][1])
+        assert rows.tolist() == sorted({row for b in bundles for row, _ in b[table]})
+        if rows.size:
+            assert np.array_equal(grad, dense[table][rows])
+    assert merged.rnn is None and merged.basis_vectors is None
+
+
+@pytest.mark.parametrize("kind,include_original", [
+    ("none", False), ("model", False), ("rnn", False), ("basis", False), ("basis", True)])
+def test_one_backward_call_equals_one_call_per_id(kind, include_original):
+    # (2, 0, 2) repeats a relation, so a row gets two terms from one id
+    registry = NewRelationRegistry(3, [(0, 1), (2, 1, 0), (2, 0, 2)])
+    strategy = SharingStrategy(kind=kind, basis_count=3 if kind == "basis" else None,
+                               basis_include_original=include_original)
+    config = ModelConfig(scoring="transe_l2", dim=4, seed=0)
+    rng = np.random.default_rng(23)
+    state = init_state(6, registry, config, strategy, rng)
+    ids = np.array([5, 1, 3, 5, 0, 4, 2])  # unsorted, originals and minted, one repeat
+    grads = rng.normal(size=(ids.size, 4))
+
+    whole = SparseGrads()
+    relation_backward(state, strategy, ids, grads, whole)
+    single = SparseGrads()
+    for rel, grad in zip(ids, grads):
+        relation_backward(state, strategy, [rel], grad[None], single)
+
+    for table in SparseGrads.TABLES:
+        for part in ("rows", "grad"):
+            got, want = getattr(whole, f"{table}_{part}"), getattr(single, f"{table}_{part}")
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (table, part)
+    assert (whole.rnn is None) == (kind != "rnn")
+    if whole.rnn is not None:
+        for name in ("w_in", "w_rec", "bias"):
+            assert getattr(whole.rnn, name).tobytes() == getattr(single.rnn, name).tobytes()
+    assert (whole.basis_vectors is None) == (kind != "basis")
+    if whole.basis_vectors is not None:
+        assert whole.basis_vectors.tobytes() == single.basis_vectors.tobytes()
+    # and the forward of the whole array is the stack of single-id forwards
+    want = np.stack([relation_vector(state, strategy, [rel])[0] for rel in ids])
+    assert relation_vector(state, strategy, ids).tobytes() == want.tobytes()

@@ -24,6 +24,7 @@ from walkaug import (
 )
 from walkaug.augment import NewRelationRegistry
 from walkaug.models import init_state
+from walkaug.sharing import relation_vector
 from walkaug.storage import Checkpoint, save_checkpoint
 
 N, R = 10, 3
@@ -163,9 +164,7 @@ def test_checkpoint_preserves_sharing_parameters(tmp_path, kind):
         assert np.array_equal(ckpt.state.rnn.bias, state.rnn.bias)
     else:
         assert np.array_equal(ckpt.state.basis.vectors, state.basis.vectors)
-        assert set(ckpt.state.basis.coefficients) == set(state.basis.coefficients)
-        for key, coef in state.basis.coefficients.items():
-            assert np.array_equal(ckpt.state.basis.coefficients[key], coef)
+        assert np.array_equal(ckpt.state.basis.coefficients, state.basis.coefficients)
         assert ckpt.strategy.basis_include_original
         # the flag lives on the strategy; older checkpoints also wrote it per state
         meta_path = os.path.join(ckpt_dir, "meta.json")
@@ -174,8 +173,41 @@ def test_checkpoint_preserves_sharing_parameters(tmp_path, kind):
         meta["state"]["basis_include_original"] = True
         with open(meta_path, "w") as fh:
             json.dump(meta, fh)
-        assert set(load_checkpoint(ckpt_dir).state.basis.coefficients) == set(
-            state.basis.coefficients)
+        assert np.array_equal(load_checkpoint(ckpt_dir).state.basis.coefficients,
+                              state.basis.coefficients)
+
+
+def test_checkpoint_with_sorted_basis_keys_loads_each_relation_coefficient(tmp_path):
+    # older checkpoints wrote the basis rows under sorted keys, so the (r,)
+    # rows of the original relations sit between the minted ones
+    registry = NewRelationRegistry(R, [(0, 1), (2, 1, 0), (1, 2)])
+    strategy = SharingStrategy(kind="basis", basis_count=2, basis_include_original=True)
+    config = small_config()
+    rng = np.random.default_rng(5)
+    state = init_state(N, registry, config, strategy, rng)
+    ckpt_dir = str(tmp_path / "old")
+    save_checkpoint(ckpt_dir, Checkpoint(
+        state=state, best_state=state.copy(), config=config, strategy=strategy,
+        rng_state=rng.bit_generator.state, epoch=1, best_mrr=0.25, bad_epochs=0, log=[],
+    ))
+    meta_path = os.path.join(ckpt_dir, "meta.json")
+    meta = json.load(open(meta_path))
+    for section, prefix in (("state", ""), ("best_state", "best_")):
+        keys = [tuple(k) for k in meta[section]["basis_keys"]]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        meta[section]["basis_keys"] = [list(keys[i]) for i in order]
+        coef_path = os.path.join(ckpt_dir, f"{prefix}basis_coef.npy")
+        np.save(coef_path, np.load(coef_path)[order])
+    assert meta["state"]["basis_keys"] == [[0], [0, 1], [1], [1, 2], [2], [2, 1, 0]]
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+
+    loaded = load_checkpoint(ckpt_dir)
+    for got in (loaded.state, loaded.best_state):
+        assert np.array_equal(got.basis.coefficients, state.basis.coefficients)
+        ids = np.arange(R + len(registry))
+        assert np.array_equal(relation_vector(got, strategy, ids),
+                              relation_vector(state, strategy, ids))
 
 
 @pytest.mark.parametrize("kind,damage,message", [
