@@ -160,7 +160,14 @@ class KnowledgeGraph:
 
     def pair_keys(self) -> np.ndarray:
         """head * num_entities + tail for every edge, as int64."""
+        check_pair_keys(self.num_entities)
         return self.heads * np.int64(self.num_entities) + self.tails
+
+
+def check_pair_keys(num_entities: int) -> None:
+    """DataError unless every pair key head * num_entities + tail fits in int64."""
+    if int(num_entities) ** 2 - 1 > np.iinfo(np.int64).max:
+        raise DataError(f"pair keys of {num_entities} entities do not fit in int64")
 
 
 def build_adjacency(

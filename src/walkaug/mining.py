@@ -19,8 +19,9 @@ This module is the one join layer. Each level extends every group by every
 relation through `_RelIndex.follow`, a range join over the relation's
 out-edges sorted by source, and counts a hop's covered edges by marking
 their ids in one boolean array over the mined graph's edges. The range
-expansion (`expand_ranges`) and the sorted, deduplicated (key, value)
-arrays (`sorted_pairs`) are shared with rule scoring and the eval filter.
+expansion (`expand_ranges`), the sort-based dedupe (`sorted_unique`) and
+the sorted, deduplicated (key, value) arrays (`sorted_pairs`) are shared
+with rule scoring and the eval filter.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     np.cumsum(counts[:-1], out=first[1:])
     slots = starts[rows] + (np.arange(rows.size, dtype=np.int64) - first[rows])
     return rows, slots
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """`np.unique(keys)` by one sort and a mask (numpy >= 2.3 hashes first, then sorts)."""
+    keys = np.sort(keys)
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return keys[new]
 
 
 def sorted_pairs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

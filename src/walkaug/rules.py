@@ -9,9 +9,14 @@ where both sides count distinct entity pairs. A rule map keeps, per
 metapath, every relation whose confidence reaches the threshold.
 
 Rules run on the miner's join: `build_rulemaps` builds one 1-hop
-`JoinTable` (and so one hop index) per call, and every metapath walks it
-with the same `follow` range join the miner extends its groups with,
-deduplicating the connected pairs after each hop. Confidences come from a
+`JoinTable` (and so one hop index) per call and visits the metapaths in
+sorted order as a trie, as AMIE refines a rule by one atom. A stack holds
+the connected pairs of each prefix of the current metapath, so every
+distinct prefix is joined once (prefixes that are not inputs too), and
+each metapath joins only its last hop onto its parent's pairs, with the
+same `follow` range join the miner extends its groups with. Pairs are kept
+as sorted unique int64 keys head * num_entities + tail, deduplicated by
+one sort and a mask (`mining.sorted_unique`). Confidences come from a
 pair index built once per call: the graph's distinct (pair key, relation)
 arrays, sorted by key. A metapath's pairs find their `searchsorted` ranges
 in it, and one `bincount` of the relations in those ranges counts every
@@ -25,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .graph import KnowledgeGraph, read_lines
-from .mining import JoinTable, Metapath, expand_ranges, metapath_name, sorted_pairs
+from .graph import KnowledgeGraph, check_pair_keys, read_lines
+from .mining import (JoinTable, Metapath, expand_ranges, metapath_name, sorted_pairs,
+                     sorted_unique)
 
 
 @dataclass
@@ -38,27 +44,38 @@ class RuleMap:
     threshold: float = 0.5
 
 
-def metapath_pairs(base: JoinTable, metapath: Metapath) -> np.ndarray:
+def _extend(base: JoinTable, keys: np.ndarray | None, rel: int) -> np.ndarray:
+    """Sorted unique pair keys of a path with keys `keys` followed by `rel`.
+
+    `keys` None stands for the empty path, so the result is `rel`'s own pairs.
+    """
+    n = np.int64(base.num_entities)
+    if keys is None:
+        group = base.groups.get((rel,))
+        return np.empty(0, np.int64) if group is None else sorted_unique(group.src * n + group.dst)
+    idx = base.hop_index().get(rel)
+    if idx is None:
+        return np.empty(0, np.int64)
+    src, dst = np.divmod(keys, n)
+    rows, slots = idx.follow(dst)
+    return sorted_unique(src[rows] * n + idx.dst[slots])
+
+
+def metapath_pairs(base: JoinTable, metapath: Metapath,
+                   prefix_keys: np.ndarray | None = None) -> np.ndarray:
     """Sorted unique keys head * num_entities + tail of pairs `metapath` connects.
 
     `base` is the 1-hop table of the graph (`JoinTable.from_graph`); its hop
-    index is built on first use and reused by later calls.
+    index is built on first use and reused by later calls. A caller that
+    holds the keys of `metapath[:-1]` passes them as `prefix_keys`, and only
+    the last hop is joined onto them; otherwise every hop is.
     """
-    if not metapath:
-        raise ValueError("metapath must contain at least one relation")
-    n = np.int64(base.num_entities)
-    group = base.groups.get((metapath[0],))
-    if group is None:
-        return np.empty(0, np.int64)
-    keys = np.unique(group.src * n + group.dst)
-    index = base.hop_index()
-    for rel in metapath[1:]:
-        idx = index.get(rel)
-        if idx is None:
-            return np.empty(0, np.int64)
-        src, dst = np.divmod(keys, n)
-        rows, slots = idx.follow(dst)
-        keys = np.unique(src[rows] * n + idx.dst[slots])
+    if len(metapath) < (1 if prefix_keys is None else 2):
+        raise ValueError(f"metapath {metapath} has no relation after its prefix")
+    check_pair_keys(base.num_entities)
+    keys, hops = (None, metapath) if prefix_keys is None else (prefix_keys, metapath[-1:])
+    for rel in hops:
+        keys = _extend(base, keys, rel)
     return keys
 
 
@@ -77,8 +94,15 @@ def build_rulemaps(
     base = JoinTable.from_graph(graph)
     pair_keys, pair_relations = sorted_pairs(graph.pair_keys(), graph.relations)
     out: dict[Metapath, RuleMap] = {}
-    for metapath in sorted(metapaths):
-        keys = metapath_pairs(base, metapath)
+    # stack[i]: the length-i prefix of the last metapath and its keys (None for the empty path)
+    stack: list[tuple[Metapath, np.ndarray | None]] = [((), None)]
+    for metapath in sorted(set(metapaths)):
+        while metapath[:len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        for depth in range(len(stack), len(metapath)):  # prefixes that are not inputs
+            stack.append((metapath[:depth], _extend(base, stack[-1][1], metapath[depth - 1])))
+        keys = metapath_pairs(base, metapath, stack[-1][1])
+        stack.append((metapath, keys))
         starts = np.searchsorted(pair_keys, keys)
         _, slots = expand_ranges(starts, np.searchsorted(pair_keys, keys, "right") - starts)
         support = np.bincount(pair_relations[slots])

@@ -88,6 +88,22 @@ def dfs_metapath_pairs(heads, relations, tails, metapath) -> set[tuple[int, int]
     return pairs
 
 
+def first_hop_metapath_pairs(heads, relations, tails, num_entities, metapath) -> np.ndarray:
+    """Sorted unique keys src * num_entities + dst of the pairs `metapath`
+    connects, joined from its first hop, with `np.unique` after every hop.
+    Each hop is a dense equality join of the pairs' ends with the hop's heads."""
+    n = np.int64(num_entities)
+    heads, relations, tails = (np.asarray(a, dtype=np.int64) for a in (heads, relations, tails))
+    first = relations == metapath[0]
+    keys = np.unique(heads[first] * n + tails[first])
+    for rel in metapath[1:]:
+        hop = relations == rel
+        src, dst = np.divmod(keys, n)
+        rows, cols = np.nonzero(dst[:, None] == heads[hop][None, :])
+        keys = np.unique(src[rows] * n + tails[hop][cols])
+    return keys
+
+
 def numeric_gradient(fn, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the scalar fn() wrt `arr`, in place."""
     grad = np.zeros_like(arr, dtype=np.float64)

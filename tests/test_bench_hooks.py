@@ -10,11 +10,14 @@ import pytest
 from conftest import make_graph
 from walkaug import (
     DatasetSplit,
+    JoinTable,
     ModelConfig,
     NewRelationRegistry,
     RuleMap,
     SegmentTable,
     SharingStrategy,
+    metapath_pairs,
+    rules,
     training,
 )
 
@@ -74,3 +77,16 @@ def test_tracer_times_the_sharing_dispatch_of_a_training_run(spans):
     metrics = spans.layer_metrics(tracer)
     assert metrics["sharing.relation_vector_calls"] > 0
     assert metrics["sharing.relation_backward_s"] > 0
+
+
+def test_tracer_counts_one_pairs_call_per_scored_metapath(spans):
+    # shared prefixes, an unscored prefix (1,) and a relation with no edges
+    g = make_graph([(0, 0, 1), (1, 1, 2), (2, 2, 0), (1, 1, 0), (0, 2, 2)], num_relations=4)
+    metapaths = [(0,), (0, 1), (0, 1, 2), (0, 1, 1), (1, 2), (1, 2, 0), (3, 0)]
+    tracer = spans.Tracer()
+    with tracer.patched():
+        rules.build_rulemaps(g, metapaths)
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["rules.pairs_calls"] == len(metapaths)
+    base = JoinTable.from_graph(g)
+    assert metrics["rules.pairs"] == sum(metapath_pairs(base, m).size for m in metapaths) > 0

@@ -127,6 +127,15 @@ def test_config_file_with_cli_override(data, tmp_path, capsys):
     assert "threshold=0.9" in capsys.readouterr().out
 
 
+def test_non_utf8_config_file_is_a_config_error(data, tmp_path, capsys):
+    conf = tmp_path / "latin.conf"
+    conf.write_bytes(b"l_max=2\n# caf\xff\n")
+    assert main(base_args(data, "mine") + ["--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(conf) in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_add_inverse_from_config_file(data, tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("add_inverse=true\nmode=none\n")

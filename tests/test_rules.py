@@ -4,17 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_multigraph
-from oracles import dfs_metapath_pairs
+from oracles import dfs_metapath_pairs, first_hop_metapath_pairs
 from walkaug import (
     DataError,
     Dictionary,
     JoinTable,
+    KnowledgeGraph,
     build_adjacency,
     build_rulemaps,
     metapath_pairs,
+    mine_informative_metapaths,
     read_rules_report,
+    rules,
     write_rules_report,
 )
+from walkaug.mining import sorted_unique
 
 
 def decode_pairs(graph, keys):
@@ -27,9 +31,11 @@ def confidences(graph, metapath):
     return build_rulemaps(graph, [metapath], conf_threshold=1e-12)[metapath].entries
 
 
-def oracle_confidences(graph, metapath):
-    """Every non-zero conf(metapath -> q), from recursively enumerated pairs."""
-    pairs = dfs_metapath_pairs(graph.heads, graph.relations, graph.tails, metapath)
+def oracle_confidences(graph, metapath, pairs=None):
+    """Every non-zero conf(metapath -> q) over `pairs`, by default the
+    recursively enumerated pairs of `metapath`."""
+    if pairs is None:
+        pairs = dfs_metapath_pairs(graph.heads, graph.relations, graph.tails, metapath)
     out = {}
     for q in range(graph.num_relations):
         q_pairs = {(int(h), int(t)) for h, r, t in
@@ -105,6 +111,82 @@ def test_confidence_matches_counting_oracle(data):
     maps = build_rulemaps(g, metapaths, conf_threshold=1e-12)
     for metapath in metapaths:
         assert maps[metapath].entries == oracle_confidences(g, metapath), metapath
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_trie_matches_first_hop_oracle(data):
+    num_nodes = data.draw(st.integers(2, 9))
+    num_rels = data.draw(st.integers(1, 3))
+    edges = data.draw(st.lists(
+        st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_rels - 1),
+                  st.integers(0, num_nodes - 1)),
+        min_size=1, max_size=40))
+    g = make_graph(edges, num_nodes, num_rels + 1)  # relation num_rels has no edge
+    rel = st.integers(0, num_rels)
+    # metapaths grown from a few stems share prefixes; a stem or its own
+    # prefix is scored only when drawn, so some intermediate prefixes are not
+    stems = data.draw(st.lists(st.lists(rel, min_size=1, max_size=2), min_size=1, max_size=3))
+    metapaths = data.draw(st.lists(
+        st.tuples(st.sampled_from(stems), st.lists(rel, max_size=2)).map(lambda s: tuple(s[0] + s[1])),
+        min_size=1, max_size=8))
+    metapaths.append(data.draw(st.sampled_from(metapaths)))  # a repeat
+    mined = mine_informative_metapaths(g, l_max=3, threshold=1e-12)
+    expected = {m: first_hop_metapath_pairs(g.heads, g.relations, g.tails, g.num_entities, m)
+                for m in set(metapaths) | set(mined)}
+
+    seen = []
+
+    def recorded(*args):
+        seen.append((args[1], metapath_pairs(*args)))
+        return seen[-1][1]
+
+    for given_paths in (metapaths, dict.fromkeys(metapaths), mined):
+        seen.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rules, "metapath_pairs", recorded)
+            maps = build_rulemaps(g, given_paths, conf_threshold=1e-12)
+        assert sorted(maps) == sorted(set(given_paths))
+        assert sorted(m for m, _ in seen) == sorted(maps)  # one join per distinct metapath
+        for metapath, keys in seen:
+            assert keys.dtype == np.int64
+            np.testing.assert_array_equal(keys, expected[metapath])
+        for metapath, rule in maps.items():
+            pairs = decode_pairs(g, expected[metapath])
+            assert rule.entries == oracle_confidences(g, metapath, pairs), metapath
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), max_size=40))
+def test_sorted_unique_equals_np_unique(values):
+    keys = np.array(values, dtype=np.int64)
+    for case in (keys, np.sort(keys), np.full(keys.size, 7, np.int64), np.empty(0, np.int64)):
+        out = sorted_unique(case)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, np.unique(case))
+
+
+def test_pair_keys_refuse_entity_counts_that_overflow_int64():
+    # 3,037,000,499 is the largest n with n * n - 1 <= 2**63 - 1
+    assert metapath_pairs(JoinTable({}, 3_037_000_499), (0,)).size == 0
+    with pytest.raises(DataError, match="3037000500 entities do not fit in int64"):
+        metapath_pairs(JoinTable({}, 3_037_000_500), (0,))
+    stub = KnowledgeGraph.__new__(KnowledgeGraph)
+    stub.num_entities, stub.heads, stub.tails = 3_037_000_500, np.zeros(1, np.int64), np.ones(1, np.int64)
+    with pytest.raises(DataError, match="do not fit in int64"):
+        stub.pair_keys()
+
+
+def test_metapath_pairs_joins_last_hop_onto_prefix_keys():
+    g = make_graph([(0, 0, 1), (1, 1, 2), (2, 0, 3), (1, 1, 3)])
+    base = JoinTable.from_graph(g)
+    prefix = metapath_pairs(base, (0, 1))
+    np.testing.assert_array_equal(metapath_pairs(base, (0, 1, 0), prefix),
+                                  metapath_pairs(base, (0, 1, 0)))
+    with pytest.raises(ValueError):
+        metapath_pairs(base, (0,), prefix)
+    with pytest.raises(ValueError):
+        metapath_pairs(base, ())
 
 
 def test_build_rulemaps_thresholds_and_covers_all_inputs():
