@@ -17,7 +17,11 @@ per-positive with k entity corruptions:
 
 `batch_loss_and_grad` evaluates a whole minibatch: entity gradients are
 summed onto the unique touched rows, and the vectors of the batch's distinct
-relations are built and backpropagated by one sharing call each. The
+relations are built and backpropagated by one sharing call each. Each chunk
+adds its entity and relation gradients with `sharing.add_rows`, numpy's 1-D
+`ufunc.at` over flat (row, column) cell indices: it adds the terms in the
+order the 2-D `np.add.at` does, so the bits are the same, and numpy 1.25+
+runs it in a fast loop (numpy 1.24 gives the same bits, slower). The
 gradients are row arrays (`SparseGrads`), applied by plain SGD with optional
 L2 shrinkage on exactly the touched rows of each table.
 """
@@ -33,10 +37,12 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .graph import Triplet
 from .sharing import (
+    BLOCK_VALUES,
     BasisParams,
     RnnParams,
     SharingStrategy,
     SparseGrads,
+    add_rows,
     basis_keys,
     relation_backward,
     relation_vector,
@@ -271,13 +277,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-# Values in one block of vectors (128 KB of float64). A chunk of positives
-# gathers its (chunk, 2 + 2k, d) head, tail and corruption vectors as one
-# block, and the SGD step updates rows in blocks of this size, so scratch
-# memory does not grow with the length of a minibatch.
-BLOCK_VALUES = 1 << 14
-
-
 def batch_loss_and_grad(
     batch: TripletBatch,
     neg_heads: np.ndarray,
@@ -292,8 +291,9 @@ def batch_loss_and_grad(
     arrays `neg_heads` / `neg_tails`, which keep its relation. Weight-0
     positives are dropped first and contribute nothing. One
     `relation_vector` call builds the vectors of the distinct relations;
-    positives are scored in chunks sized by BLOCK_VALUES; entity gradients
-    are summed onto the unique touched rows; and one `relation_backward`
+    positives are scored in chunks sized by BLOCK_VALUES; entity and
+    relation gradients are summed onto the unique touched rows by
+    `add_rows`, in chunk order; and one `relation_backward`
     call routes each relation's summed vector gradient.
     """
     grads = SparseGrads()
@@ -344,13 +344,13 @@ def batch_loss_and_grad(
         c_neg = (w[:, None] * _sigmoid(margin + s_neg) / k)[..., None]
         dh, dr, dt = score_backward(h, r, t, scoring)
         dhn, drn, dtn = score_backward(hn, rn, tn, scoring)
-        np.add.at(relation_grad, relation_of[part], c_pos * dr + (c_neg * drn).sum(axis=1))
+        add_rows(relation_grad, relation_of[part], c_pos * dr + (c_neg * drn).sum(axis=1))
         # the gathered vectors are spent: reuse the block for their gradients
         np.multiply(c_pos, dh, out=block[:, 0])
         np.multiply(c_pos, dt, out=block[:, 1])
         np.multiply(c_neg, dhn, out=block[:, 2:2 + k])
         np.multiply(c_neg, dtn, out=block[:, 2 + k:])
-        np.add.at(entity_grad, row_of[part], block)
+        add_rows(entity_grad, row_of[part], block)
 
     grads.entity_rows, grads.entity_grad = rows, entity_grad
     relation_backward(state, strategy, relations, relation_grad, grads)

@@ -19,10 +19,23 @@ coefficient row (`basis_rows`). The backward routes the gradients onto the
 touched parameters as the row arrays of `SparseGrads`. A state is trusted to
 carry the parameters of its strategy; `storage.load_checkpoint` checks a
 stored one.
+
+Under `model` and `rnn` the ids are grouped by metapath length, and each
+group is one (g, L, d) stack of relation rows: `model` sums it over its
+metapath axis, and `rnn` runs each step of the recurrence as one stacked
+matrix-vector `np.matmul`, which rounds every product as the single
+`w @ x` does. The backward recomputes the stacked forward, and sums each
+relation's dense (d, d) recurrence gradients over a block of relations at a
+time (`BLOCK_VALUES`), adding them in id order, so the bits are those of one
+relation at a time.
+
+Repeated rows are summed by `add_rows`, one 1-D `np.add.at` over flat cell
+indices, which adds every term in array order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -107,12 +120,36 @@ def basis_rows(registry: "NewRelationRegistry", strategy: SharingStrategy,
     return np.where(rel_ids >= first, rel_ids - first, own)
 
 
+# Values in one block of float64 scratch (128 KB). The batch kernel gathers
+# the vectors of a chunk of positives into one block, the SGD step updates
+# rows in blocks of this size, and the recurrence backward builds the dense
+# (d, d) gradients of a block of relations at a time, so scratch memory does
+# not grow with the length of a minibatch or the number of minted relations.
+BLOCK_VALUES = 1 << 14
+
+
+def add_rows(total: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """Add `values[i]` onto row `rows[i]` of the C-contiguous `total`, in place.
+
+    `values` has shape `rows.shape + total.shape[1:]`. The rows become flat
+    cell indices for numpy's 1-D `ufunc.at`, which visits every (row, column)
+    cell in the order the 2-D `np.add.at(total, rows, values)` does, so each
+    cell still rounds as a running total from what it held. numpy 1.25+ runs
+    the 1-D form in a fast loop; numpy 1.24 gives the same bits, slower.
+    """
+    if not total.flags.c_contiguous:
+        raise ValueError("add_rows sums into a C-contiguous array")
+    width = math.prod(total.shape[1:])
+    cells = rows.reshape(-1, 1) * width + np.arange(width)
+    np.add.at(total.reshape(-1), cells.reshape(-1), values.reshape(-1))
+
+
 def sum_rows(rows: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sorted unique rows, per-row sums) of `grads[i]` added onto `rows[i]`;
     each sum adds its terms in array order, so it rounds as a running total."""
     unique, inverse = np.unique(rows, return_inverse=True)
     total = np.zeros((unique.size, *grads.shape[1:]))
-    np.add.at(total, inverse.reshape(-1), grads)
+    add_rows(total, inverse, grads)
     return unique, total
 
 
@@ -163,42 +200,90 @@ class SparseGrads:
         self.basis_vectors = _plus(self.basis_vectors, other.basis_vectors)
 
 
-def rnn_forward(params: RnnParams, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run the recurrence over rows of `inputs` from a zero state.
+def _matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """`matrix @ v` for each row v of the (g, d) `vectors`, as one stacked
+    matrix-vector `np.matmul`; each product rounds as the single one does."""
+    return np.matmul(matrix, vectors[:, :, None])[:, :, 0]
 
-    Returns (final hidden state, all hidden states h_0..h_L).
+
+def _by_length(paths: list[Metapath], positions: np.ndarray):
+    """`positions` grouped by the length L of their metapath in `paths`: per
+    length, the group's positions (ascending) and its (g, L) metapaths."""
+    groups: dict[int, list[int]] = {}
+    for i in positions.tolist():
+        groups.setdefault(len(paths[i]), []).append(i)
+    return [(np.array(pos), np.array([paths[i] for i in pos], dtype=np.int64))
+            for _, pos in sorted(groups.items())]
+
+
+def _rnn_states(params: RnnParams, inputs: np.ndarray) -> np.ndarray:
+    """The states h_0..h_L, (g, L + 1, d), of the recurrence read over each
+    of the g (L, d) stacks of `inputs`, from a zero state; one stacked
+    product per step and weight."""
+    g, length, d = inputs.shape
+    states = np.zeros((g, length + 1, d))
+    for step in range(length):
+        states[:, step + 1] = np.tanh(_matvec(params.w_in, inputs[:, step])
+                                      + _matvec(params.w_rec, states[:, step]) + params.bias)
+    return states
+
+
+def _fold(total: np.ndarray | None, terms: np.ndarray) -> np.ndarray:
+    """((total + terms[0]) + terms[1]) + ..., one term at a time as `_plus`
+    adds them; a None total starts from terms[0]."""
+    if total is not None:
+        terms = np.concatenate((total[None], terms))
+    return np.add.accumulate(terms, axis=0)[-1].copy()
+
+
+def _rnn_backward(params: RnnParams, emb: np.ndarray, paths: list[Metapath],
+                  minted: np.ndarray, grads: np.ndarray, starts: np.ndarray,
+                  row_grads: np.ndarray, out: SparseGrads) -> None:
+    """Backpropagate the recurrence of the ids at positions `minted` (in id
+    order) from their `grads`: onto `row_grads`, where the input rows of id i
+    start at `starts[i]`, and onto `out.rnn`.
+
+    The ids go in id-ordered blocks sized so that a block's dense (d, d)
+    gradients fit in BLOCK_VALUES each. A block's forward states are
+    recomputed per metapath length, one stacked product per step. Each
+    relation's gradients sum over its steps from zero, last step first, and
+    the relations' gradients add onto `out.rnn` in id order.
     """
-    h = np.zeros(params.bias.shape[0])
-    states = [h]
-    for x in inputs:
-        h = np.tanh(params.w_in @ x + params.w_rec @ h + params.bias)
-        states.append(h)
-    return h, states
-
-
-def rnn_backward(
-    params: RnnParams, inputs: np.ndarray, states: list[np.ndarray], grad: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagate through time; returns (d_w_in, d_w_rec, d_bias, d_inputs)."""
-    d_w_in = np.zeros_like(params.w_in)
-    d_w_rec = np.zeros_like(params.w_rec)
-    d_bias = np.zeros_like(params.bias)
-    d_inputs = np.zeros_like(inputs)
-    dh = grad
-    for step in range(len(inputs) - 1, -1, -1):
-        h_next = states[step + 1]
-        dpre = dh * (1.0 - h_next * h_next)
-        d_w_in += np.outer(dpre, inputs[step])
-        d_w_rec += np.outer(dpre, states[step])
-        d_bias += dpre
-        d_inputs[step] = params.w_in.T @ dpre
-        dh = params.w_rec.T @ dpre
-    return d_w_in, d_w_rec, d_bias, d_inputs
+    if minted.size == 0:
+        return
+    d = params.bias.shape[0]
+    totals = [None] * 3 if out.rnn is None else [out.rnn.w_in, out.rnn.w_rec, out.rnn.bias]
+    block = max(1, BLOCK_VALUES // (d * d))
+    for lo in range(0, minted.size, block):
+        ids = minted[lo:lo + block]
+        d_w_in, d_w_rec = np.zeros((2, ids.size, d, d))
+        d_bias = np.zeros((ids.size, d))
+        for pos, group in _by_length(paths, ids):
+            at = np.searchsorted(ids, pos)  # the group's places in the block
+            inputs = emb[group]
+            states = _rnn_states(params, inputs)
+            dh = grads[pos]
+            for step in range(group.shape[1] - 1, -1, -1):
+                h_next = states[:, step + 1]
+                dpre = dh * (1.0 - h_next * h_next)
+                # np.outer per relation
+                d_w_in[at] += dpre[:, :, None] * inputs[:, step, None, :]
+                d_w_rec[at] += dpre[:, :, None] * states[:, step, None, :]
+                d_bias[at] += dpre
+                row_grads[starts[pos] + step] = _matvec(params.w_in.T, dpre)
+                dh = _matvec(params.w_rec.T, dpre)
+        totals = [_fold(total, terms) for total, terms in zip(totals, (d_w_in, d_w_rec, d_bias))]
+    out.rnn = RnnParams(*totals)
 
 
 def relation_vector(state: "EmbeddingState", strategy: SharingStrategy,
                     rel_ids: np.ndarray) -> np.ndarray:
-    """(m, d) vectors of the m relation ids `rel_ids`, original or minted."""
+    """(m, d) vectors of the m relation ids `rel_ids`, original or minted.
+
+    Under `model` and `rnn` the ids are grouped by metapath length: a
+    group's vectors are one sum over its (g, L, d) stack of rows, or its
+    recurrence run one stacked product per step.
+    """
     rel_ids = np.asarray(rel_ids, dtype=np.int64)
     if strategy.kind == "none":
         return state.relation_emb[rel_ids]
@@ -209,15 +294,17 @@ def relation_vector(state: "EmbeddingState", strategy: SharingStrategy,
         out[~shared] = state.relation_emb[rel_ids[~shared]]
         # a stack of matrix-vector products, each rounding as `vectors.T @ coef`
         coef = state.basis.coefficients[rows[shared]]
-        out[shared] = np.matmul(state.basis.vectors.T, coef[:, :, None])[:, :, 0]
+        out[shared] = _matvec(state.basis.vectors.T, coef)
         return out
-    for i, rel in enumerate(rel_ids.tolist()):
-        metapath = state.registry.metapath_of(rel)
-        inputs = state.relation_emb[list(metapath or (rel,))]  # an original relation: its row
-        if metapath and strategy.kind == "rnn":
-            out[i] = rnn_forward(state.rnn, inputs)[0]
-        else:
-            out[i] = inputs.sum(axis=0)  # row by row: the left fold
+    paths = [state.registry.metapath_of(rel) or (rel,) for rel in rel_ids.tolist()]
+    minted = rel_ids >= state.registry.first_id
+    for is_minted in (False, True):
+        for pos, group in _by_length(paths, np.flatnonzero(minted == is_minted)):
+            inputs = state.relation_emb[group]
+            if is_minted and strategy.kind == "rnn":
+                out[pos] = _rnn_states(state.rnn, inputs)[:, -1]
+            else:  # per relation, as its rows' `sum(axis=0)`
+                out[pos] = inputs.sum(axis=1)
     return out
 
 
@@ -235,22 +322,21 @@ def relation_backward(
         shared = rows >= 0
         if shared.any():
             rows, shared_grads = rows[shared], grads[shared]
-            out._add_rows("basis_coef", rows,
-                          np.matmul(state.basis.vectors, shared_grads[:, :, None])[:, :, 0])
+            out._add_rows("basis_coef", rows, _matvec(state.basis.vectors, shared_grads))
             # np.outer per relation, summed in id order
             outer = state.basis.coefficients[rows][:, :, None] * shared_grads[:, None, :]
             out.basis_vectors = _plus(out.basis_vectors, outer.sum(axis=0))
         rel_ids, grads = rel_ids[~shared], grads[~shared]
     elif strategy.kind != "none":
-        paths, row_grads = [], []
-        for rel, grad in zip(rel_ids.tolist(), grads):
-            metapath = state.registry.metapath_of(rel)
-            if metapath and strategy.kind == "rnn":
-                inputs = state.relation_emb[list(metapath)]
-                _, states = rnn_forward(state.rnn, inputs)
-                *params, grad = rnn_backward(state.rnn, inputs, states, grad)
-                out.rnn = _plus(out.rnn, RnnParams(*params))
-            paths.append(metapath or (rel,))
-            row_grads.append(np.broadcast_to(grad, (len(paths[-1]), grad.shape[-1])))
-        rel_ids, grads = np.concatenate(paths), np.concatenate(row_grads)
+        # every row of a relation's metapath takes the relation's gradient,
+        # or under `rnn` the recurrence's gradient on that step's input
+        paths = [state.registry.metapath_of(rel) or (rel,) for rel in rel_ids.tolist()]
+        lengths = np.fromiter(map(len, paths), np.int64, len(paths))
+        row_grads = np.repeat(grads, lengths, axis=0)
+        if strategy.kind == "rnn":
+            minted = np.flatnonzero(rel_ids >= state.registry.first_id)
+            _rnn_backward(state.rnn, state.relation_emb, paths, minted, grads,
+                          np.cumsum(lengths) - lengths, row_grads, out)
+        rel_ids = np.fromiter((rel for path in paths for rel in path), np.int64, row_grads.shape[0])
+        grads = row_grads
     out._add_rows("relation", rel_ids, grads)

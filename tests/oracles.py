@@ -4,7 +4,9 @@ Nothing here may import the package's join/gradient machinery: the oracle
 answers must come from a second, dumber route (recursive enumeration,
 central finite differences, scalar loops). The ranking oracle scores with
 `models.score` itself, one pass over the entity table per triplet side. The
-walk oracle walks one node at a time and maps each walk pair by pair.
+walk oracle walks one node at a time and maps each walk pair by pair. The
+sharing oracle builds and backpropagates one relation at a time, and runs
+the recurrence one vector at a time.
 """
 
 from collections import defaultdict
@@ -118,6 +120,74 @@ def numeric_gradient(fn, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (f_plus - f_minus) / (2.0 * h)
     return grad
+
+
+def rnn_forward(params, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run the recurrence h' = tanh(w_in @ x + w_rec @ h + bias) over the rows
+    of `inputs`, one vector at a time, from a zero state.
+
+    Returns (final hidden state, all hidden states h_0..h_L).
+    """
+    h = np.zeros(params.bias.shape[0])
+    states = [h]
+    for x in inputs:
+        h = np.tanh(params.w_in @ x + params.w_rec @ h + params.bias)
+        states.append(h)
+    return h, states
+
+
+def rnn_backward(params, inputs: np.ndarray, states: list[np.ndarray],
+                 grad: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Backpropagate through time; returns (d_w_in, d_w_rec, d_bias, d_inputs)."""
+    d_w_in = np.zeros_like(params.w_in)
+    d_w_rec = np.zeros_like(params.w_rec)
+    d_bias = np.zeros_like(params.bias)
+    d_inputs = np.zeros_like(inputs)
+    dh = grad
+    for step in range(len(inputs) - 1, -1, -1):
+        h_next = states[step + 1]
+        dpre = dh * (1.0 - h_next * h_next)
+        d_w_in += np.outer(dpre, inputs[step])
+        d_w_rec += np.outer(dpre, states[step])
+        d_bias += dpre
+        d_inputs[step] = params.w_in.T @ dpre
+        dh = params.w_rec.T @ dpre
+    return d_w_in, d_w_rec, d_bias, d_inputs
+
+
+def loop_relation_vector(state, kind: str, rel_ids) -> np.ndarray:
+    """(m, d) relation vectors under `model` or `rnn` sharing, one relation at
+    a time: the sum of its metapath's rows (an original relation: its own
+    row), or under `rnn` the recurrence over a minted relation's rows."""
+    out = np.empty((len(rel_ids), state.dim))
+    for i, rel in enumerate(rel_ids):
+        metapath = state.registry.metapath_of(int(rel))
+        inputs = state.relation_emb[list(metapath or (int(rel),))]
+        out[i] = rnn_forward(state.rnn, inputs)[0] if metapath and kind == "rnn" \
+            else inputs.sum(axis=0)
+    return out
+
+
+def loop_relation_backward(state, kind: str, rel_ids, grads: np.ndarray):
+    """The gradients of `model` or `rnn` sharing, one relation at a time in id
+    order: (sorted unique relation rows, their summed gradients, and under
+    `rnn` the running totals [d_w_in, d_w_rec, d_bias] or None). Each row of
+    a metapath takes the relation's gradient, or under `rnn` the gradient on
+    that step's input; rows are summed with the 2-D `np.add.at`."""
+    paths, row_grads, rnn = [], [], None
+    for rel, grad in zip(rel_ids, grads):
+        metapath = state.registry.metapath_of(int(rel))
+        if metapath and kind == "rnn":
+            inputs = state.relation_emb[list(metapath)]
+            _, states = rnn_forward(state.rnn, inputs)
+            *params, grad = rnn_backward(state.rnn, inputs, states, grad)
+            rnn = params if rnn is None else [a + b for a, b in zip(rnn, params)]
+        paths.append(metapath or (int(rel),))
+        row_grads.append(np.broadcast_to(grad, (len(paths[-1]), grad.shape[-1])))
+    unique, inverse = np.unique(np.concatenate(paths), return_inverse=True)
+    total = np.zeros((unique.size, grads.shape[1]))
+    np.add.at(total, inverse.reshape(-1), np.concatenate(row_grads))
+    return unique, total, rnn
 
 
 def scalar_loss(positive, negatives, entity_rows, relation_row, scoring, margin, weight):

@@ -2,24 +2,29 @@
 differences."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import numeric_gradient
+from oracles import (
+    loop_relation_backward,
+    loop_relation_vector,
+    numeric_gradient,
+    rnn_forward,
+)
 from walkaug import ConfigError, ModelConfig, NewRelationRegistry, SharingStrategy, init_state
 from walkaug.models import EmbeddingState
 from walkaug.sharing import (
     RnnParams,
     SparseGrads,
+    add_rows,
     basis_keys,
     basis_rows,
     relation_backward,
     relation_vector,
-    rnn_backward,
-    rnn_forward,
     sum_rows,
 )
 
@@ -107,34 +112,117 @@ def test_compose_sum_backward_broadcasts_grad():
 
 
 def test_rnn_forward_matches_manual_recurrence():
-    state, _ = make_state("rnn", seed=3)
-    inputs = state.relation_emb[[2, 1, 0]]
-    final, states = rnn_forward(state.rnn, inputs)
-    assert len(states) == 4
-    assert np.all(states[0] == 0.0)
+    state, strategy = make_state("rnn", seed=3)
     h = np.zeros(4)
-    for x in inputs:
+    for x in state.relation_emb[[2, 1, 0]]:
         h = np.tanh(state.rnn.w_in @ x + state.rnn.w_rec @ h + state.rnn.bias)
-    assert np.array_equal(final, h)
-    assert final is states[-1]
+    final = relation_vector(state, strategy, [4])[0]  # minted (2, 1, 0)
+    assert final.tobytes() == h.tobytes()
+    assert final.tobytes() == rnn_forward(state.rnn, state.relation_emb[[2, 1, 0]])[0].tobytes()
 
 
 def test_rnn_backward_matches_finite_differences():
-    state, _ = make_state("rnn", seed=5)
-    params = state.rnn
+    # one stacked call over ids of both metapath lengths, a repeat and an original
+    state, strategy = make_state("rnn", seed=5)
     rng = np.random.default_rng(11)
-    inputs = rng.normal(size=(3, 4))
-    grad = rng.normal(size=4)
-    _, states = rnn_forward(params, inputs)
-    d_w_in, d_w_rec, d_bias, d_inputs = rnn_backward(params, inputs, states, grad)
+    state.rnn.bias[:] = rng.normal(scale=0.1, size=4)
+    ids = np.array([4, 1, 3, 4])
+    grads = rng.normal(size=(ids.size, 4))
+    out = SparseGrads()
+    relation_backward(state, strategy, ids, grads, out)
 
     def fn():
-        return float(grad @ rnn_forward(params, inputs)[0])
+        return float((grads * relation_vector(state, strategy, ids)).sum())
 
-    np.testing.assert_allclose(d_w_in, numeric_gradient(fn, params.w_in), rtol=1e-5, atol=1e-8)
-    np.testing.assert_allclose(d_w_rec, numeric_gradient(fn, params.w_rec), rtol=1e-5, atol=1e-8)
-    np.testing.assert_allclose(d_bias, numeric_gradient(fn, params.bias), rtol=1e-5, atol=1e-8)
-    np.testing.assert_allclose(d_inputs, numeric_gradient(fn, inputs), rtol=1e-5, atol=1e-8)
+    dense_rel = np.zeros_like(state.relation_emb)
+    dense_rel[out.relation_rows] = out.relation_grad
+    np.testing.assert_allclose(dense_rel, numeric_gradient(fn, state.relation_emb),
+                               rtol=1e-5, atol=1e-8)
+    for name in ("w_in", "w_rec", "bias"):
+        np.testing.assert_allclose(getattr(out.rnn, name),
+                                   numeric_gradient(fn, getattr(state.rnn, name)),
+                                   rtol=1e-5, atol=1e-8)
+
+
+def _assert_stacked_equals_loop(state, kind, ids, grads):
+    """Stacked `relation_vector` / `relation_backward` equal the per-relation
+    oracle byte for byte. A second backward call into the same bundle adds
+    onto what it holds, as the oracle over both id arrays does."""
+    strategy = SharingStrategy(kind=kind)
+    got = relation_vector(state, strategy, ids)
+    assert got.tobytes() == loop_relation_vector(state, kind, ids).tobytes()
+    out = SparseGrads()
+    calls = [(ids, grads), (ids[::-1], grads[::-1])]
+    for n in (1, 2):
+        relation_backward(state, strategy, *calls[n - 1], out)
+        rows, total, rnn = loop_relation_backward(
+            state, kind, np.concatenate([c[0] for c in calls[:n]]),
+            np.concatenate([c[1] for c in calls[:n]]))
+        assert out.relation_rows.tolist() == rows.tolist()
+        assert out.relation_grad.tobytes() == total.tobytes()
+        assert (out.rnn is None) == (rnn is None)
+        if rnn is not None:
+            for name, want in zip(("w_in", "w_rec", "bias"), rnn):
+                assert getattr(out.rnn, name).tobytes() == want.tobytes(), (n, name)
+
+
+# lengths 2 and 3 interleave in id order; (2, 0, 2) repeats a relation
+INTERLEAVED = NewRelationRegistry(3, [(0, 1), (0, 1, 2), (1, 0), (2, 0, 2), (2, 2)])
+
+
+@pytest.mark.parametrize("kind", ["model", "rnn"])
+@pytest.mark.parametrize("dim", [1, 7, 32, 50])
+def test_stacked_sharing_equals_the_per_relation_oracle(kind, dim):
+    strategy = SharingStrategy(kind=kind)
+    config = ModelConfig(scoring="transe_l2", dim=dim, seed=0)
+    rng = np.random.default_rng(dim)
+    state = init_state(6, INTERLEAVED, config, strategy, rng)
+    if kind == "rnn":
+        state.rnn.bias[:] = rng.normal(scale=0.1, size=dim)
+    ids = np.array([6, 1, 3, 7, 4, 0, 6, 5, 2, 3])  # unsorted, repeats, originals mixed in
+    _assert_stacked_equals_loop(state, kind, ids, rng.normal(size=(ids.size, dim)))
+
+
+_metapaths = st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=3).map(tuple),
+                      min_size=1, max_size=8, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["model", "rnn"]), dim=st.integers(1, 5), metapaths=_metapaths,
+       picks=st.lists(st.integers(0, 10), min_size=1, max_size=12), seed=st.integers(0, 2**16))
+def test_stacked_sharing_equals_the_oracle_on_any_registry(kind, dim, metapaths, picks, seed):
+    registry = NewRelationRegistry(3, metapaths)
+    strategy = SharingStrategy(kind=kind)
+    rng = np.random.default_rng(seed)
+    state = init_state(4, registry, ModelConfig(scoring="transe_l2", dim=dim), strategy, rng)
+    if kind == "rnn":
+        state.rnn.bias[:] = rng.normal(scale=0.1, size=dim)
+    ids = np.array([pick % (3 + len(registry)) for pick in picks])
+    _assert_stacked_equals_loop(state, kind, ids, rng.normal(size=(ids.size, dim)))
+
+
+def test_recurrence_backward_scratch_is_blocked():
+    # 400 minted relations at d = 64: stacking every relation's two (d, d)
+    # gradients at once would trace 400 * 64 * 64 * 8 * 2 bytes, about 26 MB
+    dim, count = 64, 400
+    rng = np.random.default_rng(0)
+    metapaths = sorted({tuple(rng.integers(0, 10, size=int(rng.integers(2, 4))).tolist())
+                        for _ in range(3 * count)})[:count]
+    registry = NewRelationRegistry(10, metapaths)
+    strategy = SharingStrategy(kind="rnn")
+    state = init_state(4, registry, ModelConfig(scoring="transe_l2", dim=dim), strategy, rng)
+    ids = rng.permutation(np.arange(10, 10 + count))
+    grads = rng.normal(size=(count, dim))
+    out = SparseGrads()
+    tracemalloc.start()
+    try:
+        relation_backward(state, strategy, ids, grads, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.rnn is not None
+    unblocked = count * dim * dim * 8 * 2
+    assert peak < unblocked / 8, (peak, unblocked)
 
 
 def test_representation_none_reads_minted_row():
@@ -249,6 +337,48 @@ def test_sparse_grads_update_accumulates():
     assert np.array_equal(a.rnn.w_rec, 2 * np.eye(2))
     a.update(b)
     assert np.array_equal(a.rnn.w_rec, 4 * np.eye(2))
+
+
+_cells = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e-3, 1e-3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), cell=st.sampled_from([(3,), (1,), (2, 3)]), table_rows=st.integers(1, 4),
+       count=st.sampled_from([0, 1, 2, 5, 12]))
+def test_add_rows_and_sum_rows_equal_the_2d_add_at(data, cell, table_rows, count):
+    # few table rows, so most rows repeat; -0.0 in the values and in the table
+    values = np.array(data.draw(st.lists(_cells, min_size=count * int(np.prod(cell)),
+                                         max_size=count * int(np.prod(cell)))),
+                      dtype=np.float64).reshape(count, *cell)
+    rows = np.array(data.draw(st.lists(st.integers(0, table_rows - 1), min_size=count,
+                                       max_size=count)), dtype=np.int64)
+    start = np.array(data.draw(st.lists(_cells, min_size=table_rows * int(np.prod(cell)),
+                                        max_size=table_rows * int(np.prod(cell)))),
+                     dtype=np.float64).reshape(table_rows, *cell)
+    got, want = start.copy(), start.copy()
+    add_rows(got, rows, values)
+    np.add.at(want, rows, values)
+    assert got.tobytes() == want.tobytes()
+
+    unique, total = sum_rows(rows, values)
+    want_unique, inverse = np.unique(rows, return_inverse=True)
+    want_total = np.zeros((want_unique.size, *cell))
+    np.add.at(want_total, inverse, values)
+    assert unique.tolist() == want_unique.tolist()
+    assert total.shape == want_total.shape and total.tobytes() == want_total.tobytes()
+
+
+def test_add_rows_takes_a_row_index_block():
+    # the kernel passes a (chunk, slots) block of rows with (chunk, slots, d) values
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 5, size=(4, 6))
+    values = rng.normal(size=(4, 6, 3))
+    got, want = np.zeros((5, 3)), np.zeros((5, 3))
+    add_rows(got, rows, values)
+    np.add.at(want, rows, values)
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        add_rows(np.zeros((3, 5)).T, np.array([0]), np.ones((1, 3)))
 
 
 def _bundle(tables):
