@@ -1,16 +1,22 @@
-"""Knowledge graph triple store: name dictionaries, CSR adjacency, TSV loaders.
+"""Knowledge graph triple store: name dictionaries, CSR adjacency, TSV input.
 
 Graphs are directed multigraphs of (head, relation, tail) triplets over dense
 integer ids. Duplicate triplets are kept as distinct edges. All triplet and
 adjacency arrays are frozen after construction; every edge keeps a stable id
 (its position in the input order) so downstream consumers can count distinct
 edges exactly.
+
+Every text input (triplet files, dictionary files, and the metapath and rule
+reports) is read by `read_tsv`: the whole file at once, with universal
+newlines, split into columns of cells. The loader turns the triplet columns
+into ids with one dictionary lookup per cell inside `np.fromiter`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, repeat
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -29,25 +35,21 @@ class Dictionary:
     """Bijective name <-> dense-id map. Ids are assigned in first-seen order."""
 
     def __init__(self, names: Iterable[str] = ()):
-        self._names: list[str] = []
-        self._index: dict[str, int] = {}
-        for name in names:
-            self.add(name)
-
-    def add(self, name: str) -> int:
-        """Return the id of `name`, inserting it if unseen."""
-        idx = self._index.get(name)
-        if idx is None:
-            idx = len(self._names)
-            self._index[name] = idx
-            self._names.append(name)
-        return idx
+        self._names: list[str] = list(dict.fromkeys(names))
+        self._index: dict[str, int] = dict(zip(self._names, range(len(self._names))))
 
     def id_of(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
             raise DataError(f"unknown name {name!r}") from None
+
+    def ids_of(self, names: list[str]) -> np.ndarray:
+        """The int64 ids of `names`; a DataError naming the first unknown one."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, names), np.int64, len(names))
+        except KeyError as exc:
+            raise DataError(f"unknown name {exc.args[0]!r}") from None
 
     def name_of(self, idx: int) -> str:
         return self._names[idx]
@@ -69,26 +71,20 @@ class Dictionary:
     def from_file(cls, path) -> "Dictionary":
         """Load an `id<TAB>name` file; ids must be exactly 0..n-1."""
         entries = []
-        for lineno, raw in enumerate(read_lines(path), start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(
-                    f"{path}:{lineno}: expected id<TAB>name, got {len(parts)} columns"
-                )
+        for lineno, (cell, name) in enumerate(zip(*read_tsv(path, 2)), start=1):
             try:
-                idx = int(parts[0])
+                entries.append((int(cell), name))
             except ValueError:
-                raise DataError(f"{path}:{lineno}: id {parts[0]!r} is not an integer") from None
-            entries.append((idx, parts[1]))
+                raise DataError(f"{path}:{lineno}: id {cell!r} is not an integer") from None
         entries.sort()
-        dct = cls()
-        for expected, (idx, name) in enumerate(entries):
-            if idx != expected:
-                raise DataError(f"{path}: ids are not a contiguous 0-based range (saw {idx})")
-            if name in dct:
-                raise DataError(f"{path}: duplicate name {name!r}")
-            dct.add(name)
+        gap = next((idx for expected, (idx, _) in enumerate(entries) if idx != expected), None)
+        if gap is not None:
+            raise DataError(f"{path}: ids are not a contiguous 0-based range (saw {gap})")
+        names = [name for _, name in entries]
+        dct = cls(names)
+        if len(dct) != len(names):
+            twice = next(name for idx, name in enumerate(names) if dct.id_of(name) != idx)
+            raise DataError(f"{path}: duplicate name {twice!r}")
         return dct
 
     def write(self, path) -> None:
@@ -237,37 +233,30 @@ class DatasetSplit:
         return self.train, self.valid, self.test
 
 
-def read_lines(path) -> Iterator[str]:
-    """The lines of a UTF-8 text file, read as they are iterated; a DataError
-    naming the path when the file cannot be opened or read or is not UTF-8."""
+def read_tsv(path, columns: int) -> list[list[str]]:
+    """The `columns` tab-separated columns of a UTF-8 text file, as lists of cells.
+
+    The file is read whole in text mode with universal newlines and split on
+    "\n" alone, so its lines are exactly those that iterating the open file
+    yields; a final newline ends the last line and starts no empty one. A
+    DataError names the path when the file cannot be opened or read or is not
+    UTF-8, and `path:line` at the first line without exactly `columns` cells.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from fh
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-
-
-def read_triples_file(path) -> list[tuple[str, str, str]]:
-    """Read a `head<TAB>relation<TAB>tail` file into name triples."""
-    rows = []
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(
-                f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}"
-            )
-        rows.append((parts[0], parts[1], parts[2]))
-    return rows
-
-
-def _to_ids(rows, entity_dict: Dictionary, relation_dict: Dictionary) -> np.ndarray:
-    arr = np.empty((len(rows), 3), dtype=np.int64)
-    for i, (h, r, t) in enumerate(rows):
-        arr[i, 0] = entity_dict.id_of(h)
-        arr[i, 1] = relation_dict.id_of(r)
-        arr[i, 2] = entity_dict.id_of(t)
-    return arr
+    lines = text.split("\n")
+    if lines[-1] == "":
+        del lines[-1]
+    tabs = columns - 1
+    if set(map(str.count, lines, repeat("\t"))) - {tabs}:
+        lineno, line = next((i, line) for i, line in enumerate(lines, 1) if line.count("\t") != tabs)
+        got = line.count("\t") + 1
+        raise DataError(f"{path}:{lineno}: expected {columns} tab-separated columns, got {got}")
+    cells = "\t".join(lines).split("\t") if lines else []
+    return [cells[i::columns] for i in range(columns)]
 
 
 def load_tsv_dataset(
@@ -284,42 +273,39 @@ def load_tsv_dataset(
     test. A None valid or test path yields an empty split. With
     `add_inverse`, every relation r gains a twin named r^-1 and a reversed
     copy of each training edge is appended to the training graph only;
-    evaluation splits keep the original triplets.
+    evaluation splits keep the original triplets. A relation name with a
+    `|`, which reports join metapath names with, is a DataError.
     """
-    splits = [read_triples_file(p) if p is not None else []
+    splits = [read_tsv(p, 3) if p is not None else [[], [], []]
               for p in (train_path, valid_path, test_path)]
     if dict_paths is not None:
         entity_dict = Dictionary.from_file(dict_paths[0])
         relation_dict = Dictionary.from_file(dict_paths[1])
     else:
-        entity_dict = Dictionary()
-        relation_dict = Dictionary()
-        for rows in splits:
-            for h, r, t in rows:
-                entity_dict.add(h)
-                entity_dict.add(t)
-                relation_dict.add(r)
+        # first-seen order: train, then valid, then test; each head before its tail
+        entity_dict = Dictionary(chain.from_iterable(
+            chain.from_iterable(zip(heads, tails)) for heads, _, tails in splits))
+        relation_dict = Dictionary(chain.from_iterable(relations for _, relations, _ in splits))
+    piped = next((name for name in relation_dict if "|" in name), None)
+    if piped is not None:
+        raise DataError(f"relation name {piped!r} contains '|', which joins metapath names")
 
-    arrays = [_to_ids(rows, entity_dict, relation_dict) for rows in splits]
-    train_arr, valid_arr, test_arr = arrays
+    arrays = [(entity_dict.ids_of(heads), relation_dict.ids_of(relations), entity_dict.ids_of(tails))
+              for heads, relations, tails in splits]
 
     if add_inverse:
-        base = len(relation_dict)
-        for name in list(relation_dict):
-            twin = name + INVERSE_SUFFIX
-            if twin in relation_dict:
-                raise DataError(f"relation name {twin!r} collides with an inverse twin")
-            relation_dict.add(twin)
-        if train_arr.size:
-            flipped = np.column_stack(
-                (train_arr[:, 2], train_arr[:, 1] + base, train_arr[:, 0])
-            )
-            train_arr = np.concatenate((train_arr, flipped))
-
-    num_entities = len(entity_dict)
-    num_relations = len(relation_dict)
+        names = list(relation_dict)
+        twins = [name + INVERSE_SUFFIX for name in names]
+        clash = next((twin for twin in twins if twin in relation_dict), None)
+        if clash is not None:
+            raise DataError(f"relation name {clash!r} collides with an inverse twin")
+        relation_dict = Dictionary(names + twins)
+        heads, relations, tails = arrays[0]
+        arrays[0] = (np.concatenate((heads, tails)),
+                     np.concatenate((relations, relations + len(names))),
+                     np.concatenate((tails, heads)))
 
     def build(arr):
-        return build_adjacency(arr, num_entities, num_relations, entity_dict, relation_dict)
+        return KnowledgeGraph(*arr, len(entity_dict), len(relation_dict), entity_dict, relation_dict)
 
-    return DatasetSplit(train=build(train_arr), valid=build(valid_arr), test=build(test_arr))
+    return DatasetSplit(*map(build, arrays))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, MiningLimitError, NumericError
-from .graph import KnowledgeGraph, read_lines, sample_edges
+from .graph import KnowledgeGraph, read_tsv, sample_edges
 from .rootfind import brent
 
 Metapath = tuple[int, ...]
@@ -347,20 +347,19 @@ def write_metapath_report(path, infos: dict[Metapath, MetapathInfo], relation_di
 def read_metapath_report(path, relation_dict=None) -> dict[Metapath, float]:
     """Parse a report written by `write_metapath_report` into {metapath: z}."""
     out: dict[Metapath, float] = {}
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        parts = raw.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-        names = parts[0].split("|")
+    for lineno, (metapath_text, score, _) in enumerate(zip(*read_tsv(path, 3)), start=1):
+        names = metapath_text.split("|")
+        if len(names) < 2:
+            raise DataError(f"{path}:{lineno}: metapath {metapath_text!r} has fewer than 2 relations")
         try:
             if relation_dict is None:
                 metapath = tuple(int(n) for n in names)
             else:
                 metapath = tuple(relation_dict.id_of(n) for n in names)
-            z = float(parts[1])
+            z = float(score)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if not 0.0 < z <= 1.0:
-            raise DataError(f"{path}:{lineno}: score must be in (0, 1], got {parts[1]!r}")
+            raise DataError(f"{path}:{lineno}: score must be in (0, 1], got {score!r}")
         out[metapath] = z
     return out

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .graph import KnowledgeGraph, check_pair_keys, read_lines
+from .graph import KnowledgeGraph, check_pair_keys, read_tsv
 from .mining import (JoinTable, Metapath, expand_ranges, metapath_name, sorted_pairs,
                      sorted_unique)
 
@@ -134,23 +134,20 @@ def write_rules_report(path, rulemaps: dict[Metapath, RuleMap], relation_dict=No
 def read_rules_report(path, relation_dict=None, conf_threshold: float = 0.5) -> dict[Metapath, RuleMap]:
     """Parse a report written by `write_rules_report`."""
     out: dict[Metapath, RuleMap] = {}
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        parts = raw.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-        names = parts[0].split("|")
+    for lineno, (metapath_text, rel_text, conf_text) in enumerate(zip(*read_tsv(path, 3)), start=1):
+        names = metapath_text.split("|")
         try:
             if relation_dict is None:
                 metapath = tuple(int(x) for x in names)
-                rel = int(parts[1])
+                rel = int(rel_text)
             else:
                 metapath = tuple(relation_dict.id_of(x) for x in names)
-                rel = relation_dict.id_of(parts[1])
-            conf = float(parts[2])
+                rel = relation_dict.id_of(rel_text)
+            conf = float(conf_text)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if not 0.0 < conf <= 1.0:
-            raise DataError(f"{path}:{lineno}: confidence must be in (0, 1], got {parts[2]!r}")
+            raise DataError(f"{path}:{lineno}: confidence must be in (0, 1], got {conf_text!r}")
         if conf < conf_threshold:
             continue
         rule = out.setdefault(metapath, RuleMap(metapath, {}, conf_threshold))

@@ -6,7 +6,8 @@ central finite differences, scalar loops). The ranking oracle scores with
 `models.score` itself, one pass over the entity table per triplet side. The
 walk oracle walks one node at a time and maps each walk pair by pair. The
 sharing oracle builds and backpropagates one relation at a time, and runs
-the recurrence one vector at a time.
+the recurrence one vector at a time. The TSV loader oracle reads one line,
+and turns one name into an id, at a time.
 """
 
 from collections import defaultdict
@@ -14,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from walkaug.errors import DataError
+from walkaug.graph import INVERSE_SUFFIX
 from walkaug.models import score
 from walkaug.sharing import relation_vector
 
@@ -335,3 +338,75 @@ def walk_to_triplets(walk, informative, rulemaps, registry, rng, rule_sampling="
                 if rel is not None:
                     out.append(WeightedTriplet(nodes[i], rel, nodes[j], z))
     return out
+
+
+def _read_lines(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _read_rows(path, columns) -> list[list[str]]:
+    rows = []
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        parts = raw.rstrip("\n").split("\t")
+        if len(parts) != columns:
+            raise DataError(f"{path}:{lineno}: expected {columns} columns, got {len(parts)}")
+        rows.append(parts)
+    return rows
+
+
+def _add(index: dict, name: str) -> int:
+    return index.setdefault(name, len(index))
+
+
+def _read_dict(path) -> dict[str, int]:
+    entries = sorted((int(idx), name) for idx, name in _read_rows(path, 2))
+    index: dict[str, int] = {}
+    for expected, (idx, name) in enumerate(entries):
+        if idx != expected or name in index:
+            raise DataError(f"{path}: bad dictionary entry {idx}\t{name}")
+        _add(index, name)
+    return index
+
+
+def line_loop_load_tsv(train_path, valid_path, test_path, dict_paths=None, add_inverse=False):
+    """`load_tsv_dataset` one line and one cell at a time, as (train, valid,
+    test) (n, 3) int64 id arrays, entity names and relation names in id order.
+    Raises DataError where the loader must."""
+    splits = [_read_rows(p, 3) if p is not None else [] for p in (train_path, valid_path, test_path)]
+    if dict_paths is not None:
+        entities, relations = _read_dict(dict_paths[0]), _read_dict(dict_paths[1])
+    else:
+        entities, relations = {}, {}
+        for rows in splits:
+            for h, r, t in rows:
+                _add(entities, h)
+                _add(entities, t)
+                _add(relations, r)
+
+    def lookup(index, name):
+        if name not in index:
+            raise DataError(f"unknown name {name!r}")
+        return index[name]
+
+    arrays = []
+    for rows in splits:
+        arr = np.empty((len(rows), 3), dtype=np.int64)
+        for i, (h, r, t) in enumerate(rows):
+            arr[i] = lookup(entities, h), lookup(relations, r), lookup(entities, t)
+        arrays.append(arr)
+    if any("|" in name for name in relations):
+        raise DataError("relation name with '|'")
+    if add_inverse:
+        base = len(relations)
+        for name in list(relations):
+            if name + INVERSE_SUFFIX in relations:
+                raise DataError(f"relation name {name + INVERSE_SUFFIX!r} collides with an inverse twin")
+            _add(relations, name + INVERSE_SUFFIX)
+        train = arrays[0]
+        flipped = np.column_stack((train[:, 2], train[:, 1] + base, train[:, 0]))
+        arrays[0] = np.concatenate((train, flipped))
+    return (*arrays, list(entities), list(relations))

@@ -415,6 +415,20 @@ def test_train_rejects_report_score_outside_unit_interval(data, capsys, report, 
     assert f"{report}:1:" in err and "Traceback" not in err
 
 
+def test_train_rejects_a_one_relation_metapath_in_the_report(data, capsys):
+    assert main(base_args(data, "mine")) == 0
+    assert main(base_args(data, "rules")) == 0
+    path = os.path.join(data["out"], "metapaths.tsv")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("r0\t0.9\t5\n")
+    lineno = len(open(path, encoding="utf-8").read().splitlines())
+    capsys.readouterr()
+    assert main(base_args(data, "train") + TRAIN_SPEED) == 3
+    err = capsys.readouterr().err
+    assert f"metapaths.tsv:{lineno}: metapath 'r0' has fewer than 2 relations" in err
+    assert "Traceback" not in err
+
+
 def _spoil(path):
     with open(path, "ab") as fh:
         fh.write(b"\xff\n")  # not UTF-8

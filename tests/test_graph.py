@@ -1,17 +1,23 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_multigraph
+from oracles import line_loop_load_tsv
 from walkaug import (
     DataError,
     Dictionary,
     build_adjacency,
     load_tsv_dataset,
+    read_metapath_report,
+    read_rules_report,
     sample_edges,
 )
-from walkaug.graph import INVERSE_SUFFIX, read_triples_file
+from walkaug.graph import INVERSE_SUFFIX
 
 
 names = st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=4), max_size=30)
@@ -53,6 +59,17 @@ def test_dictionary_file_rejects_gap(tmp_path):
         Dictionary.from_file(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0\ta\n1\tb\n2\ta\n", "duplicate name 'a'"),
+    ("0\ta\nx\tb\n", r"d\.dict:2: id 'x' is not an integer"),
+])
+def test_dictionary_file_rejects_bad_entries(tmp_path, text, message):
+    path = tmp_path / "d.dict"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        Dictionary.from_file(path)
+
+
 def test_adjacency_groups_out_edges():
     g = make_graph([(0, 0, 1), (0, 1, 2), (1, 0, 2), (0, 0, 1)])
     assert g.num_triplets == 4
@@ -60,7 +77,8 @@ def test_adjacency_groups_out_edges():
     lo, hi = g.offsets[0], g.offsets[1]
     edge_ids = np.argsort(g.heads, kind="stable")[lo:hi]  # slot -> edge
     rels, tails = g.adj_relations[lo:hi], g.adj_tails[lo:hi]
-    assert sorted(zip(rels.tolist(), tails.tolist())) == [(0, 1), (0, 1), (1, 2)]
+    # slots keep the input order of the node's edges, which the walk draws by
+    assert rels.tolist() == [0, 1, 0] and tails.tolist() == [1, 2, 1]
     # edge ids recover the original triplets
     for rel, tail, eid in zip(rels, tails, edge_ids):
         assert (g.heads[eid], g.relations[eid], g.tails[eid]) == (0, rel, tail)
@@ -174,12 +192,12 @@ def test_malformed_line_reports_position(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("a\tr\tb\nc d e\n")
     with pytest.raises(DataError, match="bad.tsv:2"):
-        read_triples_file(path)
+        load_tsv_dataset(path, None, None)
 
 
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
-        read_triples_file(tmp_path / "nope.tsv")
+        load_tsv_dataset(tmp_path / "nope.tsv", None, None)
 
 
 def test_add_inverse_extends_train_only(tmp_path):
@@ -196,3 +214,137 @@ def test_add_inverse_extends_train_only(tmp_path):
     # valid keeps only original triplets
     assert ds.valid.num_triplets == 1
     assert _edge(ds.valid, 0)[1] == rd.id_of("r")
+
+
+def test_load_rejects_relation_names_with_a_pipe(tmp_path):
+    # reports join a metapath's relation names with "|"
+    _write(tmp_path / "train.tsv", [("a", "r", "b"), ("b", "x|y", "c")])
+    with pytest.raises(DataError, match=r"'x\|y'"):
+        load_tsv_dataset(tmp_path / "train.tsv", None, None)
+    _write(tmp_path / "train.tsv", [("a", "r", "b")])
+    (tmp_path / "e.dict").write_text("0\ta\n1\tb\n")
+    (tmp_path / "r.dict").write_text("0\tr\n1\tr|r\n")
+    with pytest.raises(DataError, match=r"'r\|r'"):
+        load_tsv_dataset(tmp_path / "train.tsv", None, None,
+                         dict_paths=(tmp_path / "e.dict", tmp_path / "r.dict"))
+
+
+# ------------------------------------------------------------------- readers
+
+# Characters that str.splitlines breaks on but a file's lines do not.
+UNICODE_BREAKS = ("\x0b", "\x1c", "\u2028")
+
+
+def _triplet_names(path):
+    ds = load_tsv_dataset(path, None, None)
+    ed, rd = ds.entity_dict, ds.relation_dict
+    return [(ed.name_of(h), rd.name_of(r), ed.name_of(t))
+            for h, r, t in zip(ds.train.heads, ds.train.relations, ds.train.tails)]
+
+
+def reader_case(reader, odd):
+    """(parse, the lines of a valid file, what they parse to) with `odd` inside cells."""
+    relations = Dictionary(["r" + odd, "s", "t"])
+    return {
+        "triplets": (_triplet_names,
+                     ["a\tr\tb", f"b{odd}\ts\ta", "a\tr\tc"],
+                     [("a", "r", "b"), (f"b{odd}", "s", "a"), ("a", "r", "c")]),
+        "dictionary": (lambda path: list(Dictionary.from_file(path)),
+                       ["1\tb", f"0\ta{odd}", "2\tc"],
+                       [f"a{odd}", "b", "c"]),
+        "metapaths": (lambda path: read_metapath_report(path, relations),
+                      [f"r{odd}|s\t0.5\t3", "s|t|s\t0.25\t1", "t|t\t1.0\t2"],
+                      {(0, 1): 0.5, (1, 2, 1): 0.25, (2, 2): 1.0}),
+        "rules": (lambda path: {m: rule.entries for m, rule in read_rules_report(path, relations).items()},
+                  [f"r{odd}|s\tt\t0.75", f"s|t\tr{odd}\t1.0", "s|t\ts\t0.5"],
+                  {(0, 1): {2: 0.75}, (1, 2): {0: 1.0, 1: 0.5}}),
+    }[reader]
+
+
+READERS = ("triplets", "dictionary", "metapaths", "rules")
+EMPTY = {"triplets": [], "dictionary": [], "metapaths": {}, "rules": {}}
+each_reader = pytest.mark.parametrize("reader", READERS)
+
+
+def _read(tmp_path, reader, text, odd=""):
+    path = tmp_path / f"{reader}.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    return reader_case(reader, odd)[0](path)
+
+
+@each_reader
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_readers_take_universal_newlines(tmp_path, reader, newline, final_newline):
+    _, lines, expected = reader_case(reader, "")
+    text = newline.join(lines) + (newline if final_newline else "")
+    assert _read(tmp_path, reader, text) == expected
+
+
+@each_reader
+@pytest.mark.parametrize("brk", UNICODE_BREAKS)
+def test_readers_keep_unicode_line_breaks_inside_a_cell(tmp_path, reader, brk):
+    _, lines, expected = reader_case(reader, brk)
+    assert _read(tmp_path, reader, "\n".join(lines) + "\n", odd=brk) == expected
+
+
+@each_reader
+def test_readers_take_an_empty_file(tmp_path, reader):
+    assert _read(tmp_path, reader, "") == EMPTY[reader]
+
+
+@each_reader
+def test_readers_reject_a_blank_line_at_its_position(tmp_path, reader):
+    lines = reader_case(reader, "")[1]
+    with pytest.raises(DataError, match=rf"{reader}\.tsv:2: expected"):
+        _read(tmp_path, reader, "\n".join([lines[0], "", *lines[1:]]) + "\n")
+
+
+@each_reader
+@pytest.mark.parametrize("damage", ["extra cell", "missing cell"])
+def test_readers_reject_a_wrong_column_count_at_its_position(tmp_path, reader, damage):
+    lines = list(reader_case(reader, "")[1])
+    lines[2] = lines[2] + "\tx" if damage == "extra cell" else lines[2].rsplit("\t", 1)[0]
+    with pytest.raises(DataError, match=rf"{reader}\.tsv:3: expected"):
+        _read(tmp_path, reader, "\r\n".join(lines))
+
+
+relation_names = st.sampled_from(["r", "s", "r" + INVERSE_SUFFIX, "t\x0b", "s\u2028", "u"])
+entity_names = st.text(alphabet="ab|\x1c\u2028", min_size=1, max_size=3)
+split_rows = st.lists(st.tuples(entity_names, relation_names, entity_names), max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(splits=st.tuples(split_rows, split_rows, split_rows), with_dicts=st.booleans(),
+       add_inverse=st.booleans(), drop=st.sampled_from([None, "entity", "relation"]),
+       seed=st.integers(0, 2**16))
+def test_loader_matches_the_line_loop_oracle(splits, with_dicts, add_inverse, drop, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"{split}.tsv") for split in ("train", "valid", "test")]
+        for path, rows in zip(paths, splits):
+            _write(path, rows)
+        dict_paths = None
+        if with_dicts:
+            # every name in shuffled id order, plus one the splits never use; `drop`
+            # leaves out the last, which the splits may use
+            rng = np.random.default_rng(seed)
+            dict_paths = (Path(tmp, "e.dict"), Path(tmp, "r.dict"))
+            used = {"entity": {name for rows in splits for h, _, t in rows for name in (h, t)},
+                    "relation": {r for rows in splits for _, r, _ in rows}}
+            for kind, path in zip(("entity", "relation"), dict_paths):
+                names = sorted(used[kind] | {"extra"})
+                names = [names[i] for i in rng.permutation(len(names))]
+                Dictionary(names[:-1] if drop == kind else names).write(path)
+        try:
+            expected = line_loop_load_tsv(*paths, dict_paths=dict_paths, add_inverse=add_inverse)
+        except DataError:
+            with pytest.raises(DataError):
+                load_tsv_dataset(*paths, dict_paths=dict_paths, add_inverse=add_inverse)
+            return
+        ds = load_tsv_dataset(*paths, dict_paths=dict_paths, add_inverse=add_inverse)
+    *arrays, entities, relations = expected
+    for graph, arr in zip(ds.graphs(), arrays):
+        assert np.array_equal(np.column_stack((graph.heads, graph.relations, graph.tails)),
+                              arr.reshape(-1, 3))
+    assert list(ds.entity_dict) == entities and list(ds.relation_dict) == relations
+    assert ds.num_entities == len(entities) and ds.num_relations == len(relations)

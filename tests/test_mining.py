@@ -282,3 +282,13 @@ def test_read_report_rejects_score_outside_unit_interval(tmp_path, z):
     path.write_text(f"0|1\t0.5\t3\n1|0\t{z}\t3\n")
     with pytest.raises(DataError, match=r"metapaths\.tsv:2: score must be in \(0, 1\]"):
         read_metapath_report(path)
+
+
+@pytest.mark.parametrize("names", [None, ["knows", "likes"]])
+def test_read_report_rejects_a_one_relation_metapath(tmp_path, names):
+    # a one-relation "metapath" would be minted as a copy of that relation
+    first, second = names or ["0", "1"]
+    path = tmp_path / "metapaths.tsv"
+    path.write_text(f"{first}|{second}\t0.5\t3\n{second}\t0.9\t5\n")
+    with pytest.raises(DataError, match=rf"metapaths\.tsv:2: metapath '{second}' has fewer than 2"):
+        read_metapath_report(path, names and Dictionary(names))
