@@ -47,7 +47,7 @@ from .models import (
     loss_and_grad,
     negative_sample,
     score,
-    score_backward,
+    score_and_grad,
 )
 from .rules import (
     RuleMap,
@@ -90,7 +90,7 @@ __all__ = [
     "metapath_pairs", "mine_informative_metapaths",
     "negative_sample", "random_walk", "rank_triplet", "read_embedding_matrix",
     "read_metapath_report", "read_rules_report", "relation_vector",
-    "sample_edges", "save_checkpoint", "score", "score_backward",
+    "sample_edges", "save_checkpoint", "score", "score_and_grad",
     "solve_correction", "train", "walk_to_triplets",
     "write_embedding_matrix", "write_embedding_tsv", "write_metapath_report",
     "write_rules_report",

@@ -357,7 +357,7 @@ def read_metapath_report(path, relation_dict=None) -> dict[Metapath, float]:
             else:
                 metapath = tuple(relation_dict.id_of(n) for n in names)
             z = float(score)
-        except ValueError as exc:
+        except (ValueError, DataError) as exc:  # a bad number, or a name not in the dictionary
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if not 0.0 < z <= 1.0:
             raise DataError(f"{path}:{lineno}: score must be in (0, 1], got {score!r}")

@@ -15,15 +15,30 @@ per-positive with k entity corruptions:
 
   loss = weight * [softplus(-(margin + s_pos)) + mean_j softplus(margin + s_j)]
 
-`batch_loss_and_grad` evaluates a whole minibatch: entity gradients are
-summed onto the unique touched rows, and the vectors of the batch's distinct
-relations are built and backpropagated by one sharing call each. Each chunk
-adds its entity and relation gradients with `sharing.add_rows`, numpy's 1-D
-`ufunc.at` over flat (row, column) cell indices: it adds the terms in the
-order the 2-D `np.add.at` does, so the bits are the same, and numpy 1.25+
-runs it in a fast loop (numpy 1.24 gives the same bits, slower). The
-gradients are row arrays (`SparseGrads`), applied by plain SGD with optional
-L2 shrinkage on exactly the touched rows of each table.
+`score_and_grad` returns the score and all three gradients from one
+forward pass: the translation h + r - t (TransE) or the product h * t
+(DistMult) is computed once and the gradients derive from it.
+
+`batch_loss_and_grad` evaluates a whole minibatch in chunks of positives.
+A chunk gathers the vectors of each positive's head and tail and of its k
+corruptions' into one block, computes the translation once for the
+positive and its corruptions together, and derives the scores, the loss
+and every gradient from it. The block, the translation, the gradient
+buffers and the flat cell indices are allocated once per call and refilled
+in place (`out=`) by every chunk. A chunk holds at most BLOCK_VALUES (2^14)
+values per buffer: at 2^17 the kernel took about 18,000 minor page faults
+per `train` call of the planted benchmark, against about 700 at 2^14, and
+was no faster. Each chunk adds its entity and relation gradients with
+`sharing.add_rows`, numpy's 1-D `ufunc.at` over flat (row, column) cell
+indices: it adds the terms in the order the 2-D `np.add.at` does, so the
+bits are the same, and numpy 1.25+ runs it in a fast loop (numpy 1.24
+gives the same bits, slower). Entity gradients are added in slot order
+(head, tail, corrupted heads, corrupted tails) and a relation's as its
+positive's term plus the sum of its corruptions', in the order of the
+two-pass oracle in `tests/oracles.py`, which the tests hold the kernel to
+bit for bit. Weight-0 positives are dropped before scoring. The gradients
+are row arrays (`SparseGrads`), applied by plain SGD with optional L2
+shrinkage on exactly the touched rows of each table.
 """
 
 from __future__ import annotations
@@ -163,9 +178,52 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def _translation(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _translation(h: np.ndarray, r: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
     """h + r - t, adding r to the smaller of h and t first."""
-    return h - (t - r) if h.size > t.size else h + r - t
+    if h.size > t.size:
+        return np.subtract(h, t - r, out=out)
+    return np.subtract(np.add(h, r, out=out), t, out=out)
+
+
+def _check_shapes(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> None:
+    if not h.shape[-1:] == r.shape[-1:] == t.shape[-1:]:  # leading axes broadcast or raise
+        raise ValueError(f"vector shapes differ: {h.shape}, {r.shape}, {t.shape}")
+
+
+def _forward(h, r, t, scoring: str, out=None):
+    """(s, kept): the score, and the one intermediate its gradient derives from,
+    written into `out` when given: the translation h + r - t (TransE) or the
+    product h * t (DistMult; None when h and t differ in size)."""
+    if scoring == "transe_l2":
+        delta = _translation(h, r, t, out)
+        return -np.sqrt(_rowdot(delta, delta)), delta
+    if scoring == "transe_l1":
+        delta = _translation(h, r, t, out)
+        return -np.abs(delta).sum(axis=-1), delta
+    if scoring == "distmult":
+        if h.size == t.size:
+            ht = np.multiply(h, t, out=out)
+            return _rowdot(ht, r), ht
+        big, small = (h, t) if h.size > t.size else (t, h)
+        return _rowdot(big, small * r), None
+    raise ValueError(f"unknown scoring {scoring!r}")
+
+
+def _backward(h, r, t, scoring: str, s, kept, out=(None, None)):
+    """(ds/dh, ds/dr, ds/dt) from `_forward`'s score and intermediate; the
+    pair `out` receives ds/dh and ds/dt. Under TransE ds/dr is ds/dh."""
+    dh_out, dt_out = out
+    if scoring == "distmult":
+        dr = h * t if kept is None else kept
+        return np.multiply(r, t, out=dh_out), dr, np.multiply(h, r, out=dt_out)
+    if scoring == "transe_l2":
+        # a zero norm is the kink of |.|; dividing by inf gives it the zero subgradient
+        norm = np.where(s < 0, -s, np.inf)[..., None]
+        dt = np.divide(kept, norm, out=dt_out)
+    else:
+        dt = np.sign(kept, out=dt_out)
+    dh = np.negative(dt, out=dh_out)
+    return dh, dh, dt
 
 
 def score(h: np.ndarray, r: np.ndarray, t: np.ndarray, scoring: str):
@@ -176,37 +234,19 @@ def score(h: np.ndarray, r: np.ndarray, t: np.ndarray, scoring: str):
     scores, (B, k, d) entity blocks with a (B, 1, d) relation block give
     (B, k) scores, and the (n, d) entity table with (d,) vectors gives (n,).
     """
-    if not h.shape[-1:] == r.shape[-1:] == t.shape[-1:]:  # leading axes broadcast or raise
-        raise ValueError(f"vector shapes differ: {h.shape}, {r.shape}, {t.shape}")
-    if scoring == "transe_l2":
-        delta = _translation(h, r, t)
-        return -np.sqrt(_rowdot(delta, delta))
-    if scoring == "transe_l1":
-        return -np.abs(_translation(h, r, t)).sum(axis=-1)
-    if scoring == "distmult":
-        if h.size == t.size:
-            return _rowdot(h * t, r)
-        big, small = (h, t) if h.size > t.size else (t, h)
-        return _rowdot(big, small * r)
-    raise ValueError(f"unknown scoring {scoring!r}")
+    _check_shapes(h, r, t)
+    return _forward(h, r, t, scoring)[0]
 
 
-def score_backward(
-    h: np.ndarray, r: np.ndarray, t: np.ndarray, scoring: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ds/dh, ds/dr, ds/dt), each of the broadcast shape of the inputs."""
-    if scoring == "transe_l2":
-        delta = _translation(h, r, t)
-        norm = np.sqrt(_rowdot(delta, delta))[..., None]
-        # a zero norm is the kink of |.|; it gets the zero subgradient
-        g = np.divide(-delta, norm, out=np.zeros_like(delta), where=norm > 0)
-        return g, g, -g
-    if scoring == "transe_l1":
-        g = -np.sign(_translation(h, r, t))
-        return g, g, -g
-    if scoring == "distmult":
-        return r * t, h * t, h * r
-    raise ValueError(f"unknown scoring {scoring!r}")
+def score_and_grad(h: np.ndarray, r: np.ndarray, t: np.ndarray, scoring: str):
+    """(s, ds/dh, ds/dr, ds/dt) from one forward pass.
+
+    s is `score(h, r, t, scoring)` bit for bit; each gradient broadcasts
+    against the inputs. A zero L2 norm gets the zero subgradient.
+    """
+    _check_shapes(h, r, t)
+    s, kept = _forward(h, r, t, scoring)
+    return (s, *_backward(h, r, t, scoring, s, kept))
 
 
 @dataclass(frozen=True)
@@ -291,10 +331,12 @@ def batch_loss_and_grad(
     arrays `neg_heads` / `neg_tails`, which keep its relation. Weight-0
     positives are dropped first and contribute nothing. One
     `relation_vector` call builds the vectors of the distinct relations;
-    positives are scored in chunks sized by BLOCK_VALUES; entity and
-    relation gradients are summed onto the unique touched rows by
-    `add_rows`, in chunk order; and one `relation_backward`
-    call routes each relation's summed vector gradient.
+    positives are scored in chunks sized by BLOCK_VALUES, each in one
+    forward pass over the positive and its corruptions together; entity
+    and relation gradients are summed onto the unique touched rows by
+    `add_rows`, in chunk order; and one `relation_backward` call routes
+    each relation's summed vector gradient. A non-finite loss raises
+    NumericError before any gradient is computed.
     """
     grads = SparseGrads()
     keep = batch.weights != 0.0
@@ -311,46 +353,70 @@ def batch_loss_and_grad(
     emb = state.entity_emb
     relations, relation_of = np.unique(batch.relations, return_inverse=True)
     vectors = relation_vector(state, strategy, relations)
-    # per positive: head, tail, k corrupted heads, k corrupted tails
-    slots = np.concatenate(
-        (batch.heads[:, None], batch.tails[:, None], neg_heads, neg_tails), axis=1)
+    h, t = batch.heads[:, None], batch.tails[:, None]
+    # a chunk gathers each positive's heads, then its tails: h, the k corrupted
+    # heads, t, the k corrupted tails; entity gradients are added in slot order:
+    # h, t, the k corrupted heads, the k corrupted tails
+    sides = np.concatenate((h, neg_heads, t, neg_tails), axis=1)
+    slots = np.concatenate((h, t, neg_heads, neg_tails), axis=1)
     rows, row_of = np.unique(slots, return_inverse=True)
+    if rows[0] < 0 or rows[-1] >= state.num_entities:
+        raise IndexError(f"entity id out of range [0, {state.num_entities})")
     row_of = row_of.reshape(slots.shape)
     entity_grad = np.zeros((rows.size, d))
     relation_grad = np.zeros((relations.size, d))
 
-    chunk = max(1, BLOCK_VALUES // (slots.shape[1] * d))
+    # scratch for one chunk, refilled in place by every chunk
+    width = slots.shape[1]
+    chunk = min(size, max(1, BLOCK_VALUES // (width * d)))
+    block = np.empty((chunk, width, d))      # gathered vectors, then entity gradients
+    kept = np.empty((chunk, 1 + k, d))       # the translation, or h * t
+    grad = np.empty((chunk, 2, 1 + k, d))    # ds/dh and ds/dt of every side
+    r_block = np.empty((chunk, d))           # relation vectors, then their gradients
+    cells = np.empty(chunk * width * d, dtype=np.int64)
+
     total = 0.0
     for lo in range(0, size, chunk):
         part = slice(lo, lo + chunk)
         w = batch.weights[part]
-        r = vectors[relation_of[part]]
-        rn = r[:, None, :]
-        block = emb[slots[part]]
-        h, t = block[:, 0], block[:, 1]
-        hn, tn = block[:, 2:2 + k], block[:, 2 + k:]
-        s_pos = score(h, r, t, scoring)
-        s_neg = score(hn, rn, tn, scoring)
-        loss = w * (_softplus(-(margin + s_pos)) + (_softplus(margin + s_neg) / k).sum(axis=1))
-        bad = np.flatnonzero(~np.isfinite(loss))
-        if bad.size:
+        n = w.size
+        np.take(emb, sides[part], axis=0, out=block[:n], mode="clip")
+        r = np.take(vectors, relation_of[part], axis=0, out=r_block[:n], mode="clip")[:, None]
+        heads, tails = block[:n, :1 + k], block[:n, 1 + k:]
+        # side 0 is the positive, sides 1..k its corruptions
+        s, inner = _forward(heads, r, tails, scoring, out=kept[:n])
+        z = margin + s
+        np.negative(z[:, 0], out=z[:, 0])
+        softplus = _softplus(z)
+        loss = w * (softplus[:, 0] + (softplus[:, 1:] / k).sum(axis=1))
+        if not np.isfinite(loss).all():
+            bad = np.flatnonzero(~np.isfinite(loss))
             i = lo + int(bad[0])
             ident = Triplet(int(batch.heads[i]), int(batch.relations[i]), int(batch.tails[i]))
             raise NumericError(f"non-finite loss {float(loss[bad[0]])!r} for triplet "
                                f"{tuple(ident)}", triplet=ident)
         total += float(loss.sum())
 
-        c_pos = (-w * _sigmoid(-(margin + s_pos)))[:, None]
-        c_neg = (w[:, None] * _sigmoid(margin + s_neg) / k)[..., None]
-        dh, dr, dt = score_backward(h, r, t, scoring)
-        dhn, drn, dtn = score_backward(hn, rn, tn, scoring)
-        add_rows(relation_grad, relation_of[part], c_pos * dr + (c_neg * drn).sum(axis=1))
-        # the gathered vectors are spent: reuse the block for their gradients
-        np.multiply(c_pos, dh, out=block[:, 0])
-        np.multiply(c_pos, dt, out=block[:, 1])
-        np.multiply(c_neg, dhn, out=block[:, 2:2 + k])
-        np.multiply(c_neg, dtn, out=block[:, 2 + k:])
-        add_rows(entity_grad, row_of[part], block)
+        # dloss/ds: -w * sigmoid(-(margin + s)) for the positive, and
+        # w * sigmoid(margin + s) / k for each corruption
+        coef = _sigmoid(z)
+        coef[:, 0] *= -w
+        coef[:, 1:] *= w[:, None]
+        coef[:, 1:] /= k
+        dh, dr, _ = _backward(heads, r, tails, scoring, s, inner, out=(grad[:n, 0], grad[:n, 1]))
+        # the gathered vectors are spent: the block takes the entity gradients in slot order
+        np.multiply(grad[:n, :, 0], coef[:, :1, None], out=block[:n, :2])
+        np.multiply(grad[:n, :, 1:], coef[:, None, 1:, None],
+                    out=block[:n, 2:].reshape(n, 2, k, d))
+        # a relation's gradient is its positive's term plus the sum of its corruptions'
+        if dr is dh:
+            pos, neg = block[:n, 0], block[:n, 2:2 + k]
+        else:
+            dr = np.multiply(dr, coef[..., None], out=dr)
+            pos, neg = dr[:, 0], dr[:, 1:]
+        np.add(pos, neg.sum(axis=1, out=r_block[:n]), out=r_block[:n])
+        add_rows(relation_grad, relation_of[part], r_block[:n], cells)
+        add_rows(entity_grad, row_of[part], block[:n], cells)
 
     grads.entity_rows, grads.entity_grad = rows, entity_grad
     relation_backward(state, strategy, relations, relation_grad, grads)

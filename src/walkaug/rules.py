@@ -144,7 +144,7 @@ def read_rules_report(path, relation_dict=None, conf_threshold: float = 0.5) -> 
                 metapath = tuple(relation_dict.id_of(x) for x in names)
                 rel = relation_dict.id_of(rel_text)
             conf = float(conf_text)
-        except ValueError as exc:
+        except (ValueError, DataError) as exc:  # a bad number, or a name not in the dictionary
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if not 0.0 < conf <= 1.0:
             raise DataError(f"{path}:{lineno}: confidence must be in (0, 1], got {conf_text!r}")

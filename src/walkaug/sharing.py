@@ -128,7 +128,8 @@ def basis_rows(registry: "NewRelationRegistry", strategy: SharingStrategy,
 BLOCK_VALUES = 1 << 14
 
 
-def add_rows(total: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+def add_rows(total: np.ndarray, rows: np.ndarray, values: np.ndarray,
+             cells: np.ndarray | None = None) -> None:
     """Add `values[i]` onto row `rows[i]` of the C-contiguous `total`, in place.
 
     `values` has shape `rows.shape + total.shape[1:]`. The rows become flat
@@ -136,11 +137,15 @@ def add_rows(total: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     cell in the order the 2-D `np.add.at(total, rows, values)` does, so each
     cell still rounds as a running total from what it held. numpy 1.25+ runs
     the 1-D form in a fast loop; numpy 1.24 gives the same bits, slower.
+    `cells`, if given, is int64 scratch of at least `values.size` entries
+    that receives the cell indices.
     """
     if not total.flags.c_contiguous:
         raise ValueError("add_rows sums into a C-contiguous array")
     width = math.prod(total.shape[1:])
-    cells = rows.reshape(-1, 1) * width + np.arange(width)
+    if cells is not None:
+        cells = cells[:rows.size * width].reshape(-1, width)
+    cells = np.add(rows.reshape(-1, 1) * width, np.arange(width), out=cells)
     np.add.at(total.reshape(-1), cells.reshape(-1), values.reshape(-1))
 
 

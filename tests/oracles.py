@@ -7,7 +7,11 @@ central finite differences, scalar loops). The ranking oracle scores with
 walk oracle walks one node at a time and maps each walk pair by pair. The
 sharing oracle builds and backpropagates one relation at a time, and runs
 the recurrence one vector at a time. The TSV loader oracle reads one line,
-and turns one name into an id, at a time.
+and turns one name into an id, at a time. The two-pass batch kernel scores
+and differentiates a chunk's positives and its corruptions in separate
+passes, each recomputing the translation; it shares the package's relation
+dispatch and `add_rows`, so it pins the chunk arithmetic of the fused
+kernel bit for bit.
 """
 
 from collections import defaultdict
@@ -15,10 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from walkaug.errors import DataError
-from walkaug.graph import INVERSE_SUFFIX
+from walkaug.errors import DataError, NumericError
+from walkaug.graph import INVERSE_SUFFIX, Triplet
 from walkaug.models import score
-from walkaug.sharing import relation_vector
+from walkaug.sharing import BLOCK_VALUES, SparseGrads, add_rows, relation_backward, relation_vector
 
 
 class PathStats:
@@ -217,6 +221,92 @@ def scalar_loss(positive, negatives, entity_rows, relation_row, scoring, margin,
         s = sc(entity_rows[neg.head], relation_row, entity_rows[neg.tail])
         total += softplus(margin + s) / k
     return weight * total
+
+
+def score_backward(h, r, t, scoring):
+    """(ds/dh, ds/dr, ds/dt) of `score`, each of the broadcast shape of the inputs,
+    recomputing the translation."""
+    if scoring == "transe_l2":
+        delta = h + r - t
+        norm = np.sqrt(np.einsum("...i,...i->...", delta, delta))[..., None]
+        # a zero norm is the kink of |.|; it gets the zero subgradient
+        g = np.divide(-delta, norm, out=np.zeros_like(delta), where=norm > 0)
+        return g, g, -g
+    if scoring == "transe_l1":
+        g = -np.sign(h + r - t)
+        return g, g, -g
+    return r * t, h * t, h * r
+
+
+def _softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def _sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def two_pass_batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, config):
+    """`models.batch_loss_and_grad` with each chunk's positives and corruptions
+    scored and differentiated in separate `score` / `score_backward` passes."""
+    grads = SparseGrads()
+    keep = batch.weights != 0.0
+    if not keep.all():
+        batch, neg_heads, neg_tails = batch.select(keep), neg_heads[keep], neg_tails[keep]
+    size = len(batch)
+    if size == 0:
+        return 0.0, grads
+
+    scoring = config.scoring
+    margin = config.margin
+    k = neg_heads.shape[1]
+    d = state.dim
+    emb = state.entity_emb
+    relations, relation_of = np.unique(batch.relations, return_inverse=True)
+    vectors = relation_vector(state, strategy, relations)
+    slots = np.concatenate(
+        (batch.heads[:, None], batch.tails[:, None], neg_heads, neg_tails), axis=1)
+    rows, row_of = np.unique(slots, return_inverse=True)
+    row_of = row_of.reshape(slots.shape)
+    entity_grad = np.zeros((rows.size, d))
+    relation_grad = np.zeros((relations.size, d))
+
+    chunk = max(1, BLOCK_VALUES // (slots.shape[1] * d))
+    total = 0.0
+    for lo in range(0, size, chunk):
+        part = slice(lo, lo + chunk)
+        w = batch.weights[part]
+        r = vectors[relation_of[part]]
+        rn = r[:, None, :]
+        block = emb[slots[part]]
+        h, t = block[:, 0], block[:, 1]
+        hn, tn = block[:, 2:2 + k], block[:, 2 + k:]
+        s_pos = score(h, r, t, scoring)
+        s_neg = score(hn, rn, tn, scoring)
+        loss = w * (_softplus(-(margin + s_pos)) + (_softplus(margin + s_neg) / k).sum(axis=1))
+        bad = np.flatnonzero(~np.isfinite(loss))
+        if bad.size:
+            i = lo + int(bad[0])
+            ident = Triplet(int(batch.heads[i]), int(batch.relations[i]), int(batch.tails[i]))
+            raise NumericError(f"non-finite loss {float(loss[bad[0]])!r} for triplet "
+                               f"{tuple(ident)}", triplet=ident)
+        total += float(loss.sum())
+
+        c_pos = (-w * _sigmoid(-(margin + s_pos)))[:, None]
+        c_neg = (w[:, None] * _sigmoid(margin + s_neg) / k)[..., None]
+        dh, dr, dt = score_backward(h, r, t, scoring)
+        dhn, drn, dtn = score_backward(hn, rn, tn, scoring)
+        add_rows(relation_grad, relation_of[part], c_pos * dr + (c_neg * drn).sum(axis=1))
+        np.multiply(c_pos, dh, out=block[:, 0])
+        np.multiply(c_pos, dt, out=block[:, 1])
+        np.multiply(c_neg, dhn, out=block[:, 2:2 + k])
+        np.multiply(c_neg, dtn, out=block[:, 2 + k:])
+        add_rows(entity_grad, row_of[part], block)
+
+    grads.entity_rows, grads.entity_grad = rows, entity_grad
+    relation_backward(state, strategy, relations, relation_grad, grads)
+    return total, grads
 
 
 def brute_force_rank(scores, true_idx, known_true, tie) -> int:

@@ -429,6 +429,22 @@ def test_train_rejects_a_one_relation_metapath_in_the_report(data, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("report,line", [("metapaths.tsv", "r0|zz\t0.9\t5"),
+                                         ("rules.tsv", "r0|r1\tzz\t0.9")])
+def test_train_names_the_line_of_an_unknown_relation_in_a_report(data, capsys, report, line):
+    assert main(base_args(data, "mine")) == 0
+    assert main(base_args(data, "rules")) == 0
+    path = os.path.join(data["out"], report)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    lineno = len(open(path, encoding="utf-8").read().splitlines())
+    capsys.readouterr()
+    assert main(base_args(data, "train") + TRAIN_SPEED) == 3
+    err = capsys.readouterr().err
+    assert f"{report}:{lineno}: unknown name 'zz'" in err
+    assert "Traceback" not in err
+
+
 def _spoil(path):
     with open(path, "ab") as fh:
         fh.write(b"\xff\n")  # not UTF-8

@@ -292,3 +292,10 @@ def test_read_report_rejects_a_one_relation_metapath(tmp_path, names):
     path.write_text(f"{first}|{second}\t0.5\t3\n{second}\t0.9\t5\n")
     with pytest.raises(DataError, match=rf"metapaths\.tsv:2: metapath '{second}' has fewer than 2"):
         read_metapath_report(path, names and Dictionary(names))
+
+
+def test_read_report_names_the_line_of_an_unknown_relation(tmp_path):
+    path = tmp_path / "metapaths.tsv"
+    path.write_text("a|b\t0.5\t3\na|zz\t0.5\t3\n")
+    with pytest.raises(DataError, match=r"metapaths\.tsv:2: unknown name 'zz'"):
+        read_metapath_report(path, Dictionary(["a", "b"]))

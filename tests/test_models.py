@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gradcheck
-from oracles import WeightedTriplet, scalar_loss
+from oracles import WeightedTriplet, scalar_loss, score_backward, two_pass_batch_loss_and_grad
 from walkaug import (
     ConfigError,
     ModelConfig,
@@ -22,10 +22,14 @@ from walkaug import (
     init_state,
     loss_and_grad,
     negative_sample,
+    relation_vector,
     score,
+    score_and_grad,
 )
-from walkaug.models import BLOCK_VALUES, default_margin, score_backward
+from walkaug.models import BLOCK_VALUES, default_margin
 from walkaug.sharing import RnnParams
+
+SCORINGS = ("transe_l2", "transe_l1", "distmult")
 
 
 def test_score_hand_values():
@@ -44,7 +48,9 @@ def test_score_rejects_bad_input():
     with pytest.raises(ValueError):
         score(h, h, h, "rotate")
     with pytest.raises(ValueError):
-        score_backward(h, h, h, "rotate")
+        score_and_grad(h, h, h, "rotate")
+    with pytest.raises(ValueError):
+        score_and_grad(h, np.zeros(2), h, "transe_l2")
 
 
 def test_distmult_symmetric_bit_for_bit():
@@ -62,27 +68,55 @@ def test_transe_is_directional():
     assert score(t, r, h, "transe_l2") == -2.0
 
 
-def test_score_backward_matches_finite_differences():
+def test_score_and_grad_matches_finite_differences():
     from oracles import numeric_gradient
 
     rng = np.random.default_rng(4)
-    for scoring in ("transe_l2", "transe_l1", "distmult"):
+    for scoring in SCORINGS:
         while True:
             h, r, t = (rng.uniform(0.1, 1.0, size=6) for _ in range(3))
             if np.abs(h + r - t).min() > 0.05:  # keep |.| kinks out of reach
                 break
-        dh, dr, dt = score_backward(h, r, t, scoring)
+        s, dh, dr, dt = score_and_grad(h, r, t, scoring)
         fn = lambda: score(h, r, t, scoring)
+        assert s == fn()
         for analytic, arr in ((dh, h), (dr, r), (dt, t)):
             np.testing.assert_allclose(analytic, numeric_gradient(fn, arr), rtol=1e-5, atol=1e-8)
 
 
-def test_score_backward_zero_norm_guard():
+def test_score_and_grad_zero_norm_guard():
     h = np.array([1.0, -2.0])
     r = np.array([0.5, 0.5])
     t = h + r
-    dh, dr, dt = score_backward(h, r, t, "transe_l2")
+    s, dh, dr, dt = score_and_grad(h, r, t, "transe_l2")
+    assert s == 0.0
     assert np.all(dh == 0) and np.all(dr == 0) and np.all(dt == 0)
+    # a translation whose squares underflow has a zero norm too
+    tiny = np.array([1e-200, -3e-200])
+    s, dh, dr, dt = score_and_grad(tiny, np.zeros(2), np.zeros(2), "transe_l2")
+    assert s == 0.0
+    assert np.all(dh == 0) and np.all(dr == 0) and np.all(dt == 0)
+
+
+@pytest.mark.parametrize("scoring", SCORINGS)
+def test_score_and_grad_score_is_score_bit_for_bit(scoring):
+    """Every shape `score` takes: single vectors, training blocks with a
+    broadcast relation block, and the entity table on either side."""
+    rng = np.random.default_rng(11)
+    table = rng.normal(size=(40, 7))
+    h, r, t = rng.normal(size=(3, 7))
+    blocks = rng.normal(size=(2, 5, 4, 7))
+    rows = rng.normal(size=(5, 1, 7))
+    for args in ((h, r, t), (blocks[0], rows, blocks[1]), (blocks[0, :, 0], rows[:, 0],
+                 blocks[1, :, 0]), (table, r, t), (h, r, table)):
+        s, *_ = score_and_grad(*args, scoring)
+        want = score(*args, scoring)
+        assert np.shape(s) == np.shape(want) and np.asarray(s).tobytes() == want.tobytes()
+    # equal-size operands, as in training, give the two-pass gradients exactly
+    _, *grads = score_and_grad(blocks[0], rows, blocks[1], scoring)
+    for got, want in zip(grads, score_backward(blocks[0], rows, blocks[1], scoring)):
+        assert np.array_equal(np.broadcast_to(got, blocks[0].shape),
+                              np.broadcast_to(want, blocks[0].shape))
 
 
 def test_loss_matches_scalar_oracle():
@@ -253,15 +287,14 @@ def test_score_broadcasts_over_leading_axes():
     rng = np.random.default_rng(5)
     h, t = rng.normal(size=(2, 4, 3, 6))
     r = rng.normal(size=(4, 1, 6))
-    for scoring in ("transe_l2", "transe_l1", "distmult"):
-        block = score(h, r, t, scoring)
-        grads = score_backward(h, r, t, scoring)
+    for scoring in SCORINGS:
+        block, *grads = score_and_grad(h, r, t, scoring)
         assert block.shape == (4, 3)
         for i in range(4):
             for j in range(3):
                 one = (h[i, j], r[i, 0], t[i, j])
                 assert math.isclose(block[i, j], score(*one, scoring), rel_tol=1e-12)
-                for got, want in zip(grads, score_backward(*one, scoring)):
+                for got, want in zip(grads, score_and_grad(*one, scoring)[1:]):
                     np.testing.assert_allclose(np.broadcast_to(got, h.shape)[i, j], want,
                                                rtol=1e-12)
 
@@ -351,6 +384,55 @@ def test_batch_kernel_equals_sum_of_single_positives(scoring, kind, include_orig
     _assert_grads_close(grads, want)
 
 
+def _assert_grads_equal(got: SparseGrads, want: SparseGrads):
+    for table in SparseGrads.TABLES:
+        for part in ("rows", "grad"):
+            name = f"{table}_{part}"
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.rnn is None) == (want.rnn is None)
+    if got.rnn is not None:
+        for name in ("w_in", "w_rec", "bias"):
+            assert np.array_equal(getattr(got.rnn, name), getattr(want.rnn, name)), name
+    assert (got.basis_vectors is None) == (want.basis_vectors is None)
+    if got.basis_vectors is not None:
+        assert np.array_equal(got.basis_vectors, want.basis_vectors)
+
+
+@pytest.mark.parametrize("scoring,kind,include_original", SHARING_CASES)
+def test_batch_kernel_equals_the_two_pass_oracle_bit_for_bit(scoring, kind, include_original):
+    """The fused chunk pass gives the loss and gradients of scoring and
+    differentiating positives and corruptions in separate passes, exactly."""
+    rng = np.random.default_rng(23)
+    minted = NewRelationRegistry(3, [(0, 1), (2, 1, 0)])
+    strategy = SharingStrategy(kind=kind, basis_count=4 if kind == "basis" else None,
+                               basis_include_original=include_original)
+    config = ModelConfig(scoring=scoring, dim=32, margin=2.0, negatives=5, seed=0)
+    num_entities = 12  # few entities, so rows repeat within and across positives
+    state = init_state(num_entities, minted, config, strategy, rng)
+    chunk = BLOCK_VALUES // ((2 + 2 * config.negatives) * config.dim)
+    size = 4 * chunk - 5
+    heads = rng.integers(num_entities, size=size)
+    tails = rng.integers(num_entities, size=size)
+    relations = rng.integers(5, size=size)
+    weights = rng.choice([0.4, 1.0, 2.3], size=size)
+    heads[0], relations[0], tails[0] = 0, 0, 1
+    # positive 0 translates exactly, h + r == t: a zero norm under TransE
+    r0 = relation_vector(state, strategy, np.unique(relations))[0]
+    state.entity_emb[1] = state.entity_emb[0] + r0
+    assert not np.any(state.entity_emb[0] + r0 - state.entity_emb[1])
+    weights[5::9] = 0.0
+    kept = int(np.count_nonzero(weights))
+    assert kept > 3 * chunk and kept % chunk  # four chunks, the last one ragged
+    batch = TripletBatch(heads, relations, tails, weights)
+    neg_heads, neg_tails = draw_negatives(batch, num_entities, config.negatives, rng)
+
+    loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, config)
+    want_loss, want = two_pass_batch_loss_and_grad(batch, neg_heads, neg_tails, state,
+                                                   strategy, config)
+    assert loss == want_loss
+    _assert_grads_equal(grads, want)
+
+
 def test_zero_weight_positives_contribute_nothing_to_a_batch():
     rng = np.random.default_rng(3)
     strategy = SharingStrategy()
@@ -371,18 +453,32 @@ def test_zero_weight_positives_contribute_nothing_to_a_batch():
 
 
 def test_non_finite_loss_names_the_first_offending_triplet():
+    # raised before the backward pass divides by a norm, so no numpy warning
+    for scoring in ("transe_l2", "transe_l1"):
+        rng = np.random.default_rng(4)
+        strategy = SharingStrategy()
+        config = ModelConfig(scoring=scoring, dim=3, margin=1.0, negatives=1, seed=0)
+        state = init_state(5, NewRelationRegistry(1), config, strategy, rng)
+        state.entity_emb[3] = np.inf
+        positives = [Triplet(0, 0, 1), WeightedTriplet(4, 0, 3, 0.0),  # weight 0: skipped
+                     Triplet(2, 0, 4), Triplet(3, 0, 1)]
+        neg = np.array([[1], [2], [0], [0]])
+        with pytest.raises(NumericError) as info:
+            batch_loss_and_grad(TripletBatch.pack(positives), neg, neg, state, strategy, config)
+        assert info.value.triplet == Triplet(3, 0, 1)
+        assert "(3, 0, 1)" in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_batch_kernel_rejects_entity_ids_out_of_range(bad):
     rng = np.random.default_rng(4)
     strategy = SharingStrategy()
     config = ModelConfig(scoring="transe_l2", dim=3, margin=1.0, negatives=1, seed=0)
     state = init_state(5, NewRelationRegistry(1), config, strategy, rng)
-    state.entity_emb[3] = np.inf
-    positives = [Triplet(0, 0, 1), WeightedTriplet(4, 0, 3, 0.0),  # weight 0: skipped
-                 Triplet(2, 0, 4), Triplet(3, 0, 1)]
-    neg = np.array([[1], [2], [0], [0]])
-    with pytest.raises(NumericError) as info:
-        batch_loss_and_grad(TripletBatch.pack(positives), neg, neg, state, strategy, config)
-    assert info.value.triplet == Triplet(3, 0, 1)
-    assert "(3, 0, 1)" in str(info.value)
+    batch = TripletBatch.pack([Triplet(0, 0, 1), Triplet(2, 0, 4)])
+    with pytest.raises(IndexError):
+        batch_loss_and_grad(batch, np.array([[1], [bad]]), np.array([[1], [4]]), state,
+                            strategy, config)
 
 
 def test_apply_update_rejects_non_finite_parameters():

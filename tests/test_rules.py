@@ -266,3 +266,11 @@ def test_read_report_rejects_confidence_outside_unit_interval(tmp_path, conf):
     path.write_text(f"0|1\t2\t0.95\n0|1\t0\t{conf}\n")
     with pytest.raises(DataError, match=r"rules\.tsv:2: confidence must be in \(0, 1\]"):
         read_rules_report(path, conf_threshold=0.9)
+
+
+@pytest.mark.parametrize("line", ["a|zz\tb\t0.9", "a|b\tzz\t0.9"])
+def test_read_report_names_the_line_of_an_unknown_relation(tmp_path, line):
+    path = tmp_path / "rules.tsv"
+    path.write_text(f"a|b\tb\t0.9\n{line}\n")
+    with pytest.raises(DataError, match=r"rules\.tsv:2: unknown name 'zz'"):
+        read_rules_report(path, Dictionary(["a", "b"]))
