@@ -153,10 +153,10 @@ def _coerce(key: str, raw: str):
 
 
 def read_config_file(path) -> dict:
-    """Parse `key=value` lines; # starts a comment, blank lines are skipped."""
+    """Parse UTF-8 `key=value` lines; # starts a comment; a BOM and blank lines are skipped."""
     out = {}
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     with fh:

@@ -9,16 +9,18 @@ the positive excluded).
 
 The ranks are those of training's `models.score` on the whole entity table
 E, bit for bit: score(E, r, E[t]) and score(E[h], r, E) compare each
-candidate's table value with the positive's. They are computed for a block
-of b = RANK_BLOCK_VALUES // n triplet sides at once. One matmul screens
-every candidate of the block: |e|^2 - 2 e.x + |x|^2 against x = t - r or
-h + r under TransE-L2, e.(t * r) or e.(h * r) under DistMult. A candidate
+candidate's table value with the positive's. Both are the scorer's own
+table form, `models.side_scores(E, x)` against the side vector
+x = `models.side_vector(...)`: t - r or h + r under TransE, t * r or h * r
+under DistMult. Ranks are computed for a block of b = RANK_BLOCK_VALUES // n
+triplet sides at once. One matmul screens every candidate of the block:
+|e|^2 - 2 e.x + |x|^2 under TransE-L2, e.x under DistMult. A candidate
 whose screen value lies outside a derived rounding band around the
 positive's (`_band`) is counted as better or worse directly; the few inside
-it are rescored with the table expression and compared under the tie
-policy, so the ranks stay exact. TransE-L1 has no matmul form: its screen
-is the table expression itself, and only exact ties are rescored.
-Relation vectors are built once per call.
+it are rescored with `side_scores` and compared under the tie policy, so
+the ranks stay exact. TransE-L1 has no matmul form: its screen is
+`side_scores` itself, and only exact ties are rescored. Relation vectors
+are built once per call.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .mining import expand_ranges, sorted_pairs
-from .models import SCORINGS, EmbeddingState, TripletBatch
+from .mining import KeyIndex
+from .models import SCORINGS, EmbeddingState, TripletBatch, _rowdot, side_scores, side_vector
 from .sharing import SharingStrategy, relation_vector
 
 PROTOCOLS = ("raw", "filtered")
@@ -39,13 +41,12 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 class EvalFilter:
-    """Known-true candidates per (head, relation) and (relation, tail): sorted
-    unique (key, candidate) arrays per side, keyed entity * num_relations +
-    relation, looked up as a `searchsorted` range."""
+    """Known-true candidates per (head, relation) and (relation, tail): one
+    `KeyIndex` per side, keyed entity * num_relations + relation."""
 
     def __init__(self):
         self._num_relations = 1
-        self._by_head = self._by_tail = (_EMPTY, _EMPTY)
+        self._by_head = self._by_tail = KeyIndex(_EMPTY, _EMPTY)
 
     @classmethod
     def from_graphs(cls, graphs) -> "EvalFilter":
@@ -57,20 +58,15 @@ class EvalFilter:
             num_relations = out._num_relations = int(relations.max()) + 1
             if max(heads.max(), tails.max()) >= np.iinfo(np.int64).max // num_relations:
                 raise ValueError("entity ids too large to pack with relation ids into int64")
-            out._by_head = sorted_pairs(heads * num_relations + relations, tails)
-            out._by_tail = sorted_pairs(tails * num_relations + relations, heads)
+            out._by_head = KeyIndex(heads * num_relations + relations, tails)
+            out._by_tail = KeyIndex(tails * num_relations + relations, heads)
         return out
 
-    def _lookup(self, side, entities: np.ndarray, relations: np.ndarray):
+    def _lookup(self, side: KeyIndex, entities: np.ndarray, relations: np.ndarray):
         """(rows, candidates): the known candidates of each (entity, relation)
         pair, rows indexing the pairs; relations outside the filter have none."""
-        keys, values = side
-        block_keys = entities * self._num_relations + relations
-        starts = keys.searchsorted(block_keys)
-        counts = keys.searchsorted(block_keys, "right") - starts
-        counts[(relations < 0) | (relations >= self._num_relations)] = 0
-        rows, slots = expand_ranges(starts, counts)
-        return rows, values[slots]
+        outside = (relations < 0) | (relations >= self._num_relations)
+        return side.lookup(np.where(outside, -1, entities * self._num_relations + relations))
 
     def known_tails_block(self, heads: np.ndarray, relations: np.ndarray):
         return self._lookup(self._by_head, heads, relations)
@@ -119,31 +115,6 @@ class RankingResult:
 # one (b, n) buffer, and rescores band candidates in chunks of
 # RANK_BLOCK_VALUES // d pairs.
 RANK_BLOCK_VALUES = 1 << 17
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", a, b)
-
-
-def _squared_distances(cand: np.ndarray, x: np.ndarray) -> np.ndarray:
-    delta = cand - x
-    return _rowdot(delta, delta)
-
-
-def _table_scores(cand: np.ndarray, x: np.ndarray, scoring: str) -> np.ndarray:
-    """The scores `models.score` gives rows `cand` on the whole entity table,
-    each against its side's vector in the same row of `x`: t - r or h + r
-    under TransE, t * r or h * r under DistMult.
-
-    `score` computes E - (t - r) on the head side and (h + r) - E on the
-    tail side. Rounding to nearest is symmetric, so fl(e - x) = -fl(x - e)
-    and both sides square and take absolute values of cand - x bit for bit.
-    """
-    if scoring == "transe_l2":
-        return -np.sqrt(_squared_distances(cand, x))
-    if scoring == "transe_l1":
-        return -np.abs(cand - x).sum(axis=-1)
-    return _rowdot(cand, x)
 
 
 def _band(scoring: str, d: int, max_sq_norm, side_sq_norms: np.ndarray) -> np.ndarray:
@@ -241,23 +212,20 @@ def _rank_block(emb: np.ndarray, sq_norms: np.ndarray | None, x: np.ndarray,
     negative difference favours the candidate. Outside the band of `_band`
     the sign decides: the surely better are counted, less the known ones.
     Band candidates other than the positive and the known ones are rescored
-    with the table expression in chunks of RANK_BLOCK_VALUES // d and
+    with `models.side_scores` in chunks of RANK_BLOCK_VALUES // d and
     compared with the positive under `tie`.
     """
     (n, d), b = emb.shape, x.shape[0]
     known_sides, known_cands = known
-    if scoring == "transe_l2":
-        pos_sq = _squared_distances(emb[positives], x)
-        pos_scores = -np.sqrt(pos_sq)
-    else:
-        pos_scores = _table_scores(emb[positives], x, scoring)
+    pos_scores = side_scores(emb[positives], x, scoring)
     screen = buf[:b * n].reshape(b, n)
     if scoring == "transe_l2":
-        # |e|^2 - 2 e.x + (|x|^2 - a_p): the candidate's squared distance less the positive's
-        side_sq_norms = _rowdot(x, x)
+        # |e|^2 - 2 e.x + (|x|^2 - a_p): the candidate's squared distance less the
+        # positive's a_p, the sum side_scores takes the root of
+        side_sq_norms, pos_delta = _rowdot(x, x), emb[positives] - x
         np.matmul(-2.0 * x, emb.T, out=screen)
         screen += sq_norms
-        screen += (side_sq_norms - pos_sq)[:, None]
+        screen += (side_sq_norms - _rowdot(pos_delta, pos_delta))[:, None]
         width = _band(scoring, d, sq_norms.max(), side_sq_norms)
     elif scoring == "distmult":
         # s_p - e.y: the positive's score less the candidate's
@@ -269,7 +237,7 @@ def _rank_block(emb: np.ndarray, sq_norms: np.ndarray | None, x: np.ndarray,
         # band holds the ties (fl(s_p - s) = 0 exactly when s = s_p) and NaN
         chunk = max(1, RANK_BLOCK_VALUES // (b * d))
         for lo in range(0, n, chunk):
-            scores = _table_scores(emb[None, lo:lo + chunk], x[:, None], scoring)
+            scores = side_scores(emb[None, lo:lo + chunk], x[:, None], scoring)
             np.subtract(pos_scores[:, None], scores, out=screen[:, lo:lo + chunk])
         width = np.zeros(b)
     width = width[:, None]
@@ -288,7 +256,7 @@ def _rank_block(emb: np.ndarray, sq_norms: np.ndarray | None, x: np.ndarray,
     step = max(1, RANK_BLOCK_VALUES // d)
     for lo in range(0, sides.size, step):
         side, cand = sides[lo:lo + step], cands[lo:lo + step]
-        scores, pos = _table_scores(emb[cand], x[side], scoring), pos_scores[side]
+        scores, pos = side_scores(emb[cand], x[side], scoring), pos_scores[side]
         beats = scores > pos if tie == "optimistic" else scores >= pos
         better += np.bincount(side[beats], minlength=b)
     return better + 1
@@ -318,14 +286,11 @@ def _rank_triplets(triplets, state: EmbeddingState, strategy: SharingStrategy, s
     sq_norms = None if scoring == "transe_l1" else _rowdot(emb, emb)
     size = max(1, RANK_BLOCK_VALUES // max(n, 1))
     buf = np.empty(min(size, heads.size) * n)
-    for side, (positives, anchors) in enumerate(((heads, tails), (tails, heads))):
+    for side, (replaced, positives, anchors) in enumerate((("head", heads, tails),
+                                                           ("tail", tails, heads))):
         for lo in range(0, heads.size, size):
             part = slice(lo, lo + size)
-            r, anchor = vectors[relation_of[part]], emb[anchors[part]]
-            if scoring == "distmult":
-                x = anchor * r
-            else:
-                x = anchor - r if side == 0 else anchor + r
+            x = side_vector(emb[anchors[part]], vectors[relation_of[part]], scoring, replaced)
             if not filtered:
                 known = (_EMPTY, _EMPTY)
             elif side == 0:

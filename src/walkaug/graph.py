@@ -236,14 +236,14 @@ class DatasetSplit:
 def read_tsv(path, columns: int) -> list[list[str]]:
     """The `columns` tab-separated columns of a UTF-8 text file, as lists of cells.
 
-    The file is read whole in text mode with universal newlines and split on
-    "\n" alone, so its lines are exactly those that iterating the open file
-    yields; a final newline ends the last line and starts no empty one. A
+    The file is read whole in text mode with universal newlines, a leading
+    byte-order mark dropped, and split on "\n" alone, so its lines are those
+    that iterating the open file yields; a final newline ends the last line. A
     DataError names the path when the file cannot be opened or read or is not
     UTF-8, and `path:line` at the first line without exactly `columns` cells.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None

@@ -19,9 +19,10 @@ This module is the one join layer. Each level extends every group by every
 relation through `_RelIndex.follow`, a range join over the relation's
 out-edges sorted by source, and counts a hop's covered edges by marking
 their ids in one boolean array over the mined graph's edges. The range
-expansion (`expand_ranges`), the sort-based dedupe (`sorted_unique`) and
-the sorted, deduplicated (key, value) arrays (`sorted_pairs`) are shared
-with rule scoring and the eval filter.
+expansion (`expand_ranges`) and the sort-based dedupe (`sorted_unique`)
+are shared with rule scoring, and `KeyIndex` is the one key-to-values
+lookup: the eval filter and the rule pair index each find the values of
+many keys in it with one `searchsorted`.
 """
 
 from __future__ import annotations
@@ -74,13 +75,31 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[new]
 
 
-def sorted_pairs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(key, value) pairs sorted by key then value, duplicates dropped."""
-    order = np.lexsort((values, keys))
-    keys, values = keys[order], values[order]
-    new = np.ones(keys.size, dtype=bool)
-    new[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
-    return keys[new], values[new]
+class KeyIndex:
+    """The sorted unique values of each key of parallel (key, value) arrays:
+    the distinct keys sorted, per-key offsets, and the values sorted by key
+    then value with duplicate pairs dropped."""
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        order = np.lexsort((values, keys))
+        keys, values = keys[order], values[order]
+        new = np.ones(keys.size, dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
+        keys, self.values = keys[new], values[new]
+        new = np.ones(keys.size, dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        self.keys, self.offsets = keys[new], np.append(np.flatnonzero(new), keys.size)
+
+    def lookup(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, values): the values of each key in `query`, found by one
+        `searchsorted`; rows index `query` (ascending), absent keys have none."""
+        if not self.keys.size:
+            return np.empty(0, dtype=np.int64), self.values
+        pos = np.minimum(self.keys.searchsorted(query), self.keys.size - 1)
+        starts = self.offsets[pos]
+        counts = np.where(self.keys[pos] == query, self.offsets[pos + 1] - starts, 0)
+        rows, slots = expand_ranges(starts, counts)
+        return rows, self.values[slots]
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ evaluated over any leading axes:
   distmult                s(h, r, t) = sum_i h_i * r_i * t_i
 
 Both add r to the smaller of h and t first, so scoring against the whole
-(n, d) entity table is one pass over it: h - (t - r) or (h + r) - t, and
-dot(big, small * r). Equal-size h and t, as in every training block, keep
-h + r - t and dot(h * t, r), so training bits do not depend on the rule,
-and swapping h and t gives the bit-identical distmult score. Losses are
-per-positive with k entity corruptions:
+(n, d) entity table is one pass over it: `side_vector` folds r into the
+smaller side (t - r or h + r, small * r) and `side_scores` scores the table
+against it, as ranking does. Equal-size h and t, as in every training
+block, keep h + r - t and dot(h * t, r), so training bits do not depend on
+the rule, and swapping h and t gives the bit-identical distmult score.
+Losses are per-positive with k entity corruptions:
 
   loss = weight * [softplus(-(margin + s_pos)) + mean_j softplus(margin + s_j)]
 
@@ -178,11 +179,29 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def _translation(h: np.ndarray, r: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
-    """h + r - t, adding r to the smaller of h and t first."""
-    if h.size > t.size:
-        return np.subtract(h, t - r, out=out)
-    return np.subtract(np.add(h, r, out=out), t, out=out)
+def side_vector(anchor: np.ndarray, r: np.ndarray, scoring: str, replaced: str) -> np.ndarray:
+    """The vector `side_scores` scores the whole entity table against when the
+    `replaced` side ("head" or "tail") is the table and `anchor` the other:
+    t - r or h + r under TransE, anchor * r under DistMult."""
+    if scoring == "distmult":
+        return anchor * r
+    return anchor - r if replaced == "head" else anchor + r
+
+
+def side_scores(cand: np.ndarray, x: np.ndarray, scoring: str) -> np.ndarray:
+    """Scores of candidate rows `cand` against side vectors `x` (broadcast):
+    -|cand - x| under TransE, cand . x under DistMult. Rounding to nearest is
+    symmetric, fl(e - x) = -fl(x - e), so with x from `side_vector` these are
+    `score`'s values on the whole table bit for bit, whichever side it fills."""
+    return _rowdot(cand, x) if scoring == "distmult" else -_norm(cand - x, scoring)
+
+
+def _norm(delta: np.ndarray, scoring: str) -> np.ndarray:
+    if scoring == "transe_l2":
+        return np.sqrt(_rowdot(delta, delta))
+    if scoring == "transe_l1":
+        return np.abs(delta).sum(axis=-1)
+    raise ValueError(f"unknown scoring {scoring!r}")
 
 
 def _check_shapes(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> None:
@@ -193,29 +212,26 @@ def _check_shapes(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> None:
 def _forward(h, r, t, scoring: str, out=None):
     """(s, kept): the score, and the one intermediate its gradient derives from,
     written into `out` when given: the translation h + r - t (TransE) or the
-    product h * t (DistMult; None when h and t differ in size)."""
-    if scoring == "transe_l2":
-        delta = _translation(h, r, t, out)
-        return -np.sqrt(_rowdot(delta, delta)), delta
-    if scoring == "transe_l1":
-        delta = _translation(h, r, t, out)
-        return -np.abs(delta).sum(axis=-1), delta
+    product h * t (DistMult). Operands of unequal size (the whole table on one
+    side) are scored by `side_scores` and keep None."""
+    if h.size != t.size:
+        cand, anchor, replaced = (h, t, "head") if h.size > t.size else (t, h, "tail")
+        return side_scores(cand, side_vector(anchor, r, scoring, replaced), scoring), None
     if scoring == "distmult":
-        if h.size == t.size:
-            ht = np.multiply(h, t, out=out)
-            return _rowdot(ht, r), ht
-        big, small = (h, t) if h.size > t.size else (t, h)
-        return _rowdot(big, small * r), None
-    raise ValueError(f"unknown scoring {scoring!r}")
+        ht = np.multiply(h, t, out=out)
+        return _rowdot(ht, r), ht
+    delta = np.subtract(np.add(h, r, out=out), t, out=out)
+    return -_norm(delta, scoring), delta
 
 
 def _backward(h, r, t, scoring: str, s, kept, out=(None, None)):
     """(ds/dh, ds/dr, ds/dt) from `_forward`'s score and intermediate; the
     pair `out` receives ds/dh and ds/dt. Under TransE ds/dr is ds/dh."""
     dh_out, dt_out = out
+    if kept is None:
+        kept = h * t if scoring == "distmult" else h + r - t
     if scoring == "distmult":
-        dr = h * t if kept is None else kept
-        return np.multiply(r, t, out=dh_out), dr, np.multiply(h, r, out=dt_out)
+        return np.multiply(r, t, out=dh_out), kept, np.multiply(h, r, out=dt_out)
     if scoring == "transe_l2":
         # a zero norm is the kink of |.|; dividing by inf gives it the zero subgradient
         norm = np.where(s < 0, -s, np.inf)[..., None]
@@ -317,6 +333,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per call: a per-chunk `with` cost 3%
 def batch_loss_and_grad(
     batch: TripletBatch,
     neg_heads: np.ndarray,
@@ -336,7 +353,8 @@ def batch_loss_and_grad(
     and relation gradients are summed onto the unique touched rows by
     `add_rows`, in chunk order; and one `relation_backward` call routes
     each relation's summed vector gradient. A non-finite loss raises
-    NumericError before any gradient is computed.
+    NumericError before any gradient is computed, and a non-finite
+    gradient raises it in `apply_update`; numpy does not warn first.
     """
     grads = SparseGrads()
     keep = batch.weights != 0.0

@@ -17,10 +17,10 @@ each metapath joins only its last hop onto its parent's pairs, with the
 same `follow` range join the miner extends its groups with. Pairs are kept
 as sorted unique int64 keys head * num_entities + tail, deduplicated by
 one sort and a mask (`mining.sorted_unique`). Confidences come from a
-pair index built once per call: the graph's distinct (pair key, relation)
-arrays, sorted by key. A metapath's pairs find their `searchsorted` ranges
-in it, and one `bincount` of the relations in those ranges counts every
-rule's support at once (AMIE's support/confidence counting).
+pair index built once per call: a `mining.KeyIndex` of each pair key's
+distinct relations. A metapath's pairs find their relations in it with one
+`lookup`, and one `bincount` of those relations counts every rule's
+support at once (AMIE's support/confidence counting).
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import KnowledgeGraph, check_pair_keys, read_tsv
-from .mining import (JoinTable, Metapath, expand_ranges, metapath_name, sorted_pairs,
-                     sorted_unique)
+from .mining import JoinTable, KeyIndex, Metapath, metapath_name, sorted_unique
 
 
 @dataclass
@@ -92,7 +91,7 @@ def build_rulemaps(
     if not 0.0 < conf_threshold <= 1.0:
         raise ValueError(f"confidence threshold must be in (0, 1], got {conf_threshold}")
     base = JoinTable.from_graph(graph)
-    pair_keys, pair_relations = sorted_pairs(graph.pair_keys(), graph.relations)
+    pairs = KeyIndex(graph.pair_keys(), graph.relations)
     out: dict[Metapath, RuleMap] = {}
     # stack[i]: the length-i prefix of the last metapath and its keys (None for the empty path)
     stack: list[tuple[Metapath, np.ndarray | None]] = [((), None)]
@@ -103,9 +102,7 @@ def build_rulemaps(
             stack.append((metapath[:depth], _extend(base, stack[-1][1], metapath[depth - 1])))
         keys = metapath_pairs(base, metapath, stack[-1][1])
         stack.append((metapath, keys))
-        starts = np.searchsorted(pair_keys, keys)
-        _, slots = expand_ranges(starts, np.searchsorted(pair_keys, keys, "right") - starts)
-        support = np.bincount(pair_relations[slots])
+        support = np.bincount(pairs.lookup(keys)[1])
         entries: dict[int, float] = {}
         for rel in np.flatnonzero(support):
             conf = support[rel] / keys.size

@@ -136,6 +136,14 @@ def test_non_utf8_config_file_is_a_config_error(data, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("threshold=0.35\nl_max=2\n", encoding="utf-8")
+    want = read_config_file(str(conf))
+    conf.write_text("threshold=0.35\nl_max=2\n", encoding="utf-8-sig")
+    assert read_config_file(str(conf)) == want == {"threshold": 0.35, "l_max": 2}
+
+
 def test_add_inverse_from_config_file(data, tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("add_inverse=true\nmode=none\n")

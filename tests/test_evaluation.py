@@ -23,7 +23,7 @@ from walkaug import (
 )
 from walkaug import evaluation
 from walkaug.augment import NewRelationRegistry
-from walkaug.models import EmbeddingState
+from walkaug.models import EmbeddingState, side_scores, side_vector
 
 STRATEGY = SharingStrategy()
 
@@ -323,23 +323,20 @@ def test_zero_band_misranks_a_tie_table(monkeypatch):
 @pytest.mark.parametrize("scoring", SCORINGS)
 def test_recheck_expression_is_the_table_score(scoring):
     # rows gathered in any order, or broadcast against a block of side
-    # vectors, score exactly as `score` scores the whole table
+    # vectors, score under side_scores exactly as `score` scores the whole table
     rng = np.random.default_rng(43)
     for d in (1, 2, 7, 8, 9, 16, 33, 80, 200):
         table = rng.normal(size=(60, d)) * 10.0 ** rng.integers(-3, 4, size=(60, 1))
         anchors, r = rng.normal(size=(4, d)), rng.normal(size=d)
         order = rng.permutation(60)
         for side in ("head", "tail"):
-            if scoring == "distmult":
-                x = anchors * r
-            else:
-                x = anchors - r if side == "head" else anchors + r
+            x = side_vector(anchors, r, scoring, side)
             want = np.stack([score(table, r, a, scoring) if side == "head"
                              else score(a, r, table, scoring) for a in anchors])
             for j in range(len(anchors)):
-                gathered = evaluation._table_scores(table[order], x[[j] * 60], scoring)
+                gathered = side_scores(table[order], x[[j] * 60], scoring)
                 assert np.array_equal(gathered, want[j][order]), (d, side)
-            broadcast = evaluation._table_scores(table[None], x[:, None], scoring)
+            broadcast = side_scores(table[None], x[:, None], scoring)
             assert np.array_equal(broadcast, want), (d, side)
 
 

@@ -294,6 +294,13 @@ def test_readers_take_an_empty_file(tmp_path, reader):
 
 
 @each_reader
+def test_readers_drop_a_leading_byte_order_mark(tmp_path, reader):
+    # only the leading one: a U+FEFF inside a cell is kept
+    _, lines, expected = reader_case(reader, "\ufeff")
+    assert _read(tmp_path, reader, "\ufeff" + "\n".join(lines) + "\n", odd="\ufeff") == expected
+
+
+@each_reader
 def test_readers_reject_a_blank_line_at_its_position(tmp_path, reader):
     lines = reader_case(reader, "")[1]
     with pytest.raises(DataError, match=rf"{reader}\.tsv:2: expected"):

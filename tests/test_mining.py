@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from walkaug import (
     write_metapath_report,
 )
 from walkaug.graph import Dictionary
+from walkaug.mining import KeyIndex
 
 TINY = 1e-12  # threshold low enough that nothing is ever pruned
 
@@ -50,6 +53,28 @@ def test_extend_join_counts_duplicate_edges_separately():
     info = mine_informative_metapaths(g, l_max=2, threshold=TINY)[(0, 1)]
     assert info.instance_count == 2
     assert info.per_hop[0].edges_covered == 2
+
+
+@pytest.mark.parametrize("size", [0, 1, 60, 500])
+def test_key_index_matches_a_dict_of_sorted_sets(size):
+    rng = np.random.default_rng(size)
+    # few distinct keys and values, so (key, value) pairs repeat
+    keys, values = rng.integers(5, 40, size=size), rng.integers(0, 6, size=size)
+    oracle = defaultdict(set)
+    for key, value in zip(keys.tolist(), values.tolist()):
+        oracle[key].add(value)
+    edges = [keys.min() - 1, keys.max() + 1] if size else [0]
+    # absent keys, keys below the first and above the last, and the filter's -1 marker
+    query = np.concatenate((rng.integers(0, 45, size=40), edges, [-1, 10**12]))
+    rows, found = KeyIndex(keys, values).lookup(query)
+    assert rows.shape == found.shape and np.all(np.diff(rows) >= 0)
+    got = defaultdict(list)
+    for row, value in zip(rows.tolist(), found.tolist()):
+        got[row].append(value)
+    assert got == {row: sorted(oracle[key]) for row, key in enumerate(query.tolist())
+                   if key in oracle}
+    rows, found = KeyIndex(keys, values).lookup(query[:0])
+    assert rows.size == found.size == 0
 
 
 # ------------------------------------------------------- exactness vs oracle

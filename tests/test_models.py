@@ -453,8 +453,9 @@ def test_zero_weight_positives_contribute_nothing_to_a_batch():
 
 
 def test_non_finite_loss_names_the_first_offending_triplet():
-    # raised before the backward pass divides by a norm, so no numpy warning
-    for scoring in ("transe_l2", "transe_l1"):
+    # raised before the backward pass, with no numpy warning, also for the
+    # nan score (inf - inf) that an infinite row gives under distmult
+    for scoring in SCORINGS:
         rng = np.random.default_rng(4)
         strategy = SharingStrategy()
         config = ModelConfig(scoring=scoring, dim=3, margin=1.0, negatives=1, seed=0)
@@ -467,6 +468,22 @@ def test_non_finite_loss_names_the_first_offending_triplet():
             batch_loss_and_grad(TripletBatch.pack(positives), neg, neg, state, strategy, config)
         assert info.value.triplet == Triplet(3, 0, 1)
         assert "(3, 0, 1)" in str(info.value)
+
+
+def test_non_finite_corruption_raises_numeric_error_without_a_warning():
+    # only the corruption touches the infinite row: the loss stays finite under
+    # TransE, and the nan gradient (inf / inf under transe_l2) reaches apply_update
+    for scoring in SCORINGS:
+        rng = np.random.default_rng(4)
+        strategy = SharingStrategy()
+        config = ModelConfig(scoring=scoring, dim=3, margin=1.0, negatives=1, seed=0)
+        state = init_state(5, NewRelationRegistry(1), config, strategy, rng)
+        state.entity_emb[3] = np.inf
+        with pytest.raises(NumericError):
+            _, grads = batch_loss_and_grad(TripletBatch.pack([Triplet(0, 0, 1)]),
+                                           np.array([[3]]), np.array([[1]]), state, strategy,
+                                           config)
+            apply_update(state, grads, config)
 
 
 @pytest.mark.parametrize("bad", [-1, 5])
