@@ -279,8 +279,10 @@ def adversarial_table(rng, kind, n, d, scale):
 @given(kind=st.sampled_from(["scaled", "one_decimal", "duplicates", "ulps"]),
        n=st.integers(1, 40), d=st.integers(1, 80), m=st.integers(1, 12),
        scale_exp=st.integers(-3, 3), block=st.one_of(st.none(), st.integers(1, 120)),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_block_ranks_equal_the_loop_oracle(kind, n, d, m, scale_exp, block, seed):
+       sides=st.one_of(st.none(), st.integers(1, 12)), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_ranks_equal_the_loop_oracle(kind, n, d, m, scale_exp, block, sides, seed):
+    # small blocks and tiles put the positive, known and band candidates in
+    # any tile of any block, a partial last tile included
     rng = np.random.default_rng(seed)
     emb, relations = adversarial_table(rng, kind, n, d, 10.0 ** scale_exp)
     state = EmbeddingState(emb, relations, NewRelationRegistry(3))
@@ -291,12 +293,62 @@ def test_block_ranks_equal_the_loop_oracle(kind, n, d, m, scale_exp, block, seed
                                         rng.integers(n, size=3 * n))), n, 3)
     ef = EvalFilter.from_graphs([graph, known])
     block = evaluation.RANK_BLOCK_VALUES if block is None else block
-    with mock.patch.object(evaluation, "RANK_BLOCK_VALUES", block):
+    sides = evaluation.RANK_BLOCK_SIDES if sides is None else sides
+    with mock.patch.object(evaluation, "RANK_BLOCK_VALUES", block), \
+            mock.patch.object(evaluation, "RANK_BLOCK_SIDES", sides):
         for scoring, protocol, tie in CASES:
             got = evaluate(state, STRATEGY, scoring, graph, ef, protocol, tie)
             want = loop_ranks(graph, state, STRATEGY, scoring, ef, protocol, tie)
             assert got.head_ranks.tolist() == want[0].tolist(), (scoring, protocol, tie)
             assert got.tail_ranks.tolist() == want[1].tolist(), (scoring, protocol, tie)
+
+
+def _infinite_row(emb, relations):
+    emb[4, 2] = np.inf
+
+
+def _nan_relation(emb, relations):
+    relations[1] = np.nan  # one relation of three: a block mixes both kinds of side
+
+
+def _rows_near_overflow(emb, relations):
+    emb[[2, 7]] *= 1e154  # |e|^2 overflows
+
+
+def _scaled(exp):
+    def scale(emb, relations):
+        emb *= 10.0 ** exp
+        relations *= 10.0 ** exp
+    return scale
+
+
+@pytest.mark.parametrize("spoil", [_infinite_row, _nan_relation, _rows_near_overflow,
+                                   _scaled(153), _scaled(152), _scaled(100)],
+                         ids=["inf row", "nan relation", "rows near 1e154", "scale 1e153",
+                              "scale 1e152", "scale 1e100"])
+def test_untrusted_sides_are_rescored_exactly(spoil):
+    # `_band` step 14: a side whose screen could overflow or is not finite is
+    # rescored in full. At scale 1e153 every side's band bound reaches
+    # max / 16; at 1e152 (transe_l2) and 1e100 (distmult) the screen is
+    # trusted, with a band as wide as the values demand.
+    rng = np.random.default_rng(53)
+    n, d, m = 30, 5, 16
+    emb, relations = rng.normal(size=(n, d)), rng.normal(size=(3, d))
+    spoil(emb, relations)
+    state = EmbeddingState(emb, relations, NewRelationRegistry(3))
+    edges = np.column_stack((rng.integers(n, size=m), rng.integers(3, size=m),
+                             rng.integers(n, size=m)))
+    edges[:3, 0] = 4  # the infinite row is a positive, an anchor and a candidate
+    graph = make_graph(edges, num_entities=n, num_relations=3)
+    known = make_graph(np.column_stack((rng.integers(n, size=3 * n), rng.integers(3, size=3 * n),
+                                        rng.integers(n, size=3 * n))), n, 3)
+    ef = EvalFilter.from_graphs([graph, known])
+    for scoring, protocol, tie in CASES:
+        got = evaluate(state, STRATEGY, scoring, graph, ef, protocol, tie)
+        with np.errstate(all="ignore"):
+            want = loop_ranks(graph, state, STRATEGY, scoring, ef, protocol, tie)
+        assert got.head_ranks.tolist() == want[0].tolist(), (scoring, protocol, tie)
+        assert got.tail_ranks.tolist() == want[1].tolist(), (scoring, protocol, tie)
 
 
 def test_zero_band_misranks_a_tie_table(monkeypatch):

@@ -77,6 +77,20 @@ def test_key_index_matches_a_dict_of_sorted_sets(size):
     assert rows.size == found.size == 0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_key_index_lookup_packs_to_strictly_increasing_keys(seed):
+    # ranking finds known candidates by a searchsorted over rows * n + values
+    rng = np.random.default_rng(seed)
+    n = 9
+    keys, values = rng.integers(0, 15, size=120), rng.integers(0, n, size=120)
+    # present keys repeated, absent ones, and the filter's -1 marker, in any order
+    query = np.concatenate((rng.choice(keys, size=30), rng.integers(-1, 20, size=30), [-1, -1]))
+    rng.shuffle(query)
+    rows, found = KeyIndex(keys, values).lookup(query)
+    packed = rows * n + found
+    assert packed.size and np.all(np.diff(packed) > 0)
+
+
 # ------------------------------------------------------- exactness vs oracle
 
 
