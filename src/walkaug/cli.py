@@ -1,15 +1,22 @@
 """Command line pipeline: mine, rules, train, eval.
 
 Options come from defaults, then an optional `key=value` config file, then
-command line flags (highest priority). Config file keys are the flag names
-with underscores. Exit codes: 0 success, 2 configuration problems, 3 data
-problems, 4 numeric failures.
+command line flags (highest priority). Each `PipelineConfig` field is the one
+declaration of its setting: its metadata names the commands that take it as
+a flag (`--` plus the key with `-` for `_`), its allowed values and its help,
+and `build_parser` generates the flags from it. Flag values are strings
+coerced like config file values, so `--margin none` clears the margin as
+`margin=none` does. Only the artifact paths (`--config`, `--metapaths`,
+`--rules`, `--checkpoint`, `--resume`, `--export-tsv`) are flags of their
+own. Exit codes: 0 success, 2 configuration problems, 3 data problems,
+4 numeric failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -37,6 +44,14 @@ from .training import train
 
 MODES = ("none", "rules-only", "metapaths")
 SPLITS = ("train", "valid", "test")
+ALL = "mine rules train eval"
+
+
+def _setting(default, commands: str, help: str, choices=None):
+    """A config field that the space-separated `commands` take as a flag;
+    `choices`, if given, are its only values."""
+    return dataclasses.field(default=default, metadata={
+        "commands": commands.split(), "choices": choices, "help": help})
 
 
 @dataclasses.dataclass
@@ -44,55 +59,53 @@ class PipelineConfig:
     """Every pipeline knob in one place."""
 
     # data
-    train: str | None = None
-    valid: str | None = None
-    test: str | None = None
-    entity_dict: str | None = None
-    relation_dict: str | None = None
-    add_inverse: bool = False
+    train: str | None = _setting(None, ALL, "training triplets TSV")
+    valid: str | None = _setting(None, ALL, "validation triplets TSV")
+    test: str | None = _setting(None, ALL, "test triplets TSV")
+    entity_dict: str | None = _setting(None, ALL, "id<TAB>name entity dictionary")
+    relation_dict: str | None = _setting(None, ALL, "id<TAB>name relation dictionary")
+    add_inverse: bool = _setting(False, ALL, "add an inverse twin of every relation")
     # mining
-    l_max: int = 3
-    threshold: float = 0.2
-    sample_p: float = 1.0
-    max_table_rows: int = DEFAULT_MAX_TABLE_ROWS
+    l_max: int = _setting(3, "mine train", "most relations of a metapath, nodes of a walk")
+    threshold: float = _setting(0.2, "mine", "lowest z score of an informative metapath")
+    sample_p: float = _setting(1.0, "mine", "edge sampling probability of the miner")
+    max_table_rows: int = _setting(DEFAULT_MAX_TABLE_ROWS, "mine", "row budget of a mining level")
     # rules
-    conf_threshold: float = 0.5
+    conf_threshold: float = _setting(0.5, "rules train", "lowest confidence of a kept rule")
     # training
-    mode: str = "metapaths"
-    strategy: str = "none"
-    basis_count: int | None = None
-    basis_include_original: bool = False
-    scoring: str = "transe_l2"
-    dim: int = 200
-    margin: float | None = None
-    negatives: int = 16
-    lr: float = 0.1
-    lr_dense: float = 0.01
-    regularization: float = 0.0
-    epochs: int = 50
-    batch_nodes: int = 1024
-    patience: int = 2
-    original_edge_sample: int | None = None
-    rule_sampling: str = "normalized"
+    mode: str = _setting("metapaths", "train", "what walks add to training", MODES)
+    strategy: str = _setting("none", "train", "parameters of minted relations", STRATEGY_KINDS)
+    basis_count: int | None = _setting(None, "train", "vectors of the basis strategy")
+    basis_include_original: bool = _setting(False, "train",
+                                            "give original relations basis coefficients too")
+    scoring: str = _setting("transe_l2", "train", "score function", SCORINGS)
+    dim: int = _setting(200, "train", "embedding dimension")
+    margin: float | None = _setting(None, "train", "loss margin; none takes the scorer's")
+    negatives: int = _setting(16, "train", "corruptions per triplet")
+    lr: float = _setting(0.1, "train", "learning rate of embedding rows")
+    lr_dense: float = _setting(0.01, "train", "learning rate of recurrence and basis parameters")
+    regularization: float = _setting(0.0, "train", "L2 regularization weight")
+    epochs: int = _setting(50, "train", "number of the last epoch")
+    batch_nodes: int = _setting(1024, "train", "walk start nodes per minibatch")
+    patience: int = _setting(2, "train", "epochs without a better validation MRR before a stop")
+    original_edge_sample: int | None = _setting(
+        None, "train", "original edges per minibatch; none matches the walk triplets")
+    rule_sampling: str = _setting("normalized", "train", "how rule confidences pick a relation",
+                                  RULE_SAMPLING_MODES)
     # evaluation
-    protocol: str = "filtered"
-    tie: str = "optimistic"
-    split: str = "test"
+    protocol: str = _setting("filtered", "eval", "ranking protocol", PROTOCOLS)
+    tie: str = _setting("optimistic", "eval", "rank of a tied candidate", TIE_POLICIES)
+    split: str = _setting("test", "eval", "split to rank", SPLITS)
     # common
-    seed: int = 0
-    out_dir: str = "."
+    seed: int = _setting(0, ALL, "random seed")
+    out_dir: str = _setting(".", ALL, "artifact directory")
 
     def validate(self) -> None:
+        for field in dataclasses.fields(self):
+            choices, value = field.metadata["choices"], getattr(self, field.name)
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{field.name} must be one of {choices}, got {value!r}")
         checks = [
-            (self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}"),
-            (self.strategy in STRATEGY_KINDS,
-             f"strategy must be one of {STRATEGY_KINDS}, got {self.strategy!r}"),
-            (self.scoring in SCORINGS, f"scoring must be one of {SCORINGS}, got {self.scoring!r}"),
-            (self.rule_sampling in RULE_SAMPLING_MODES,
-             f"rule sampling must be one of {RULE_SAMPLING_MODES}, got {self.rule_sampling!r}"),
-            (self.protocol in PROTOCOLS, f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"),
-            (self.tie in TIE_POLICIES, f"tie policy must be one of {TIE_POLICIES}, got {self.tie!r}"),
-            (self.split in SPLITS, f"split must be one of {SPLITS}, got {self.split!r}"),
             (self.l_max >= 2, f"l_max must be at least 2, got {self.l_max}"),
             (0.0 < self.threshold <= 1.0, f"threshold must be in (0, 1], got {self.threshold}"),
             (0.0 < self.sample_p <= 1.0, f"sample_p must be in (0, 1], got {self.sample_p}"),
@@ -109,12 +122,8 @@ class PipelineConfig:
                 raise ConfigError(message)
 
     def model_config(self) -> ModelConfig:
-        config = ModelConfig(
-            scoring=self.scoring, dim=self.dim, margin=self.margin,
-            negatives=self.negatives, lr=self.lr, lr_dense=self.lr_dense,
-            regularization=self.regularization, epochs=self.epochs,
-            batch_nodes=self.batch_nodes, seed=self.seed,
-        )
+        config = ModelConfig(**{field.name: getattr(self, field.name)
+                                for field in dataclasses.fields(ModelConfig)})
         config.validate()
         return config
 
@@ -133,23 +142,20 @@ _NULLABLE_FIELDS = {key for key, hint in _HINTS.items() if type(None) in typing.
 # each key's value type, `| None` stripped
 _FIELD_TYPES = {key: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
                 for key, hint in _HINTS.items()}
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _coerce(key: str, raw: str):
+    """The value of setting `key` written as `raw`, in a config file or after its flag."""
     if raw == "none" and key in _NULLABLE_FIELDS:
         return None
     kind = _FIELD_TYPES[key]
-    if kind is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
     try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r}") from None
+        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        expected = {bool: "a boolean", int: "an integer", float: "a number"}[kind]
+        nullable = " or none" if key in _NULLABLE_FIELDS else ""
+        raise ConfigError(f"setting {key} expects {expected}{nullable}, got {raw!r}") from None
 
 
 def read_config_file(path) -> dict:
@@ -182,9 +188,9 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
     for key in _FIELD_TYPES:
-        given = getattr(args, key, None)
+        given = getattr(args, key, None)  # a string, or a bool from a --[no-]flag
         if given is not None:
-            values[key] = given
+            values[key] = given if isinstance(given, bool) else _coerce(key, given)
     config = PipelineConfig(**values)
     config.validate()
     return config
@@ -318,84 +324,51 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--train", help="training triplets TSV")
-    parser.add_argument("--valid", help="validation triplets TSV")
-    parser.add_argument("--test", help="test triplets TSV")
-    parser.add_argument("--entity-dict", dest="entity_dict")
-    parser.add_argument("--relation-dict", dest="relation_dict")
-    parser.add_argument("--add-inverse", dest="add_inverse",
-                        action=argparse.BooleanOptionalAction)
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `walkaug` parser: a flag for each setting of each command, then the
+    command's artifact paths. It is built once per process and shared, so
+    callers parse with it and never change it."""
     parser = argparse.ArgumentParser(
         prog="walkaug",
         description="Mine informative metapaths, derive rules, train and "
                     "evaluate knowledge graph embeddings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mine", help="mine informative metapaths from the training graph")
-    _add_common(p)
-    p.add_argument("--l-max", dest="l_max", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--sample-p", dest="sample_p", type=float)
-    p.add_argument("--max-table-rows", dest="max_table_rows", type=int)
-    p.add_argument("--metapaths", help="output report path")
-    p.set_defaults(func=cmd_mine)
-
-    p = sub.add_parser("rules", help="score metapath-to-relation rules")
-    _add_common(p)
-    p.add_argument("--conf-threshold", dest="conf_threshold", type=float)
-    p.add_argument("--metapaths", help="input metapath report")
-    p.add_argument("--rules", help="output report path")
-    p.set_defaults(func=cmd_rules)
-
-    p = sub.add_parser("train", help="train embeddings on the augmented graph")
-    _add_common(p)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--strategy", choices=STRATEGY_KINDS)
-    p.add_argument("--basis-count", dest="basis_count", type=int)
-    p.add_argument("--basis-include-original", dest="basis_include_original",
-                   action=argparse.BooleanOptionalAction)
-    p.add_argument("--scoring", choices=SCORINGS)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-dense", dest="lr_dense", type=float)
-    p.add_argument("--regularization", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-nodes", dest="batch_nodes", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--l-max", dest="l_max", type=int)
-    p.add_argument("--original-edge-sample", dest="original_edge_sample", type=int)
-    p.add_argument("--rule-sampling", dest="rule_sampling", choices=RULE_SAMPLING_MODES)
-    p.add_argument("--conf-threshold", dest="conf_threshold", type=float)
-    p.add_argument("--metapaths", help="input metapath report")
-    p.add_argument("--rules", help="input rules report")
-    p.add_argument("--checkpoint", help="checkpoint directory")
-    p.add_argument("--resume", help="checkpoint directory to continue from")
-    p.add_argument("--export-tsv", action="store_true")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="rank a held-out split with a trained checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", help="checkpoint directory")
-    p.add_argument("--split", choices=SPLITS)
-    p.add_argument("--protocol", choices=PROTOCOLS)
-    p.add_argument("--tie", choices=TIE_POLICIES)
-    p.set_defaults(func=cmd_eval)
+    commands = {}
+    for name, func, help_text in (
+        ("mine", cmd_mine, "mine informative metapaths from the training graph"),
+        ("rules", cmd_rules, "score metapath-to-relation rules"),
+        ("train", cmd_train, "train embeddings on the augmented graph"),
+        ("eval", cmd_eval, "rank a held-out split with a trained checkpoint"),
+    ):
+        commands[name] = p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key=value config file")
+        p.set_defaults(func=func)
+    for field in dataclasses.fields(PipelineConfig):
+        flag = "--" + field.name.replace("_", "-")
+        if _FIELD_TYPES[field.name] is bool:
+            kwargs = {"action": argparse.BooleanOptionalAction}
+        else:
+            kwargs = {"choices": field.metadata["choices"]}
+        for name in field.metadata["commands"]:
+            commands[name].add_argument(flag, dest=field.name, help=field.metadata["help"],
+                                        **kwargs)
+    commands["mine"].add_argument("--metapaths", help="output report path")
+    commands["rules"].add_argument("--metapaths", help="input metapath report")
+    commands["rules"].add_argument("--rules", help="output report path")
+    commands["train"].add_argument("--metapaths", help="input metapath report")
+    commands["train"].add_argument("--rules", help="input rules report")
+    commands["train"].add_argument("--checkpoint", help="checkpoint directory")
+    commands["train"].add_argument("--resume", help="checkpoint directory to continue from")
+    commands["train"].add_argument("--export-tsv", action="store_true",
+                                   help="also write entity_embeddings.tsv")
+    commands["eval"].add_argument("--checkpoint", help="checkpoint directory")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -2,12 +2,16 @@
 
 A checkpoint is a directory (not an archive, so reruns are byte-identical)
 holding one .npy file per parameter array plus a meta.json with the config,
-sharing strategy, minted-relation map, rng state and training counters. The
-minted-relation map is stored once, in the `registry` section, and the
-current and best states share it. Loading validates the stored config,
-strategy, rng state, counters and log, and checks every array against the
-strategy and the map, so a malformed checkpoint is a DataError before any
-training or ranking starts.
+sharing strategy, walk settings, minted-relation map, rng state and training
+counters. The minted-relation map is stored once, in the `registry` section,
+and the current and best states share it. Loading validates the stored
+config, strategy, walk settings, rng state, counters and log, and checks
+every array against the strategy and the map, so a malformed checkpoint is a
+DataError before any training or ranking starts.
+
+The `walks` section holds the walk settings that `train` takes beside the
+model config (`WALK_SETTINGS`), so that a resume can refuse other ones.
+Older checkpoints lack it: they load, with `walks` None, and cannot resume.
 
 `basis_keys` in meta.json names the metapath of each `basis_coef.npy` row.
 Saves write the rows in state order (`sharing.basis_keys`); loads map each
@@ -26,12 +30,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .augment import NewRelationRegistry
+from .augment import RULE_SAMPLING_MODES, NewRelationRegistry
 from .errors import ConfigError, DataError
 from .models import EmbeddingState, ModelConfig
 from .sharing import BasisParams, RnnParams, SharingStrategy, basis_keys
 
 _META = "meta.json"
+WALK_SETTINGS = ("l_max", "original_edge_sample", "rule_sampling")
 
 
 @dataclass
@@ -47,6 +52,7 @@ class Checkpoint:
     best_mrr: float
     bad_epochs: int
     log: list[dict] = field(default_factory=list)
+    walks: dict | None = None  # WALK_SETTINGS -> value; None if not recorded
 
 
 def _save_state(directory: str, prefix: str, state: EmbeddingState,
@@ -126,6 +132,7 @@ def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
         "format": 1,
         "config": asdict(ckpt.config),
         "strategy": asdict(ckpt.strategy),
+        "walks": ckpt.walks,
         "registry": {
             "first_id": ckpt.state.registry.first_id,
             "minted": [[rid, list(m)] for rid, m in ckpt.state.registry.items()],
@@ -198,6 +205,9 @@ def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
             raise DataError(f"{name} must be a non-negative integer, got {meta[name]!r}")
     if type(meta["best_mrr"]) not in (int, float):
         raise DataError(f"best_mrr must be a number, got {meta['best_mrr']!r}")
+    walks = meta.get("walks")
+    if walks is not None:
+        _check_walks(walks)
     log_keys = {"epoch", "mean_loss", "valid_mrr"}
     if any(not isinstance(entry, dict) or set(entry) != log_keys for entry in meta["log"]):
         raise DataError(f"every log entry must hold exactly the keys {sorted(log_keys)}")
@@ -211,7 +221,24 @@ def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
         best_mrr=meta["best_mrr"],
         bad_epochs=meta["bad_epochs"],
         log=meta["log"],
+        walks=walks,
     )
+
+
+def _check_walks(walks) -> None:
+    """DataError unless `walks` maps each of WALK_SETTINGS to a value `train` takes."""
+    if not isinstance(walks, dict) or sorted(walks) != sorted(WALK_SETTINGS):
+        raise DataError(f"walks must hold exactly the keys {sorted(WALK_SETTINGS)}, "
+                        f"got {walks!r}")
+    l_max, sample = walks["l_max"], walks["original_edge_sample"]
+    if type(l_max) is not int or l_max < 1:
+        raise DataError(f"walks l_max must be a positive integer, got {l_max!r}")
+    if sample is not None and (type(sample) is not int or sample < 0):
+        raise DataError(f"walks original_edge_sample must be null or a non-negative integer, "
+                        f"got {sample!r}")
+    if walks["rule_sampling"] not in RULE_SAMPLING_MODES:
+        raise DataError(f"walks rule_sampling must be one of {RULE_SAMPLING_MODES}, "
+                        f"got {walks['rule_sampling']!r}")
 
 
 def write_embedding_matrix(path, matrix: np.ndarray) -> None:

@@ -34,7 +34,7 @@ from .models import (
 from .models import loss_and_grad, negative_sample  # noqa: F401
 from .rules import RuleMap
 from .sharing import SharingStrategy
-from .storage import Checkpoint, save_checkpoint
+from .storage import WALK_SETTINGS, Checkpoint, save_checkpoint
 
 
 @dataclass
@@ -54,11 +54,18 @@ class TrainResult:
     log: list[EpochStats]
 
 
-def _check_resume(config: ModelConfig, strategy: SharingStrategy, registry: NewRelationRegistry,
-                  resume: Checkpoint) -> None:
+def _check_resume(resume: Checkpoint, num_entities: int, config: ModelConfig,
+                  strategy: SharingStrategy, walks: dict, registry: NewRelationRegistry) -> None:
+    if resume.state.num_entities != num_entities:
+        raise DataError(f"resume checkpoint has {resume.state.num_entities} entities, "
+                        f"the training graph has {num_entities}")
+    if resume.walks is None:
+        raise ConfigError(f"resume checkpoint does not record its walk settings "
+                          f"({', '.join(WALK_SETTINGS)}), so they are unknown")
     ours, theirs = asdict(config), asdict(resume.config)
     ours.pop("epochs"), theirs.pop("epochs")  # training longer is the point of resuming
     mismatched = [k for k in ours if ours[k] != theirs[k]]
+    mismatched += [k for k in WALK_SETTINGS if walks[k] != resume.walks[k]]
     mismatched += [] if asdict(strategy) == asdict(resume.strategy) else ["strategy"]
     if mismatched:
         raise ConfigError(f"resume checkpoint disagrees on: {', '.join(sorted(mismatched))}")
@@ -92,7 +99,10 @@ def train(
     rule-less informative metapaths are minted as new relations before the
     first epoch, in sorted order, so relation ids are fixed for a given
     mining result regardless of walk order; without it, walks on them emit
-    nothing. A resume must mint exactly what its checkpoint minted.
+    nothing. A resume must mint exactly what its checkpoint minted, over
+    as many entities, with the same model config but for `epochs`, the same
+    strategy and the same walk settings (`l_max`, `rule_sampling`,
+    `original_edge_sample`); `patience` may change.
     """
     config.validate()
     strategy.validate(config.scoring)
@@ -103,8 +113,10 @@ def train(
     registry = NewRelationRegistry.rule_less(
         graph.num_relations, informative if mint_new_relations else {}, rulemaps)
     table = SegmentTable(informative, rulemaps, registry, l_max)
+    walks = {"l_max": l_max, "original_edge_sample": original_edge_sample,
+             "rule_sampling": rule_sampling}
     if resume is not None:
-        _check_resume(config, strategy, registry, resume)
+        _check_resume(resume, graph.num_entities, config, strategy, walks, registry)
         state = resume.state
         best_state = resume.best_state
         best_mrr = resume.best_mrr
@@ -164,7 +176,7 @@ def train(
                 state=state, best_state=best_state, config=config, strategy=strategy,
                 rng_state=rng.bit_generator.state,
                 epoch=epoch, best_mrr=best_mrr, bad_epochs=bad_epochs,
-                log=[entry.to_dict() for entry in log],
+                log=[entry.to_dict() for entry in log], walks=walks,
             ))
         if has_valid and bad_epochs >= patience:
             break

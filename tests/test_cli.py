@@ -298,6 +298,13 @@ RESUME_FIELD_DAMAGE = {
     "best_mrr a string": (lambda meta: meta.update(best_mrr="high"), "best_mrr must be"),
     "log entry missing keys": (lambda meta: meta["log"][0].pop("valid_mrr"), "log entry"),
     "log entry with an extra key": (lambda meta: meta["log"][0].update(extra=1), "log entry"),
+    "walks without l_max": (lambda meta: meta["walks"].pop("l_max"), "walks must hold"),
+    "walks not an object": (lambda meta: meta.update(walks=[3]), "walks must hold"),
+    "walks l_max a string": (lambda meta: meta["walks"].update(l_max="3"), "walks l_max"),
+    "walks negative original_edge_sample": (
+        lambda meta: meta["walks"].update(original_edge_sample=-1), "original_edge_sample"),
+    "walks unknown rule_sampling": (
+        lambda meta: meta["walks"].update(rule_sampling="soft"), "rule_sampling"),
 }
 
 
@@ -510,3 +517,62 @@ def test_basis_coefficients_must_match_their_keys(data, capsys, damage):
     assert main(eval_argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "basis" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("other", ["more entities", "fewer entities"])
+def test_resume_refuses_a_dataset_with_other_entities(data, tmp_path, capsys, other):
+    train_argv = base_args(data, "train") + TRAIN_SPEED + ["--mode", "none", "--epochs", "1"]
+    assert main(train_argv) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    rows = train_rows()
+    if other == "more entities":
+        rows.append(("x9", "r0", "y0"))
+    else:
+        rows.remove(("x5", "r0", "y2"))  # x5's only triplet
+    changed = str(tmp_path / "changed.tsv")
+    write_tsv(changed, rows)
+    capsys.readouterr()
+    argv = ["train", "--train", changed, "--out-dir", str(tmp_path / "next"), "--mode", "none",
+            "--resume", checkpoint] + TRAIN_SPEED + ["--epochs", "2"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "13 entities" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [("--l-max", "4"), ("--rule-sampling", "raw"),
+                                        ("--original-edge-sample", "3")])
+def test_resume_refuses_changed_walk_settings(data, tmp_path, capsys, flag, value):
+    assert main(base_args(data, "mine")) == 0
+    assert main(base_args(data, "rules")) == 0
+    train_argv = base_args(data, "train") + TRAIN_SPEED + ["--epochs", "1"]
+    assert main(train_argv) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    resume_argv = train_argv + ["--epochs", "2", "--resume", checkpoint,
+                                "--checkpoint", str(tmp_path / "next")]
+    capsys.readouterr()
+    assert main(resume_argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: resume checkpoint disagrees on: " in err
+    assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+    # the epoch budget and the patience are free to change on a resume
+    assert main(resume_argv + ["--patience", "5"]) == 0
+
+
+def test_checkpoint_without_walk_settings_evaluates_but_does_not_resume(data, tmp_path, capsys):
+    train_argv = base_args(data, "train") + TRAIN_SPEED + ["--mode", "none", "--epochs", "1"]
+    assert main(train_argv) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    meta_path = os.path.join(checkpoint, "meta.json")
+    meta = json.load(open(meta_path))
+    assert meta["walks"] == {"l_max": 3, "original_edge_sample": None,
+                             "rule_sampling": "normalized"}
+    del meta["walks"]  # as checkpoints written before the section existed
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    assert main(base_args(data, "eval") + ["--test", data["test"]]) == 0
+    capsys.readouterr()
+    resume_argv = train_argv + ["--epochs", "2", "--resume", checkpoint,
+                                "--checkpoint", str(tmp_path / "next")]
+    assert main(resume_argv) == 2
+    err = capsys.readouterr().err
+    assert "walk settings" in err and "unknown" in err and "Traceback" not in err

@@ -329,3 +329,23 @@ def test_embedding_tsv_export(tmp_path):
 
     write_embedding_tsv(str(path), matrix)
     assert path.read_text().splitlines()[0].split("\t")[0] == "0"
+
+
+def test_resume_rejects_changed_walk_settings_and_entities(tmp_path):
+    dataset = make_dataset()
+    ckpt_dir = str(tmp_path / "ckpt")
+    train(dataset, INFORMATIVE, {}, small_config(epochs=1), checkpoint_dir=ckpt_dir,
+          original_edge_sample=4)
+    ckpt = load_checkpoint(ckpt_dir)
+    assert ckpt.walks == {"l_max": 3, "original_edge_sample": 4, "rule_sampling": "normalized"}
+    for changed in ({"l_max": 4}, {"original_edge_sample": None}, {"rule_sampling": "raw"}):
+        settings = {"original_edge_sample": 4, **changed}
+        with pytest.raises(ConfigError, match=next(iter(changed))):
+            train(dataset, INFORMATIVE, {}, small_config(epochs=2), resume=ckpt, **settings)
+    edges = list(zip(dataset.train.heads, dataset.train.relations, dataset.train.tails))
+    wider = DatasetSplit(make_graph(edges + [(N, 0, 0)], N + 1, R), dataset.valid, dataset.test)
+    with pytest.raises(DataError, match=f"{N} entities"):
+        train(wider, INFORMATIVE, {}, small_config(epochs=2), resume=ckpt,
+              original_edge_sample=4)
+    train(dataset, INFORMATIVE, {}, small_config(epochs=2), resume=ckpt, original_edge_sample=4,
+          patience=5)
