@@ -25,7 +25,7 @@ import typing
 from .augment import RULE_SAMPLING_MODES
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import PROTOCOLS, TIE_POLICIES, EvalFilter, evaluate
-from .graph import load_tsv_dataset
+from .graph import atomic_write, load_tsv_dataset
 from .mining import (
     DEFAULT_MAX_TABLE_ROWS,
     mine_informative_metapaths,
@@ -36,7 +36,11 @@ from .models import SCORINGS, ModelConfig
 from .rules import build_rulemaps, read_rules_report, write_rules_report
 from .sharing import STRATEGY_KINDS, SharingStrategy
 from .storage import (
+    DATASET_CACHE,
+    dataset_key,
     load_checkpoint,
+    read_dataset_cache,
+    write_dataset_cache,
     write_embedding_matrix,
     write_embedding_tsv,
 )
@@ -197,6 +201,8 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _load_dataset(cfg: PipelineConfig):
+    """The dataset of `cfg`, from the out-dir's cache when it was parsed from
+    the same input bytes; otherwise parsed, and cached for the next command."""
     if cfg.train is None:
         raise ConfigError("a training file is required (--train or config key train)")
     dict_paths = None
@@ -204,8 +210,16 @@ def _load_dataset(cfg: PipelineConfig):
         raise ConfigError("entity_dict and relation_dict must be given together")
     if cfg.entity_dict is not None:
         dict_paths = (cfg.entity_dict, cfg.relation_dict)
-    return load_tsv_dataset(cfg.train, cfg.valid, cfg.test,
-                            dict_paths=dict_paths, add_inverse=cfg.add_inverse)
+    inputs = (cfg.train, cfg.valid, cfg.test, dict_paths, cfg.add_inverse)
+    cache = os.path.join(cfg.out_dir, DATASET_CACHE)
+    key = dataset_key(*inputs)
+    dataset = read_dataset_cache(cache, key)
+    if dataset is None:
+        dataset = load_tsv_dataset(*inputs)
+        # an input that changed during the parse may not match what was parsed
+        if key is not None and dataset_key(*inputs) == key:
+            write_dataset_cache(cache, key, dataset)
+    return dataset
 
 
 def _artifact(cfg: PipelineConfig, override: str | None, name: str) -> str:
@@ -253,6 +267,12 @@ def cmd_train(args) -> int:
         informative = read_metapath_report(report_path, dataset.relation_dict)
         rules_path = _artifact(cfg, args.rules, "rules.tsv")
         rulemaps = read_rules_report(rules_path, dataset.relation_dict, cfg.conf_threshold)
+        # mine's l_max counts a metapath's relations, train's the nodes of a walk
+        unwalked = sum(len(metapath) > cfg.l_max - 1 for metapath in informative)
+        if unwalked:
+            print(f"{unwalked} of {len(informative)} metapaths have more than "
+                  f"l_max - 1 = {cfg.l_max - 1} relations; walks of l_max = {cfg.l_max} "
+                  f"nodes never follow them")
     mint = cfg.mode == "metapaths"
 
     resume = load_checkpoint(args.resume) if args.resume else None
@@ -275,7 +295,7 @@ def cmd_train(args) -> int:
     write_embedding_matrix(entity_path, state.entity_emb)
     write_embedding_matrix(relation_path, state.relation_emb)
     log_path = _artifact(cfg, None, "training_log.tsv")
-    with open(log_path, "w", encoding="utf-8") as fh:
+    with atomic_write(log_path) as fh:
         for entry in result.log:
             mrr = "" if entry.valid_mrr is None else repr(entry.valid_mrr)
             fh.write(f"{entry.epoch}\t{entry.mean_loss!r}\t{mrr}\n")
@@ -318,7 +338,7 @@ def cmd_eval(args) -> int:
     payload["tie"] = cfg.tie
     print(json.dumps(payload, sort_keys=True))
     metrics_path = _artifact(cfg, None, "metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
+    with atomic_write(metrics_path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0

@@ -10,10 +10,16 @@ Every text input (triplet files, dictionary files, and the metapath and rule
 reports) is read by `read_tsv`: the whole file at once, with universal
 newlines, split into columns of cells. The loader turns the triplet columns
 into ids with one dictionary lookup per cell inside `np.fromiter`.
+
+`atomic_write` writes a file temp-then-rename, so a reader sees the old file
+or the new one, never half of one. The reports, the embedding binaries and
+the dataset cache are written through it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple
@@ -259,6 +265,36 @@ def read_tsv(path, columns: int) -> list[list[str]]:
     return [cells[i::columns] for i in range(columns)]
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A file object open for writing (`mode` "w" for UTF-8 text, "wb" for
+    bytes) that replaces `path` when the block ends without an exception.
+
+    It writes a new temp file in the directory of `path`, created with mode
+    0o666 less the umask as a plain `open` creates a file, and renames it over
+    `path`; on any exception the temp file is removed and `path` is left as it
+    was. The rename replaces `path` itself: an existing file's mode is not
+    kept, and a symlink or hard link at `path` is replaced, not written
+    through.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
 def load_tsv_dataset(
     train_path,
     valid_path,
@@ -275,6 +311,10 @@ def load_tsv_dataset(
     copy of each training edge is appended to the training graph only;
     evaluation splits keep the original triplets. A relation name with a
     `|`, which reports join metapath names with, is a DataError.
+
+    The CLI caches this parse in its out-dir (`storage.dataset_key`). The
+    cache key folds in the source of this module, so a change here misses
+    every cache written before it.
     """
     splits = [read_tsv(p, 3) if p is not None else [[], [], []]
               for p in (train_path, valid_path, test_path)]

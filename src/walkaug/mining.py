@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, MiningLimitError, NumericError
-from .graph import KnowledgeGraph, read_tsv, sample_edges
+from .graph import KnowledgeGraph, atomic_write, read_tsv, sample_edges
 from .rootfind import brent
 
 Metapath = tuple[int, ...]
@@ -358,7 +358,7 @@ def write_metapath_report(path, infos: dict[Metapath, MetapathInfo], relation_di
         for info in infos.values()
     ]
     rows.sort(key=lambda row: (-row[1], row[0]))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for name, z, count in rows:
             fh.write(f"{name}\t{z!r}\t{count}\n")
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .graph import KnowledgeGraph, check_pair_keys, read_tsv
+from .graph import KnowledgeGraph, atomic_write, check_pair_keys, read_tsv
 from .mining import JoinTable, KeyIndex, Metapath, metapath_name, sorted_unique
 
 
@@ -123,7 +123,7 @@ def write_rules_report(path, rulemaps: dict[Metapath, RuleMap], relation_dict=No
         for rel, conf in rule.entries.items():
             rows.append((metapath_name(metapath, relation_dict), -conf, rel_name(rel), conf))
     rows.sort()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for name, _, rel, conf in rows:
             fh.write(f"{name}\t{rel}\t{conf!r}\n")
 

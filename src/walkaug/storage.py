@@ -19,12 +19,26 @@ stored key to its row, so older checkpoints with sorted keys still load.
 
 The embedding binary starts with an 8-byte header (little-endian uint32 row
 count, then uint32 dimension) followed by row-major float32 values.
+
+The embedding files and the dataset cache are written through
+`graph.atomic_write`, temp-then-rename.
+
+The dataset cache (`DATASET_CACHE`, one `.npz` file in an output directory)
+holds one parsed `DatasetSplit`: each split's `(3, m)` int64 ids and both
+dictionaries' names, tab-joined as UTF-8 bytes with a count (a name holds no
+tab, since `read_tsv` splits cells on it). It stores the `dataset_key` of the
+inputs it was parsed from, and `read_dataset_cache` serves it only under
+that key.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
 import json
 import os
+import stat
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
@@ -32,11 +46,14 @@ import numpy as np
 
 from .augment import RULE_SAMPLING_MODES, NewRelationRegistry
 from .errors import ConfigError, DataError
+from . import graph
+from .graph import DatasetSplit, Dictionary, KnowledgeGraph, atomic_write
 from .models import EmbeddingState, ModelConfig
 from .sharing import BasisParams, RnnParams, SharingStrategy, basis_keys
 
 _META = "meta.json"
 WALK_SETTINGS = ("l_max", "original_edge_sample", "rule_sampling")
+DATASET_CACHE = "dataset.cache.npz"
 
 
 @dataclass
@@ -244,7 +261,7 @@ def _check_walks(walks) -> None:
 def write_embedding_matrix(path, matrix: np.ndarray) -> None:
     """Header `<u32 rows><u32 dim>` then row-major little-endian float32."""
     rows, dim = matrix.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(struct.pack("<II", rows, dim))
         fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
 
@@ -266,8 +283,114 @@ def read_embedding_matrix(path) -> np.ndarray:
 
 def write_embedding_tsv(path, matrix: np.ndarray, names=None) -> None:
     """`name<TAB>v1<TAB>...<TAB>vd` rows; names default to row indices."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for i, row in enumerate(matrix):
             name = str(i) if names is None else names[i]
             values = "\t".join(repr(float(v)) for v in row)
             fh.write(f"{name}\t{values}\n")
+
+
+@functools.cache
+def _code_digest() -> bytes | None:
+    """SHA-256 of the source of the modules that parse a dataset and store
+    it (`graph` and this one), read once per process: a change to either
+    misses every cache written before it. None when a source is unreadable."""
+    digest = hashlib.sha256()
+    try:
+        for module_file in (graph.__file__, __file__):
+            with open(module_file, "rb") as fh:
+                digest.update(fh.read())
+    except (OSError, TypeError):
+        return None
+    return digest.digest()
+
+
+def dataset_key(train_path, valid_path, test_path, dict_paths: tuple | None = None,
+                add_inverse: bool = False) -> str | None:
+    """SHA-256 hex digest of everything `load_tsv_dataset` reads, for the same
+    arguments: the loader's code (`_code_digest`), `add_inverse`, which inputs
+    are given, and the length and bytes of each given one.
+
+    None, so that nothing is cached, when the code cannot be read or an input
+    is not a regular file: a pipe or FIFO (`<(zcat train.tsv.gz)`,
+    /dev/stdin) can be read only once, by the parse, and a missing input is
+    left for the parse to report.
+    """
+    code = _code_digest()
+    if code is None:
+        return None
+    paths = (train_path, valid_path, test_path, *(dict_paths or (None, None)))
+    try:
+        if not all(path is None or stat.S_ISREG(os.stat(path).st_mode) for path in paths):
+            return None
+    except OSError:
+        return None
+    digest = hashlib.sha256(b"walkaug dataset " + code + b" inverse=%d" % bool(add_inverse))
+    for path in paths:
+        if path is None:
+            digest.update(b"\0-")
+            continue
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            return None
+        digest.update(b"\0+%d:" % len(data))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _names_arrays(prefix: str, dictionary: Dictionary) -> dict:
+    text = "\t".join(dictionary).encode("utf-8")
+    return {prefix: np.frombuffer(text, np.uint8), f"{prefix}_count": np.int64(len(dictionary))}
+
+
+def _names_dictionary(npz, prefix: str) -> Dictionary:
+    count = int(npz[f"{prefix}_count"])
+    names = npz[prefix].tobytes().decode("utf-8").split("\t") if count else []
+    dictionary = Dictionary(names)
+    if len(names) != count or len(dictionary) != count:
+        raise DataError(f"cached {prefix} are not {count} distinct names")
+    return dictionary
+
+
+def write_dataset_cache(path, key: str, dataset: DatasetSplit) -> None:
+    """Write `dataset` under `key` to the cache file `path`, temp-then-rename.
+
+    The cache only saves time, so an OSError (a read-only or full directory)
+    leaves it unwritten and is not raised.
+    """
+    arrays = {
+        "key": np.frombuffer(key.encode("ascii"), np.uint8),
+        **_names_arrays("entities", dataset.entity_dict),
+        **_names_arrays("relations", dataset.relation_dict),
+    }
+    for name, split in zip(("train", "valid", "test"), dataset.graphs()):
+        arrays[name] = np.stack((split.heads, split.relations, split.tails))
+    with contextlib.suppress(OSError):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with atomic_write(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+
+def read_dataset_cache(path, key: str | None) -> DatasetSplit | None:
+    """The dataset cached at `path` under `key`, or None: a missing, damaged or
+    stale file, or one of another key, is a miss and never an error."""
+    if key is None:
+        return None
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if npz["key"].tobytes() != key.encode("ascii"):
+                return None
+            entity_dict = _names_dictionary(npz, "entities")
+            relation_dict = _names_dictionary(npz, "relations")
+            graphs = []
+            for name in ("train", "valid", "test"):
+                ids = npz[name]
+                if ids.dtype != np.int64 or ids.ndim != 2 or ids.shape[0] != 3:
+                    return None
+                graphs.append(KnowledgeGraph(*ids, len(entity_dict), len(relation_dict),
+                                             entity_dict, relation_dict))
+    except Exception:  # whatever a damaged file raises, the inputs are parsed again
+        return None
+    return DatasetSplit(*graphs)

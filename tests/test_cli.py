@@ -1,14 +1,25 @@
 """End-to-end command line runs over a small composed-relation dataset."""
 
 import dataclasses
+import errno
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from walkaug import ConfigError, Dictionary, read_embedding_matrix
+from conftest import assert_same_dataset
+from walkaug import ConfigError, Dictionary, cli, load_tsv_dataset, read_embedding_matrix
+from walkaug import storage
 from walkaug.cli import PipelineConfig, main, read_config_file
+from walkaug.graph import atomic_write
+from walkaug.storage import (
+    DATASET_CACHE,
+    dataset_key,
+    read_dataset_cache,
+    write_dataset_cache,
+)
 
 # x_i --r0--> y_(i%3) --r1--> z_(i%3), z_(i%3+1); r2 closes the composition
 # for the first four x nodes, so the (r0, r1) -> r2 rule holds at 8/12.
@@ -576,3 +587,232 @@ def test_checkpoint_without_walk_settings_evaluates_but_does_not_resume(data, tm
     assert main(resume_argv) == 2
     err = capsys.readouterr().err
     assert "walk settings" in err and "unknown" in err and "Traceback" not in err
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The arguments of every `load_tsv_dataset` call of the CLI, that is of every parse."""
+    calls = []
+    parse = cli.load_tsv_dataset
+
+    def counted(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(cli, "load_tsv_dataset", counted)
+    return calls
+
+
+# (input, text in it, the same text with one byte changed): each stays a valid input
+ONE_BYTE = {"train": ("x0\t", "x1\t"), "valid": ("x4", "x3"), "test": ("x5", "x4"),
+            "entity_dict": ("extra", "extrb"), "relation_dict": ("extra", "extrb")}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_BYTE))
+def test_one_changed_input_byte_misses_the_dataset_cache(data, tmp_path, loads, name):
+    paths = dict(data, entity_dict=str(tmp_path / "e.dict"), relation_dict=str(tmp_path / "r.dict"))
+    Dictionary(XS + YS + ZS + ["extra"]).write(paths["entity_dict"])
+    Dictionary(["r0", "r1", "r2", "extra"]).write(paths["relation_dict"])
+    argv = base_args(data, "mine") + [
+        arg for key in ("valid", "test", "entity_dict", "relation_dict")
+        for arg in ("--" + key.replace("_", "-"), paths[key])]
+    assert main(argv) == 0 and main(argv) == 0
+    assert len(loads) == 1
+    before = open(paths[name], "rb").read()
+    old, new = (text.encode() for text in ONE_BYTE[name])
+    after = before.replace(old, new, 1)
+    assert len(after) == len(before) and sum(a != b for a, b in zip(before, after)) == 1
+    with open(paths[name], "wb") as fh:
+        fh.write(after)
+    assert main(argv) == 0 and main(argv) == 0
+    assert len(loads) == 2  # one miss, then a hit on the rewritten cache
+    cached = read_dataset_cache(os.path.join(data["out"], DATASET_CACHE), dataset_key(*loads[1]))
+    assert_same_dataset(cached, load_tsv_dataset(*loads[1]))
+
+
+@pytest.mark.parametrize("damage", ["cut in half", "garbage"])
+def test_a_damaged_dataset_cache_is_parsed_again_and_rewritten(data, loads, damage):
+    argv = base_args(data, "mine")
+    assert main(argv) == 0
+    cache = os.path.join(data["out"], DATASET_CACHE)
+    whole = open(cache, "rb").read()
+    with open(cache, "wb") as fh:
+        fh.write(whole[:len(whole) // 2] if damage == "cut in half" else bytes(range(256)) * 8)
+    assert main(argv) == 0 and main(argv) == 0
+    assert len(loads) == 2
+    assert_same_dataset(read_dataset_cache(cache, dataset_key(*loads[0])),
+                        load_tsv_dataset(*loads[0]))
+
+
+def test_a_dataset_that_is_a_data_error_is_never_cached(data, loads, capsys):
+    write_tsv(data["train"], train_rows() + [("x0", "r|s", "y0")])
+    assert main(base_args(data, "mine")) == 3 and main(base_args(data, "mine")) == 3
+    assert len(loads) == 2
+    assert capsys.readouterr().err.count("contains '|'") == 2
+    assert not os.path.exists(os.path.join(data["out"], DATASET_CACHE))
+
+
+def test_a_failed_dataset_cache_write_is_ignored(data, loads, monkeypatch):
+    replace = os.replace
+
+    def full_disk(src, dst):
+        if os.path.basename(dst) == DATASET_CACHE:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    assert main(base_args(data, "mine")) == 0 and main(base_args(data, "rules")) == 0
+    assert len(loads) == 2
+    assert sorted(os.listdir(data["out"])) == ["metapaths.tsv", "rules.tsv"]  # no temp file
+
+
+def test_an_input_edited_during_the_parse_is_not_cached(data, monkeypatch):
+    parse = cli.load_tsv_dataset
+
+    def edited_meanwhile(*args):
+        dataset = parse(*args)
+        write_tsv(data["train"], train_rows()[1:])
+        return dataset
+
+    monkeypatch.setattr(cli, "load_tsv_dataset", edited_meanwhile)
+    assert main(base_args(data, "mine")) == 0
+    assert not os.path.exists(os.path.join(data["out"], DATASET_CACHE))
+
+
+def test_a_change_to_the_loader_code_misses_the_dataset_cache(data, loads, monkeypatch):
+    assert storage._code_digest() is not None
+    assert main(base_args(data, "mine")) == 0 and main(base_args(data, "mine")) == 0
+    assert len(loads) == 1
+    monkeypatch.setattr(storage, "_code_digest", lambda: b"other loader source")
+    assert main(base_args(data, "mine")) == 0 and main(base_args(data, "mine")) == 0
+    assert len(loads) == 2
+
+
+class _Feed:
+    """A path that yields `text` once, like `<(zcat train.tsv.gz)`: a FIFO, or
+    /dev/fd of a pipe. A second open of the FIFO reads an empty stream."""
+
+    def __init__(self, kind, path, text):
+        self.done = threading.Event()
+        if kind == "fifo":
+            self.path, self.read_fd = path, None
+            os.mkfifo(path)
+            target = self._fifo_writer
+        else:
+            self.read_fd, write_fd = os.pipe()
+            self.path = f"/dev/fd/{self.read_fd}"
+            target = self._pipe_writer
+        self.thread = threading.Thread(target=target, args=(text,) if kind == "fifo"
+                                       else (write_fd, text), daemon=True)
+        self.thread.start()
+
+    def _fifo_writer(self, text):
+        with open(self.path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        while not self.done.wait(0.01):  # a reader that opens it again sees no bytes
+            try:
+                os.close(os.open(self.path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader waiting
+                pass
+
+    @staticmethod
+    def _pipe_writer(write_fd, text):
+        with open(write_fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    def close(self):
+        self.done.set()
+        self.thread.join(5)
+        if self.read_fd is not None:
+            os.close(self.read_fd)
+        assert not self.thread.is_alive()
+
+
+@pytest.mark.parametrize("kind", ["fifo", "pipe"])
+def test_an_input_that_is_not_a_regular_file_is_parsed_and_not_cached(data, tmp_path, loads,
+                                                                      kind):
+    if kind == "pipe" and not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    text = open(data["train"], encoding="utf-8").read()
+    expected = _pipeline(data, str(tmp_path / "regular"))
+    loads.clear()
+    out = str(tmp_path / "streamed")
+    for round_, (command, extra) in enumerate(PIPELINE):
+        feed = _Feed(kind, str(tmp_path / f"train{round_}.fifo"), text)
+        try:
+            argv = [command, "--train", feed.path, "--valid", data["valid"],
+                    "--test", data["test"], "--out-dir", out, *extra]
+            assert main(argv) == 0
+        finally:
+            feed.close()
+    assert len(loads) == 4
+    assert not os.path.exists(os.path.join(out, DATASET_CACHE))
+    assert {name: open(os.path.join(out, name), "rb").read() for name in REPORTS} == expected
+
+
+REPORTS = ("metapaths.tsv", "rules.tsv", "training_log.tsv", "metrics.json",
+           "entity.emb", "relation.emb")
+
+
+PIPELINE = (("mine", []), ("rules", []), ("train", TRAIN_SPEED), ("eval", []))
+
+
+def _pipeline(data, out):
+    """The report bytes of mine, rules, train and eval run in `out`."""
+    common = ["--train", data["train"], "--valid", data["valid"], "--test", data["test"],
+              "--out-dir", out]
+    for command, extra in PIPELINE:
+        assert main([command, *common, *extra]) == 0
+    return {name: open(os.path.join(out, name), "rb").read() for name in REPORTS}
+
+
+def test_a_pipeline_parses_its_dataset_once(data, tmp_path, loads, monkeypatch):
+    cached = _pipeline(data, str(tmp_path / "cached"))
+    assert len(loads) == 1
+    # a cache of other inputs in the out-dir is stale: missed once, then replaced
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    other = str(tmp_path / "other.tsv")
+    write_tsv(other, train_rows()[:5])
+    write_dataset_cache(str(stale / DATASET_CACHE), dataset_key(other, None, None),
+                        load_tsv_dataset(other, None, None))
+    loads.clear()
+    assert _pipeline(data, str(stale)) == cached and len(loads) == 1
+    # a parse in every command writes the same bytes
+    monkeypatch.setattr(cli, "read_dataset_cache", lambda path, key: None)
+    loads.clear()
+    assert _pipeline(data, str(tmp_path / "parsed")) == cached and len(loads) == 4
+
+
+def test_train_counts_the_metapaths_its_walks_never_follow(data, capsys):
+    assert main(base_args(data, "mine")) == 0 and main(base_args(data, "rules")) == 0
+    mined = open(os.path.join(data["out"], "metapaths.tsv")).read().splitlines()
+    capsys.readouterr()
+    assert main(base_args(data, "train") + TRAIN_SPEED) == 0
+    assert "never follow" not in capsys.readouterr().out  # l_max 3 walks 2 relations
+    assert main(base_args(data, "train") + TRAIN_SPEED + ["--l-max", "2"]) == 0
+    assert (f"{len(mined)} of {len(mined)} metapaths have more than l_max - 1 = 1 relations; "
+            f"walks of l_max = 2 nodes never follow them") in capsys.readouterr().out
+
+
+def test_atomic_write_leaves_the_old_file_on_an_error(tmp_path):
+    path = tmp_path / "report.tsv"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+            raise RuntimeError("killed mid-write")
+    assert path.read_text() == "old\n" and os.listdir(tmp_path) == ["report.tsv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_write_creates_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        with atomic_write(tmp_path / "atomic", "wb") as fh:
+            fh.write(b"x")
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode

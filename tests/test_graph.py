@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph, random_multigraph
+from conftest import assert_same_dataset, make_graph, random_multigraph
 from oracles import line_loop_load_tsv
 from walkaug import (
     DataError,
@@ -18,6 +18,7 @@ from walkaug import (
     sample_edges,
 )
 from walkaug.graph import INVERSE_SUFFIX
+from walkaug.storage import DATASET_CACHE, dataset_key, read_dataset_cache, write_dataset_cache
 
 
 names = st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=4), max_size=30)
@@ -316,6 +317,22 @@ def test_readers_reject_a_wrong_column_count_at_its_position(tmp_path, reader, d
         _read(tmp_path, reader, "\r\n".join(lines))
 
 
+def _write_dicts(tmp, splits, drop, seed):
+    """Entity and relation dictionary files of every name of `splits` in
+    shuffled id order, plus one the splits never use; `drop` ("entity",
+    "relation" or None) leaves out the last name of that file, which the
+    splits may use."""
+    rng = np.random.default_rng(seed)
+    dict_paths = (Path(tmp, "e.dict"), Path(tmp, "r.dict"))
+    used = {"entity": {name for rows in splits for h, _, t in rows for name in (h, t)},
+            "relation": {r for rows in splits for _, r, _ in rows}}
+    for kind, path in zip(("entity", "relation"), dict_paths):
+        names = sorted(used[kind] | {"extra"})
+        names = [names[i] for i in rng.permutation(len(names))]
+        Dictionary(names[:-1] if drop == kind else names).write(path)
+    return dict_paths
+
+
 relation_names = st.sampled_from(["r", "s", "r" + INVERSE_SUFFIX, "t\x0b", "s\u2028", "u"])
 entity_names = st.text(alphabet="ab|\x1c\u2028", min_size=1, max_size=3)
 split_rows = st.lists(st.tuples(entity_names, relation_names, entity_names), max_size=12)
@@ -330,18 +347,7 @@ def test_loader_matches_the_line_loop_oracle(splits, with_dicts, add_inverse, dr
         paths = [Path(tmp, f"{split}.tsv") for split in ("train", "valid", "test")]
         for path, rows in zip(paths, splits):
             _write(path, rows)
-        dict_paths = None
-        if with_dicts:
-            # every name in shuffled id order, plus one the splits never use; `drop`
-            # leaves out the last, which the splits may use
-            rng = np.random.default_rng(seed)
-            dict_paths = (Path(tmp, "e.dict"), Path(tmp, "r.dict"))
-            used = {"entity": {name for rows in splits for h, _, t in rows for name in (h, t)},
-                    "relation": {r for rows in splits for _, r, _ in rows}}
-            for kind, path in zip(("entity", "relation"), dict_paths):
-                names = sorted(used[kind] | {"extra"})
-                names = [names[i] for i in rng.permutation(len(names))]
-                Dictionary(names[:-1] if drop == kind else names).write(path)
+        dict_paths = _write_dicts(tmp, splits, drop, seed) if with_dicts else None
         try:
             expected = line_loop_load_tsv(*paths, dict_paths=dict_paths, add_inverse=add_inverse)
         except DataError:
@@ -355,3 +361,41 @@ def test_loader_matches_the_line_loop_oracle(splits, with_dicts, add_inverse, dr
                               arr.reshape(-1, 3))
     assert list(ds.entity_dict) == entities and list(ds.relation_dict) == relations
     assert ds.num_entities == len(entities) and ds.num_relations == len(relations)
+
+
+# the loader's names plus a NUL and the empty name, which a row like "a\t\tb" holds
+cached_entity_names = entity_names | st.sampled_from(["", "a\x00"])
+cached_relation_names = relation_names | st.sampled_from(["", "\x00"])
+cached_rows = st.lists(st.tuples(cached_entity_names, cached_relation_names,
+                                 cached_entity_names), max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(splits=st.tuples(cached_rows, st.none() | cached_rows, st.none() | cached_rows),
+       with_dicts=st.booleans(), add_inverse=st.booleans(), seed=st.integers(0, 2**16))
+def test_a_cached_load_equals_the_parse(splits, with_dicts, add_inverse, seed):
+    # the cache is written from one copy of the inputs and read for another copy
+    # at other paths: it is keyed by content, so both load the same dataset
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = []
+        for copy in ("a", "b"):
+            Path(tmp, copy).mkdir()
+            paths = [None if rows is None else Path(tmp, copy, f"{split}.tsv")
+                     for split, rows in zip(("train", "valid", "test"), splits)]
+            for path, rows in zip(paths, splits):
+                if path is not None:
+                    _write(path, rows)
+            dict_paths = (_write_dicts(Path(tmp, copy), [rows or [] for rows in splits],
+                                       None, seed) if with_dicts else None)
+            copies.append((*paths, dict_paths, add_inverse))
+        try:
+            expected = load_tsv_dataset(*copies[1])
+        except DataError:  # an inverse twin that clashes with a name
+            return
+        cache = Path(tmp, DATASET_CACHE)
+        key = dataset_key(*copies[0])
+        assert key == dataset_key(*copies[1])
+        write_dataset_cache(cache, key, load_tsv_dataset(*copies[0]))
+        cached = read_dataset_cache(cache, key)
+    assert cached is not None
+    assert_same_dataset(cached, expected)
