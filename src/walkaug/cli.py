@@ -22,6 +22,8 @@ import os
 import sys
 import typing
 
+import numpy as np
+
 from .augment import RULE_SAMPLING_MODES
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import PROTOCOLS, TIE_POLICIES, EvalFilter, evaluate
@@ -34,7 +36,7 @@ from .mining import (
 )
 from .models import SCORINGS, ModelConfig
 from .rules import build_rulemaps, read_rules_report, write_rules_report
-from .sharing import STRATEGY_KINDS, SharingStrategy
+from .sharing import STRATEGY_KINDS, SharingStrategy, relation_vector
 from .storage import (
     DATASET_CACHE,
     dataset_key,
@@ -120,6 +122,7 @@ class PipelineConfig:
             (self.original_edge_sample is None or self.original_edge_sample >= 0,
              "original_edge_sample must be non-negative"),
             (self.basis_count is None or self.basis_count >= 1, "basis_count must be positive"),
+            (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
         ]
         for ok, message in checks:
             if not ok:
@@ -293,7 +296,10 @@ def cmd_train(args) -> int:
     entity_path = _artifact(cfg, None, "entity.emb")
     relation_path = _artifact(cfg, None, "relation.emb")
     write_embedding_matrix(entity_path, state.entity_emb)
-    write_embedding_matrix(relation_path, state.relation_emb)
+    # the vectors the scorer reads: basis sharing of the original relations
+    # leaves their own rows untrained
+    vectors = relation_vector(state, np.arange(len(state.relation_emb)))
+    write_embedding_matrix(relation_path, vectors)
     log_path = _artifact(cfg, None, "training_log.tsv")
     with atomic_write(log_path) as fh:
         for entry in result.log:
@@ -330,7 +336,7 @@ def cmd_eval(args) -> int:
     if graph.num_triplets == 0:
         raise DataError(f"split {cfg.split!r} has no triplets to rank")
     graph_filter = EvalFilter.from_graphs(dataset.graphs()) if cfg.protocol == "filtered" else None
-    result = evaluate(state, ckpt.strategy, ckpt.config.scoring, graph,
+    result = evaluate(state, ckpt.config.scoring, graph,
                       graph_filter, protocol=cfg.protocol, tie=cfg.tie)
     print(result.table())
     payload = result.to_json_dict()

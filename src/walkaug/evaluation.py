@@ -38,7 +38,7 @@ import numpy as np
 from .graph import KnowledgeGraph
 from .mining import KeyIndex
 from .models import SCORINGS, EmbeddingState, TripletBatch, _rowdot, side_scores, side_vector
-from .sharing import SharingStrategy, relation_vector
+from .sharing import relation_vector
 
 PROTOCOLS = ("raw", "filtered")
 TIE_POLICIES = ("optimistic", "pessimistic")
@@ -323,7 +323,7 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # untrusted sides are rescored exactly
-def _rank_triplets(triplets, state: EmbeddingState, strategy: SharingStrategy, scoring: str,
+def _rank_triplets(triplets, state: EmbeddingState, scoring: str,
                    graph_filter: EvalFilter | None, protocol: str, tie: str):
     """(2, m) head- and tail-corruption ranks of the id arrays of `triplets`,
     in blocks of up to RANK_BLOCK_SIDES sides per side."""
@@ -337,7 +337,7 @@ def _rank_triplets(triplets, state: EmbeddingState, strategy: SharingStrategy, s
     if filtered and graph_filter is None:
         raise ValueError("filtered protocol needs an EvalFilter")
     distinct, relation_of = np.unique(triplets.relations, return_inverse=True)
-    vectors = relation_vector(state, strategy, distinct)
+    vectors = relation_vector(state, distinct)
     heads, relations, tails = triplets.heads, triplets.relations, triplets.tails
     ranks = np.empty((2, heads.size), dtype=np.int64)
     if heads.size == 0:
@@ -371,7 +371,6 @@ def _rank_triplets(triplets, state: EmbeddingState, strategy: SharingStrategy, s
 def rank_triplet(
     triplet,
     state: EmbeddingState,
-    strategy: SharingStrategy,
     scoring: str,
     graph_filter: EvalFilter | None = None,
     protocol: str = "filtered",
@@ -379,7 +378,7 @@ def rank_triplet(
 ) -> tuple[int, int]:
     """(head-corruption rank, tail-corruption rank) of one triplet: the
     ranking `evaluate` runs, on a batch of one."""
-    ranks = _rank_triplets(TripletBatch.pack([triplet]), state, strategy, scoring,
+    ranks = _rank_triplets(TripletBatch.pack([triplet]), state, scoring,
                            graph_filter, protocol, tie)
     return int(ranks[0, 0]), int(ranks[1, 0])
 
@@ -401,7 +400,6 @@ def compute_metrics(ranks, ks=(1, 3, 10), protocol: str = "filtered") -> Ranking
 
 def evaluate(
     state: EmbeddingState,
-    strategy: SharingStrategy,
     scoring: str,
     graph: KnowledgeGraph,
     graph_filter: EvalFilter | None = None,
@@ -410,7 +408,7 @@ def evaluate(
     ks=(1, 3, 10),
 ) -> RankingResult:
     """Rank every triplet of `graph` in both directions and pool the ranks."""
-    ranks = _rank_triplets(graph, state, strategy, scoring, graph_filter, protocol, tie)
+    ranks = _rank_triplets(graph, state, scoring, graph_filter, protocol, tie)
     result = compute_metrics(ranks.ravel(), ks, protocol)
     result.head_ranks, result.tail_ranks = ranks
     return result

@@ -94,7 +94,8 @@ class Dictionary:
         return dct
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        """`id<TAB>name` lines, written temp-then-rename (`atomic_write`)."""
+        with atomic_write(path) as fh:
             for idx, name in enumerate(self._names):
                 fh.write(f"{idx}\t{name}\n")
 

@@ -98,6 +98,11 @@ class ModelConfig:
             raise ConfigError(f"unknown scoring {self.scoring!r}")
         if self.dim < 1:
             raise ConfigError(f"dimension must be positive, got {self.dim}")
+        # NaN passes every comparison below, and inf margins or rates fail only
+        # after an epoch of training
+        for name in ("margin", "lr", "lr_dense", "regularization"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.negatives < 1:
             raise ConfigError(f"negative count must be positive, got {self.negatives}")
         if self.margin < 0:
@@ -108,15 +113,19 @@ class ModelConfig:
             raise ConfigError(f"regularization must be non-negative, got {self.regularization}")
         if self.epochs < 1 or self.batch_nodes < 1:
             raise ConfigError("epochs and batch size must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
 class EmbeddingState:
-    """All learnable parameters plus the minted-relation id map."""
+    """All learnable parameters, the minted-relation id map, and the sharing
+    strategy that decides which of the arrays each relation reads."""
 
     entity_emb: np.ndarray    # (num_entities, d)
     relation_emb: np.ndarray  # (rows, d); rows include minted ids only for the free strategy
     registry: NewRelationRegistry  # fixed; copies share it
+    strategy: SharingStrategy
     rnn: RnnParams | None = None
     basis: BasisParams | None = None
 
@@ -133,6 +142,7 @@ class EmbeddingState:
             self.entity_emb.copy(),
             self.relation_emb.copy(),
             self.registry,
+            self.strategy,
             self.rnn.copy() if self.rnn is not None else None,
             self.basis.copy() if self.basis is not None else None,
         )
@@ -172,7 +182,7 @@ def init_state(
         coefficients = rng.normal(0.0, math.sqrt(1.0 / count), size=(rows, count))
         basis = BasisParams(vectors, coefficients)
 
-    return EmbeddingState(entity, relation, registry, rnn, basis)
+    return EmbeddingState(entity, relation, registry, strategy, rnn, basis)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -339,7 +349,6 @@ def batch_loss_and_grad(
     neg_heads: np.ndarray,
     neg_tails: np.ndarray,
     state: EmbeddingState,
-    strategy: SharingStrategy,
     config: ModelConfig,
 ) -> tuple[float, SparseGrads]:
     """Summed weighted logistic loss of a minibatch, and its gradients.
@@ -370,7 +379,7 @@ def batch_loss_and_grad(
     d = state.dim
     emb = state.entity_emb
     relations, relation_of = np.unique(batch.relations, return_inverse=True)
-    vectors = relation_vector(state, strategy, relations)
+    vectors = relation_vector(state, relations)
     h, t = batch.heads[:, None], batch.tails[:, None]
     # a chunk gathers each positive's heads, then its tails: h, the k corrupted
     # heads, t, the k corrupted tails; entity gradients are added in slot order:
@@ -437,7 +446,7 @@ def batch_loss_and_grad(
         add_rows(entity_grad, row_of[part], block[:n], cells)
 
     grads.entity_rows, grads.entity_grad = rows, entity_grad
-    relation_backward(state, strategy, relations, relation_grad, grads)
+    relation_backward(state, relations, relation_grad, grads)
     return total, grads
 
 
@@ -445,7 +454,6 @@ def loss_and_grad(
     positive,
     negatives,
     state: EmbeddingState,
-    strategy: SharingStrategy,
     config: ModelConfig,
 ) -> tuple[float, SparseGrads]:
     """Weighted logistic loss of one positive against its corruptions.
@@ -459,7 +467,7 @@ def loss_and_grad(
     neg_heads = np.array([[neg.head for neg in negatives]], dtype=np.int64)
     neg_tails = np.array([[neg.tail for neg in negatives]], dtype=np.int64)
     return batch_loss_and_grad(TripletBatch.pack([positive]), neg_heads, neg_tails,
-                               state, strategy, config)
+                               state, config)
 
 
 def _finite_or_raise(values: np.ndarray, name: str, rows: np.ndarray | None = None) -> None:

@@ -16,9 +16,9 @@ ranking call. A relation either owns a row of `relation_emb` (every relation
 under `none`, and the original ones under the others) or takes its vector
 from shared parameters: the rows of its minted metapath, or its basis
 coefficient row (`basis_rows`). The backward routes the gradients onto the
-touched parameters as the row arrays of `SparseGrads`. A state is trusted to
-carry the parameters of its strategy; `storage.load_checkpoint` checks a
-stored one.
+touched parameters as the row arrays of `SparseGrads`. A state carries its
+strategy (`EmbeddingState.strategy`) and is trusted to hold the parameters
+that strategy reads; `storage.load_checkpoint` checks a stored one.
 
 Under `model` and `rnn` the ids are grouped by metapath length, and each
 group is one (g, L, d) stack of relation rows: `model` sums it over its
@@ -281,14 +281,15 @@ def _rnn_backward(params: RnnParams, emb: np.ndarray, paths: list[Metapath],
     out.rnn = RnnParams(*totals)
 
 
-def relation_vector(state: "EmbeddingState", strategy: SharingStrategy,
-                    rel_ids: np.ndarray) -> np.ndarray:
-    """(m, d) vectors of the m relation ids `rel_ids`, original or minted.
+def relation_vector(state: "EmbeddingState", rel_ids: np.ndarray) -> np.ndarray:
+    """(m, d) vectors of the m relation ids `rel_ids`, original or minted,
+    under the state's strategy.
 
     Under `model` and `rnn` the ids are grouped by metapath length: a
     group's vectors are one sum over its (g, L, d) stack of rows, or its
     recurrence run one stacked product per step.
     """
+    strategy = state.strategy
     rel_ids = np.asarray(rel_ids, dtype=np.int64)
     if strategy.kind == "none":
         return state.relation_emb[rel_ids]
@@ -313,12 +314,11 @@ def relation_vector(state: "EmbeddingState", strategy: SharingStrategy,
     return out
 
 
-def relation_backward(
-    state: "EmbeddingState", strategy: SharingStrategy, rel_ids: np.ndarray,
-    grads: np.ndarray, out: SparseGrads,
-) -> None:
+def relation_backward(state: "EmbeddingState", rel_ids: np.ndarray, grads: np.ndarray,
+                      out: SparseGrads) -> None:
     """Accumulate `grads[i]`, the gradient on the vector of relation
     `rel_ids[i]`, into `out`; the contributions of the ids add in id order."""
+    strategy = state.strategy
     rel_ids = np.asarray(rel_ids, dtype=np.int64)
     if rel_ids.size == 0:
         return

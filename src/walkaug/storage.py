@@ -3,11 +3,12 @@
 A checkpoint is a directory (not an archive, so reruns are byte-identical)
 holding one .npy file per parameter array plus a meta.json with the config,
 sharing strategy, walk settings, minted-relation map, rng state and training
-counters. The minted-relation map is stored once, in the `registry` section,
-and the current and best states share it. Loading validates the stored
-config, strategy, walk settings, rng state, counters and log, and checks
-every array against the strategy and the map, so a malformed checkpoint is a
-DataError before any training or ranking starts.
+counters. A state carries its strategy and its minted-relation map; each is
+stored once, in the `strategy` and `registry` sections, and the current and
+best states share them. Loading validates the stored config, strategy, walk
+settings, rng state, counters and log, and checks every array against the
+strategy and the map, so a malformed checkpoint is a DataError before any
+training or ranking starts.
 
 The `walks` section holds the walk settings that `train` takes beside the
 model config (`WALK_SETTINGS`), so that a resume can refuse other ones.
@@ -63,7 +64,6 @@ class Checkpoint:
     state: EmbeddingState
     best_state: EmbeddingState
     config: ModelConfig
-    strategy: SharingStrategy
     rng_state: dict
     epoch: int
     best_mrr: float
@@ -72,8 +72,7 @@ class Checkpoint:
     walks: dict | None = None  # WALK_SETTINGS -> value; None if not recorded
 
 
-def _save_state(directory: str, prefix: str, state: EmbeddingState,
-                strategy: SharingStrategy) -> dict:
+def _save_state(directory: str, prefix: str, state: EmbeddingState) -> dict:
     np.save(os.path.join(directory, f"{prefix}entity_emb.npy"), state.entity_emb)
     np.save(os.path.join(directory, f"{prefix}relation_emb.npy"), state.relation_emb)
     meta = {}
@@ -85,7 +84,7 @@ def _save_state(directory: str, prefix: str, state: EmbeddingState,
     if state.basis is not None:
         np.save(os.path.join(directory, f"{prefix}basis_vectors.npy"), state.basis.vectors)
         np.save(os.path.join(directory, f"{prefix}basis_coef.npy"), state.basis.coefficients)
-        meta["basis_keys"] = [list(k) for k in basis_keys(state.registry, strategy)]
+        meta["basis_keys"] = [list(k) for k in basis_keys(state.registry, state.strategy)]
     return meta
 
 
@@ -109,15 +108,16 @@ def _load_state(directory: str, prefix: str, meta: dict, registry: NewRelationRe
                             f"shape {coef.shape}, expected {sorted(expected)}")
         row_of = {key: i for i, key in enumerate(keys)}
         basis = BasisParams(load("basis_vectors"), coef[[row_of[key] for key in expected]])
-    state = EmbeddingState(load("entity_emb"), load("relation_emb"), registry, rnn, basis)
-    _check_state(state, strategy, f"{prefix}state")
+    state = EmbeddingState(load("entity_emb"), load("relation_emb"), registry, strategy,
+                           rnn, basis)
+    _check_state(state, f"{prefix}state")
     return state
 
 
-def _check_state(state: EmbeddingState, strategy: SharingStrategy, name: str) -> None:
-    """DataError unless the arrays of `state` are the ones `strategy` trains
+def _check_state(state: EmbeddingState, name: str) -> None:
+    """DataError unless the arrays of `state` are the ones its strategy trains
     for its minted relations, all of the entity dimension."""
-    registry, kind = state.registry, strategy.kind
+    registry, strategy, kind = state.registry, state.strategy, state.strategy.kind
     if state.entity_emb.ndim != 2:
         raise DataError(f"{name} entity_emb has shape {state.entity_emb.shape}")
     d = state.dim
@@ -148,7 +148,7 @@ def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
     meta = {
         "format": 1,
         "config": asdict(ckpt.config),
-        "strategy": asdict(ckpt.strategy),
+        "strategy": asdict(ckpt.state.strategy),
         "walks": ckpt.walks,
         "registry": {
             "first_id": ckpt.state.registry.first_id,
@@ -159,8 +159,8 @@ def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
         "best_mrr": ckpt.best_mrr,
         "bad_epochs": ckpt.bad_epochs,
         "log": ckpt.log,
-        "state": _save_state(directory, "", ckpt.state, ckpt.strategy),
-        "best_state": _save_state(directory, "best_", ckpt.best_state, ckpt.strategy),
+        "state": _save_state(directory, "", ckpt.state),
+        "best_state": _save_state(directory, "best_", ckpt.best_state),
     }
     with open(os.path.join(directory, _META), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -232,7 +232,6 @@ def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
         state=_load_state(directory, "", meta["state"], registry, strategy),
         best_state=_load_state(directory, "best_", meta["best_state"], registry, strategy),
         config=config,
-        strategy=strategy,
         rng_state=meta["rng_state"],
         epoch=meta["epoch"],
         best_mrr=meta["best_mrr"],

@@ -66,7 +66,7 @@ def _check_resume(resume: Checkpoint, num_entities: int, config: ModelConfig,
     ours.pop("epochs"), theirs.pop("epochs")  # training longer is the point of resuming
     mismatched = [k for k in ours if ours[k] != theirs[k]]
     mismatched += [k for k in WALK_SETTINGS if walks[k] != resume.walks[k]]
-    mismatched += [] if asdict(strategy) == asdict(resume.strategy) else ["strategy"]
+    mismatched += [] if asdict(strategy) == asdict(resume.state.strategy) else ["strategy"]
     if mismatched:
         raise ConfigError(f"resume checkpoint disagrees on: {', '.join(sorted(mismatched))}")
     theirs = resume.state.registry
@@ -148,14 +148,14 @@ def train(
             if not batch:
                 continue
             neg_heads, neg_tails = draw_negatives(batch, graph.num_entities, config.negatives, rng)
-            loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, config)
+            loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, config)
             apply_update(state, grads, config)
             loss_sum += loss
             loss_count += len(batch)
 
         valid_mrr = None
         if has_valid:
-            result = evaluate(state, strategy, config.scoring, dataset.valid,
+            result = evaluate(state, config.scoring, dataset.valid,
                               graph_filter, protocol="filtered", tie="optimistic")
             valid_mrr = result.mrr
             if valid_mrr > best_mrr:
@@ -173,7 +173,7 @@ def train(
             progress(stats)
         if checkpoint_dir is not None:
             save_checkpoint(checkpoint_dir, Checkpoint(
-                state=state, best_state=best_state, config=config, strategy=strategy,
+                state=state, best_state=best_state, config=config,
                 rng_state=rng.bit_generator.state,
                 epoch=epoch, best_mrr=best_mrr, bad_epochs=bad_epochs,
                 log=[entry.to_dict() for entry in log], walks=walks,

@@ -35,14 +35,14 @@ def build_case(rng, scoring, kind, weight=1.0, include_original=False):
         weight,
     )
     negatives = negative_sample(positive, num_entities, 2, rng)
-    return state, strategy, config, positive, negatives
+    return state, config, positive, negatives
 
 
-def away_from_kinks(state, strategy, config, positive, negatives) -> bool:
+def away_from_kinks(state, config, positive, negatives) -> bool:
     """True when no |.| fold or zero norm sits within finite-difference reach."""
     if config.scoring == "distmult":
         return True
-    r = relation_vector(state, strategy, [positive.relation])[0]
+    r = relation_vector(state, [positive.relation])[0]
     margin = np.inf
     for t in [positive] + list(negatives):
         delta = state.entity_emb[t.head] + r - state.entity_emb[t.tail]
@@ -53,15 +53,15 @@ def away_from_kinks(state, strategy, config, positive, negatives) -> bool:
     return margin > 1e-3
 
 
-def check_case(state, strategy, config, positive, negatives, rtol=1e-4, atol=1e-7):
+def check_case(state, config, positive, negatives, rtol=1e-4, atol=1e-7):
     """Compare every analytic gradient against central differences.
 
     Returns (max relative error over well-scaled entries, failure list).
     """
     def fn():
-        return loss_and_grad(positive, negatives, state, strategy, config)[0]
+        return loss_and_grad(positive, negatives, state, config)[0]
 
-    _, grads = loss_and_grad(positive, negatives, state, strategy, config)
+    _, grads = loss_and_grad(positive, negatives, state, config)
     failures = []
     worst = 0.0
 

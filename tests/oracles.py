@@ -247,7 +247,7 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def two_pass_batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, config):
+def two_pass_batch_loss_and_grad(batch, neg_heads, neg_tails, state, config):
     """`models.batch_loss_and_grad` with each chunk's positives and corruptions
     scored and differentiated in separate `score` / `score_backward` passes."""
     grads = SparseGrads()
@@ -264,7 +264,7 @@ def two_pass_batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, c
     d = state.dim
     emb = state.entity_emb
     relations, relation_of = np.unique(batch.relations, return_inverse=True)
-    vectors = relation_vector(state, strategy, relations)
+    vectors = relation_vector(state, relations)
     slots = np.concatenate(
         (batch.heads[:, None], batch.tails[:, None], neg_heads, neg_tails), axis=1)
     rows, row_of = np.unique(slots, return_inverse=True)
@@ -305,7 +305,7 @@ def two_pass_batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, c
         add_rows(entity_grad, row_of[part], block)
 
     grads.entity_rows, grads.entity_grad = rows, entity_grad
-    relation_backward(state, strategy, relations, relation_grad, grads)
+    relation_backward(state, relations, relation_grad, grads)
     return total, grads
 
 
@@ -333,7 +333,7 @@ def _table_rank(scores, true_idx, known, tie) -> int:
     return 1 + int(np.count_nonzero(better))
 
 
-def loop_ranks(triplets, state, strategy, scoring, graph_filter, protocol, tie):
+def loop_ranks(triplets, state, scoring, graph_filter, protocol, tie):
     """(2, m) head- and tail-corruption ranks, one `models.score` pass over
     the whole entity table per triplet side."""
     filtered = protocol == "filtered"
@@ -341,7 +341,7 @@ def loop_ranks(triplets, state, strategy, scoring, graph_filter, protocol, tie):
     ranks = np.empty((2, len(triplets.heads)), dtype=np.int64)
     for i, (h, rel, t) in enumerate(zip(triplets.heads.tolist(), triplets.relations.tolist(),
                                         triplets.tails.tolist())):
-        r = relation_vector(state, strategy, [rel])[0]
+        r = relation_vector(state, [rel])[0]
         known = graph_filter.known_heads(rel, t) if filtered else []
         ranks[0, i] = _table_rank(score(emb, r, emb[t], scoring), h, known, tie)
         known = graph_filter.known_tails(h, rel) if filtered else []

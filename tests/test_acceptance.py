@@ -201,14 +201,14 @@ def test_criterion_5_ranking_metrics_match_hand_computation():
                         for _ in range(int(rng.integers(3, 14)))})
         graph = make_graph(edges, num_entities=n, num_relations=2)
         state = EmbeddingState(rng.normal(size=(n, 5)), rng.normal(size=(2, 5)),
-                               NewRelationRegistry(2))
+                               NewRelationRegistry(2), strategy)
         ef = EvalFilter.from_graphs([graph])
         for h, rel, t in edges:
             scoring = ("transe_l2", "transe_l1", "distmult")[fixtures % 3]
             tie = ("optimistic", "pessimistic")[fixtures % 2]
-            raw = rank_triplet(Triplet(h, rel, t), state, strategy, scoring,
+            raw = rank_triplet(Triplet(h, rel, t), state, scoring,
                                graph_filter=ef, protocol="raw", tie=tie)
-            filt = rank_triplet(Triplet(h, rel, t), state, strategy, scoring,
+            filt = rank_triplet(Triplet(h, rel, t), state, scoring,
                                 graph_filter=ef, protocol="filtered", tie=tie)
             assert filt[0] <= raw[0] and filt[1] <= raw[1]
             fixtures += 1
@@ -266,7 +266,7 @@ def _filtered_test_mrr(dataset, informative, rulemaps, config, strategy,
                    l_max=3, original_edge_sample=original_edge_sample,
                    patience=patience)
     ef = EvalFilter.from_graphs(dataset.graphs())
-    return evaluate(result.state, strategy, config.scoring, dataset.test, ef).mrr
+    return evaluate(result.state, config.scoring, dataset.test, ef).mrr
 
 
 def test_criterion_6_walk_augmentation_beats_plain_training():

@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_dataset
-from walkaug import ConfigError, Dictionary, cli, load_tsv_dataset, read_embedding_matrix
+from walkaug import (
+    ConfigError,
+    Dictionary,
+    ModelConfig,
+    cli,
+    load_checkpoint,
+    load_tsv_dataset,
+    read_embedding_matrix,
+    relation_vector,
+    write_embedding_matrix,
+)
 from walkaug import storage
 from walkaug.cli import PipelineConfig, main, read_config_file
 from walkaug.graph import atomic_write
@@ -276,7 +286,8 @@ def test_malformed_checkpoint_meta_is_a_data_error(data, tmp_path, capsys, damag
 
 
 @pytest.mark.parametrize("damage,named", [("unknown scoring", "unknown scoring 'foo'"),
-                                          ("model strategy with distmult", "bilinear distmult")])
+                                          ("model strategy with distmult", "bilinear distmult"),
+                                          ("non-finite lr_dense", "lr_dense must be finite")])
 def test_checkpoint_with_invalid_stored_config_is_a_data_error(data, tmp_path, capsys, damage,
                                                                named):
     train_argv = base_args(data, "train") + TRAIN_SPEED + ["--mode", "none", "--epochs", "1"]
@@ -286,6 +297,8 @@ def test_checkpoint_with_invalid_stored_config_is_a_data_error(data, tmp_path, c
     meta = json.load(open(meta_path))
     if damage == "unknown scoring":
         meta["config"]["scoring"] = "foo"
+    elif damage == "non-finite lr_dense":  # json writes NaN, as an older train did
+        meta["config"]["lr_dense"] = float("nan")
     else:  # nothing is minted under --mode none, so the arrays still fit the strategy
         meta["strategy"]["kind"] = "model"
         meta["config"]["scoring"] = "distmult"
@@ -816,3 +829,55 @@ def test_atomic_write_creates_the_mode_of_a_plain_open(tmp_path, umask):
     finally:
         os.umask(old)
     assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode
+
+
+@pytest.mark.parametrize("strategy", [["none"], ["basis", "--basis-include-original"]])
+def test_relation_emb_holds_the_vectors_the_scorer_reads(data, tmp_path, strategy):
+    assert main(base_args(data, "mine")) == 0 and main(base_args(data, "rules")) == 0
+    argv = base_args(data, "train") + TRAIN_SPEED + ["--conf-threshold", "0.9", "--strategy"]
+    assert main(argv + strategy) == 0
+    state = load_checkpoint(os.path.join(data["out"], "checkpoint")).best_state
+    written = os.path.join(data["out"], "relation.emb")
+    if strategy == ["none"]:  # the relation rows, bytes as before
+        write_embedding_matrix(tmp_path / "rows.emb", state.relation_emb)
+        assert open(written, "rb").read() == (tmp_path / "rows.emb").read_bytes()
+    else:  # the basis combinations; the original relations' own rows stay untrained
+        want = relation_vector(state, np.arange(3)).astype(np.float32)
+        assert np.array_equal(read_embedding_matrix(written), want)
+        assert not np.array_equal(want, state.relation_emb.astype(np.float32))
+
+
+@pytest.mark.parametrize("argv", [["train", "--seed", "-1"],
+                                  ["mine", "--sample-p", "0.5", "--seed", "-1"],
+                                  ["rules", "--seed", "-1"], ["eval", "--seed", "-1"]])
+def test_a_negative_seed_is_a_configuration_error(data, capsys, argv):
+    assert main(argv + ["--train", data["train"], "--out-dir", data["out"]]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative" in err and "Traceback" not in err
+    with pytest.raises(ConfigError, match="seed"):
+        ModelConfig(seed=-1).validate()
+
+
+@pytest.mark.parametrize("flag,value", [("--lr-dense", "nan"), ("--lr", "nan"), ("--lr", "inf"),
+                                        ("--margin", "nan"), ("--margin", "inf"),
+                                        ("--regularization", "inf")])
+def test_non_finite_model_settings_are_configuration_errors(data, capsys, flag, value):
+    argv = base_args(data, "train") + TRAIN_SPEED + ["--mode", "none", flag, value]
+    assert main(argv) == 2
+    name = flag[2:].replace("-", "_")
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(data["out"], "checkpoint"))
+
+
+def test_a_failed_dictionary_write_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "entities.dict"
+    Dictionary(["a", "b"]).write(path)
+    assert path.read_bytes() == b"0\ta\n1\tb\n"
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError):
+        Dictionary(["c"]).write(path)
+    assert path.read_bytes() == b"0\ta\n1\tb\n" and os.listdir(tmp_path) == ["entities.dict"]

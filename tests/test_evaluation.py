@@ -33,6 +33,7 @@ def line_state(entities, relations):
         np.array(entities, dtype=np.float64).reshape(len(entities), -1),
         np.array(relations, dtype=np.float64).reshape(len(relations), -1),
         NewRelationRegistry(len(relations)),
+        STRATEGY,
     )
 
 
@@ -40,11 +41,11 @@ def test_rank_hand_computed_line_embedding():
     # tail candidates score -|e - (h + r)|: best is the entity at 1.0
     state = line_state([[0.0], [1.0], [2.0], [3.0]], [[1.0]])
     head_rank, tail_rank = rank_triplet(
-        Triplet(0, 0, 1), state, STRATEGY, "transe_l2", protocol="raw"
+        Triplet(0, 0, 1), state, "transe_l2", protocol="raw"
     )
     assert (head_rank, tail_rank) == (1, 1)
     head_rank, tail_rank = rank_triplet(
-        Triplet(0, 0, 3), state, STRATEGY, "transe_l2", protocol="raw"
+        Triplet(0, 0, 3), state, "transe_l2", protocol="raw"
     )
     # tail side: candidate 3 sits 2.0 away from h+r=1, beaten by 0, 1, 2
     assert tail_rank == 4
@@ -56,10 +57,10 @@ def test_tie_policies_differ_on_duplicates():
     state = line_state([[0.0], [1.0], [1.0], [5.0]], [[1.0]])
     positive = Triplet(0, 0, 1)
     _, optimistic = rank_triplet(
-        positive, state, STRATEGY, "transe_l2", protocol="raw", tie="optimistic"
+        positive, state, "transe_l2", protocol="raw", tie="optimistic"
     )
     _, pessimistic = rank_triplet(
-        positive, state, STRATEGY, "transe_l2", protocol="raw", tie="pessimistic"
+        positive, state, "transe_l2", protocol="raw", tie="pessimistic"
     )
     assert optimistic == 1  # entity 2 ties, nothing strictly better
     assert pessimistic == 2
@@ -72,11 +73,12 @@ def test_tie_policies_differ_on_duplicates():
             emb = rng.normal(size=(40, dim))
             emb[[5, 17, 33]] = emb[2]
             emb[[9, 21]] = emb[30]
-            state = EmbeddingState(emb, rng.normal(size=(1, dim)), NewRelationRegistry(1))
+            state = EmbeddingState(emb, rng.normal(size=(1, dim)), NewRelationRegistry(1),
+                                   STRATEGY)
             positive = Triplet(2, 0, 30)
-            optimistic = rank_triplet(positive, state, STRATEGY, scoring,
+            optimistic = rank_triplet(positive, state, scoring,
                                       protocol="raw", tie="optimistic")
-            pessimistic = rank_triplet(positive, state, STRATEGY, scoring,
+            pessimistic = rank_triplet(positive, state, scoring,
                                        protocol="raw", tie="pessimistic")
             assert pessimistic[0] - optimistic[0] == 3, (scoring, dim)
             assert pessimistic[1] - optimistic[1] == 2, (scoring, dim)
@@ -113,7 +115,7 @@ def test_filtered_protocol_removes_known_candidates():
     graph = make_graph([(0, 0, 1), (0, 0, 2)], num_entities=4, num_relations=1)
     ef = EvalFilter.from_graphs([graph])
     _, tail_rank = rank_triplet(
-        Triplet(0, 0, 1), state, STRATEGY, "transe_l2",
+        Triplet(0, 0, 1), state, "transe_l2",
         graph_filter=ef, protocol="filtered", tie="pessimistic",
     )
     assert tail_rank == 1  # the tying entity 2 is a known true tail
@@ -122,12 +124,12 @@ def test_filtered_protocol_removes_known_candidates():
 def test_rank_triplet_validation():
     state = line_state([[0.0], [1.0]], [[1.0]])
     with pytest.raises(ValueError):
-        rank_triplet(Triplet(0, 0, 1), state, STRATEGY, "transe_l2", protocol="both")
+        rank_triplet(Triplet(0, 0, 1), state, "transe_l2", protocol="both")
     with pytest.raises(ValueError):
-        rank_triplet(Triplet(0, 0, 1), state, STRATEGY, "transe_l2",
+        rank_triplet(Triplet(0, 0, 1), state, "transe_l2",
                      protocol="raw", tie="hopeful")
     with pytest.raises(ValueError):
-        rank_triplet(Triplet(0, 0, 1), state, STRATEGY, "transe_l2", protocol="filtered")
+        rank_triplet(Triplet(0, 0, 1), state, "transe_l2", protocol="filtered")
 
 
 def test_eval_filter_lookup():
@@ -197,9 +199,9 @@ def test_evaluate_minted_relations_once_per_relation(monkeypatch, kind, include_
     calls = []
     build = evaluation.relation_vector
 
-    def counted(state, strategy, rel_ids):
+    def counted(state, rel_ids):
         calls.append(np.asarray(rel_ids).tolist())
-        return build(state, strategy, rel_ids)
+        return build(state, rel_ids)
 
     for scoring in ("transe_l2", "transe_l1", "distmult"):
         if kind == "model" and scoring == "distmult":
@@ -209,10 +211,10 @@ def test_evaluate_minted_relations_once_per_relation(monkeypatch, kind, include_
         for protocol, tie in (("filtered", "optimistic"), ("raw", "pessimistic")):
             monkeypatch.setattr(evaluation, "relation_vector", counted)
             calls.clear()
-            result = evaluate(state, strategy, scoring, graph, ef, protocol, tie)
+            result = evaluate(state, scoring, graph, ef, protocol, tie)
             assert calls == [sorted({rel for _, rel, _ in edges})]  # one call, each relation once
             monkeypatch.setattr(evaluation, "relation_vector", build)
-            want = [rank_triplet(Triplet(*edge), state, strategy, scoring, ef, protocol, tie)
+            want = [rank_triplet(Triplet(*edge), state, scoring, ef, protocol, tie)
                     for edge in edges]
             assert result.head_ranks.tolist() == [head for head, _ in want]
             assert result.tail_ranks.tolist() == [tail for _, tail in want]
@@ -231,7 +233,8 @@ def test_ranks_match_score_loop_oracle():
         )
         graph = make_graph(edges, num_entities=n, num_relations=num_rels)
         state = EmbeddingState(
-            rng.normal(size=(n, 6)), rng.normal(size=(num_rels, 6)), NewRelationRegistry(num_rels)
+            rng.normal(size=(n, 6)), rng.normal(size=(num_rels, 6)), NewRelationRegistry(num_rels),
+            STRATEGY,
         )
         ef = EvalFilter.from_graphs([graph])
         scoring = ("transe_l2", "transe_l1", "distmult")[case % 3]
@@ -239,7 +242,7 @@ def test_ranks_match_score_loop_oracle():
         h, rel, t = edges[int(rng.integers(len(edges)))]
         for protocol in ("raw", "filtered"):
             head_rank, tail_rank = rank_triplet(
-                Triplet(h, rel, t), state, STRATEGY, scoring,
+                Triplet(h, rel, t), state, scoring,
                 graph_filter=ef, protocol=protocol, tie=tie,
             )
             r = state.relation_emb[rel]
@@ -285,7 +288,7 @@ def test_block_ranks_equal_the_loop_oracle(kind, n, d, m, scale_exp, block, side
     # any tile of any block, a partial last tile included
     rng = np.random.default_rng(seed)
     emb, relations = adversarial_table(rng, kind, n, d, 10.0 ** scale_exp)
-    state = EmbeddingState(emb, relations, NewRelationRegistry(3))
+    state = EmbeddingState(emb, relations, NewRelationRegistry(3), STRATEGY)
     edges = np.column_stack((rng.integers(n, size=m), rng.integers(3, size=m),
                              rng.integers(n, size=m)))
     graph = make_graph(edges, num_entities=n, num_relations=3)
@@ -297,8 +300,8 @@ def test_block_ranks_equal_the_loop_oracle(kind, n, d, m, scale_exp, block, side
     with mock.patch.object(evaluation, "RANK_BLOCK_VALUES", block), \
             mock.patch.object(evaluation, "RANK_BLOCK_SIDES", sides):
         for scoring, protocol, tie in CASES:
-            got = evaluate(state, STRATEGY, scoring, graph, ef, protocol, tie)
-            want = loop_ranks(graph, state, STRATEGY, scoring, ef, protocol, tie)
+            got = evaluate(state, scoring, graph, ef, protocol, tie)
+            want = loop_ranks(graph, state, scoring, ef, protocol, tie)
             assert got.head_ranks.tolist() == want[0].tolist(), (scoring, protocol, tie)
             assert got.tail_ranks.tolist() == want[1].tolist(), (scoring, protocol, tie)
 
@@ -335,7 +338,7 @@ def test_untrusted_sides_are_rescored_exactly(spoil):
     n, d, m = 30, 5, 16
     emb, relations = rng.normal(size=(n, d)), rng.normal(size=(3, d))
     spoil(emb, relations)
-    state = EmbeddingState(emb, relations, NewRelationRegistry(3))
+    state = EmbeddingState(emb, relations, NewRelationRegistry(3), STRATEGY)
     edges = np.column_stack((rng.integers(n, size=m), rng.integers(3, size=m),
                              rng.integers(n, size=m)))
     edges[:3, 0] = 4  # the infinite row is a positive, an anchor and a candidate
@@ -344,9 +347,9 @@ def test_untrusted_sides_are_rescored_exactly(spoil):
                                         rng.integers(n, size=3 * n))), n, 3)
     ef = EvalFilter.from_graphs([graph, known])
     for scoring, protocol, tie in CASES:
-        got = evaluate(state, STRATEGY, scoring, graph, ef, protocol, tie)
+        got = evaluate(state, scoring, graph, ef, protocol, tie)
         with np.errstate(all="ignore"):
-            want = loop_ranks(graph, state, STRATEGY, scoring, ef, protocol, tie)
+            want = loop_ranks(graph, state, scoring, ef, protocol, tie)
         assert got.head_ranks.tolist() == want[0].tolist(), (scoring, protocol, tie)
         assert got.tail_ranks.tolist() == want[1].tolist(), (scoring, protocol, tie)
 
@@ -356,18 +359,18 @@ def test_zero_band_misranks_a_tie_table(monkeypatch):
     rng = np.random.default_rng(31)
     n, d, m = 3000, 8, 200
     emb, relations = adversarial_table(rng, "one_decimal", n, d, 1.0)
-    state = EmbeddingState(emb, relations, NewRelationRegistry(3))
+    state = EmbeddingState(emb, relations, NewRelationRegistry(3), STRATEGY)
     edges = np.column_stack((rng.integers(n, size=m), rng.integers(3, size=m),
                              rng.integers(n, size=m)))
     graph = make_graph(edges, num_entities=n, num_relations=3)
     band = evaluation._band
     for scoring in ("transe_l2", "distmult"):
         for tie in ("optimistic", "pessimistic"):
-            want = loop_ranks(graph, state, STRATEGY, scoring, None, "raw", tie)
-            got = evaluate(state, STRATEGY, scoring, graph, None, "raw", tie)
+            want = loop_ranks(graph, state, scoring, None, "raw", tie)
+            got = evaluate(state, scoring, graph, None, "raw", tie)
             assert np.array_equal(np.stack((got.head_ranks, got.tail_ranks)), want)
             monkeypatch.setattr(evaluation, "_band", lambda *args: np.zeros(args[3].shape))
-            got = evaluate(state, STRATEGY, scoring, graph, None, "raw", tie)
+            got = evaluate(state, scoring, graph, None, "raw", tie)
             monkeypatch.setattr(evaluation, "_band", band)
             assert not np.array_equal(np.stack((got.head_ranks, got.tail_ranks)), want)
 
@@ -399,13 +402,13 @@ def test_filtered_rank_never_exceeds_raw():
         edges = sorted({(int(rng.integers(n)), 0, int(rng.integers(n))) for _ in range(8)})
         graph = make_graph(edges, num_entities=n, num_relations=1)
         state = EmbeddingState(rng.normal(size=(n, 4)), rng.normal(size=(1, 4)),
-                               NewRelationRegistry(1))
+                               NewRelationRegistry(1), STRATEGY)
         ef = EvalFilter.from_graphs([graph])
         for h, rel, t in edges:
             for tie in ("optimistic", "pessimistic"):
-                raw = rank_triplet(Triplet(h, rel, t), state, STRATEGY, "transe_l2",
+                raw = rank_triplet(Triplet(h, rel, t), state, "transe_l2",
                                    graph_filter=ef, protocol="raw", tie=tie)
-                filt = rank_triplet(Triplet(h, rel, t), state, STRATEGY, "transe_l2",
+                filt = rank_triplet(Triplet(h, rel, t), state, "transe_l2",
                                     graph_filter=ef, protocol="filtered", tie=tie)
                 assert filt[0] <= raw[0] and filt[1] <= raw[1]
 
@@ -438,7 +441,7 @@ def test_evaluate_pools_head_and_tail_ranks():
     state = line_state([[0.0], [1.0], [2.0], [3.0]], [[1.0]])
     graph = make_graph([(0, 0, 1), (1, 0, 2)], num_entities=4, num_relations=1)
     ef = EvalFilter.from_graphs([graph])
-    res = evaluate(state, STRATEGY, "transe_l2", graph, ef, protocol="filtered")
+    res = evaluate(state, "transe_l2", graph, ef, protocol="filtered")
     assert res.count == 4
     assert res.head_ranks.shape == (2,) and res.tail_ranks.shape == (2,)
     pooled = compute_metrics(

@@ -127,7 +127,7 @@ def test_loss_matches_scalar_oracle():
         state = init_state(6, NewRelationRegistry(2), config, strategy, rng)
         positive = WeightedTriplet(0, 1, 3, 0.7)
         negatives = [Triplet(4, 1, 3), Triplet(0, 1, 5), Triplet(2, 1, 3)]
-        got, _ = loss_and_grad(positive, negatives, state, strategy, config)
+        got, _ = loss_and_grad(positive, negatives, state, config)
         want = scalar_loss(
             positive,
             negatives,
@@ -147,11 +147,11 @@ def test_loss_scales_linearly_with_weight():
     state = init_state(7, NewRelationRegistry(2), config, strategy, rng)
     negatives = [Triplet(5, 0, 2), Triplet(1, 0, 6)]
     base_loss, base_grads = loss_and_grad(
-        WeightedTriplet(1, 0, 2, 1.0), negatives, state, strategy, config
+        WeightedTriplet(1, 0, 2, 1.0), negatives, state, config
     )
     w = 2.3
     loss_w, grads_w = loss_and_grad(
-        WeightedTriplet(1, 0, 2, w), negatives, state, strategy, config
+        WeightedTriplet(1, 0, 2, w), negatives, state, config
     )
     assert loss_w == w * base_loss  # identical float product
     assert np.array_equal(grads_w.entity_rows, base_grads.entity_rows)
@@ -166,7 +166,7 @@ def test_zero_weight_short_circuits():
     config = ModelConfig(scoring="transe_l2", dim=5, negatives=1, seed=0)
     state = init_state(4, NewRelationRegistry(1), config, strategy, rng)
     loss, grads = loss_and_grad(
-        WeightedTriplet(0, 0, 1, 0.0), [Triplet(2, 0, 1)], state, strategy, config
+        WeightedTriplet(0, 0, 1, 0.0), [Triplet(2, 0, 1)], state, config
     )
     assert loss == 0.0
     assert grads.entity_rows.size == 0 and grads.relation_rows.size == 0
@@ -178,7 +178,7 @@ def test_negatives_must_share_relation():
     config = ModelConfig(scoring="transe_l2", dim=3, negatives=1, seed=0)
     state = init_state(4, NewRelationRegistry(2), config, strategy, rng)
     with pytest.raises(ValueError):
-        loss_and_grad(Triplet(0, 0, 1), [Triplet(2, 1, 1)], state, strategy, config)
+        loss_and_grad(Triplet(0, 0, 1), [Triplet(2, 1, 1)], state, config)
 
 
 def test_negative_sampling_balances_sides():
@@ -370,14 +370,14 @@ def test_batch_kernel_equals_sum_of_single_positives(scoring, kind, include_orig
     batch = TripletBatch.pack(positives)
     neg_heads, neg_tails = draw_negatives(batch, num_entities, config.negatives, rng)
 
-    loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, config)
+    loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, config)
 
     want_loss = 0.0
     want = SparseGrads()
     for i, positive in enumerate(positives):
         negatives = [Triplet(int(h), positive.relation, int(t))
                      for h, t in zip(neg_heads[i], neg_tails[i])]
-        one_loss, one = loss_and_grad(positive, negatives, state, strategy, config)
+        one_loss, one = loss_and_grad(positive, negatives, state, config)
         want_loss += one_loss
         want.update(one)
     assert math.isclose(loss, want_loss, rel_tol=1e-12)
@@ -417,7 +417,7 @@ def test_batch_kernel_equals_the_two_pass_oracle_bit_for_bit(scoring, kind, incl
     weights = rng.choice([0.4, 1.0, 2.3], size=size)
     heads[0], relations[0], tails[0] = 0, 0, 1
     # positive 0 translates exactly, h + r == t: a zero norm under TransE
-    r0 = relation_vector(state, strategy, np.unique(relations))[0]
+    r0 = relation_vector(state, np.unique(relations))[0]
     state.entity_emb[1] = state.entity_emb[0] + r0
     assert not np.any(state.entity_emb[0] + r0 - state.entity_emb[1])
     weights[5::9] = 0.0
@@ -426,9 +426,8 @@ def test_batch_kernel_equals_the_two_pass_oracle_bit_for_bit(scoring, kind, incl
     batch = TripletBatch(heads, relations, tails, weights)
     neg_heads, neg_tails = draw_negatives(batch, num_entities, config.negatives, rng)
 
-    loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, strategy, config)
-    want_loss, want = two_pass_batch_loss_and_grad(batch, neg_heads, neg_tails, state,
-                                                   strategy, config)
+    loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, config)
+    want_loss, want = two_pass_batch_loss_and_grad(batch, neg_heads, neg_tails, state, config)
     assert loss == want_loss
     _assert_grads_equal(grads, want)
 
@@ -443,10 +442,10 @@ def test_zero_weight_positives_contribute_nothing_to_a_batch():
     neg_heads = np.array([[1, 0], [5, 4], [3, 2]])
     neg_tails = np.array([[0, 1], [4, 5], [2, 3]])
     loss, grads = batch_loss_and_grad(TripletBatch.pack(mixed), neg_heads, neg_tails,
-                                      state, strategy, config)
+                                      state, config)
     rows = [0, 2]
     want_loss, want = batch_loss_and_grad(TripletBatch.pack(kept), neg_heads[rows],
-                                          neg_tails[rows], state, strategy, config)
+                                          neg_tails[rows], state, config)
     assert loss == want_loss
     assert 4 not in grads.entity_rows and 5 not in grads.entity_rows
     _assert_grads_close(grads, want, rtol=0)
@@ -465,7 +464,7 @@ def test_non_finite_loss_names_the_first_offending_triplet():
                      Triplet(2, 0, 4), Triplet(3, 0, 1)]
         neg = np.array([[1], [2], [0], [0]])
         with pytest.raises(NumericError) as info:
-            batch_loss_and_grad(TripletBatch.pack(positives), neg, neg, state, strategy, config)
+            batch_loss_and_grad(TripletBatch.pack(positives), neg, neg, state, config)
         assert info.value.triplet == Triplet(3, 0, 1)
         assert "(3, 0, 1)" in str(info.value)
 
@@ -481,8 +480,7 @@ def test_non_finite_corruption_raises_numeric_error_without_a_warning():
         state.entity_emb[3] = np.inf
         with pytest.raises(NumericError):
             _, grads = batch_loss_and_grad(TripletBatch.pack([Triplet(0, 0, 1)]),
-                                           np.array([[3]]), np.array([[1]]), state, strategy,
-                                           config)
+                                           np.array([[3]]), np.array([[1]]), state, config)
             apply_update(state, grads, config)
 
 
@@ -494,8 +492,7 @@ def test_batch_kernel_rejects_entity_ids_out_of_range(bad):
     state = init_state(5, NewRelationRegistry(1), config, strategy, rng)
     batch = TripletBatch.pack([Triplet(0, 0, 1), Triplet(2, 0, 4)])
     with pytest.raises(IndexError):
-        batch_loss_and_grad(batch, np.array([[1], [bad]]), np.array([[1], [4]]), state,
-                            strategy, config)
+        batch_loss_and_grad(batch, np.array([[1], [bad]]), np.array([[1], [4]]), state, config)
 
 
 def test_apply_update_rejects_non_finite_parameters():

@@ -39,8 +39,7 @@ def make_state(kind, seed=0, include_original=False, dim=4):
     )
     config = ModelConfig(scoring="transe_l2", dim=dim, seed=seed)
     rng = np.random.default_rng(seed)
-    state = init_state(6, MINTED, config, strategy, rng)
-    return state, strategy
+    return init_state(6, MINTED, config, strategy, rng)
 
 
 def test_validation_rejects_bad_settings():
@@ -54,28 +53,28 @@ def test_validation_rejects_bad_settings():
 
 
 def test_parameter_shapes_per_strategy():
-    state, _ = make_state("none")
+    state = make_state("none")
     assert state.relation_emb.shape == (5, 4)  # 3 original + 2 minted rows
     assert state.rnn is None and state.basis is None
 
-    state, _ = make_state("model")
+    state = make_state("model")
     assert state.relation_emb.shape == (3, 4)
 
-    state, _ = make_state("rnn")
+    state = make_state("rnn")
     assert state.relation_emb.shape == (3, 4)
     assert state.rnn.w_in.shape == (4, 4)
     assert state.rnn.w_rec.shape == (4, 4)
     assert np.all(state.rnn.bias == 0.0)
 
-    state, strategy = make_state("basis")
+    state = make_state("basis")
     assert state.basis.vectors.shape == (3, 4)
     assert state.basis.coefficients.shape == (2, 3)
-    assert basis_keys(MINTED, strategy) == [(0, 1), (2, 1, 0)]
+    assert basis_keys(MINTED, state.strategy) == [(0, 1), (2, 1, 0)]
 
-    state, strategy = make_state("basis", include_original=True)
+    state = make_state("basis", include_original=True)
     assert state.basis.coefficients.shape == (5, 3)
-    assert basis_keys(MINTED, strategy) == [(0, 1), (2, 1, 0), (0,), (1,), (2,)]
-    assert basis_rows(MINTED, strategy, np.arange(5)).tolist() == [2, 3, 4, 0, 1]
+    assert basis_keys(MINTED, state.strategy) == [(0, 1), (2, 1, 0), (0,), (1,), (2,)]
+    assert basis_rows(MINTED, state.strategy, np.arange(5)).tolist() == [2, 3, 4, 0, 1]
 
 
 @settings(max_examples=60)
@@ -93,46 +92,48 @@ def test_compose_matches_left_fold_exactly(rows):
     # bit for bit the left fold
     vectors = np.array(rows, dtype=np.float64)
     registry = NewRelationRegistry(len(rows), [tuple(range(len(rows)))])
-    state = EmbeddingState(np.zeros((1, vectors.shape[1])), vectors, registry)
+    state = EmbeddingState(np.zeros((1, vectors.shape[1])), vectors, registry,
+                           SharingStrategy(kind="model"))
     want_sum = functools.reduce(np.add, list(vectors))
-    got = relation_vector(state, SharingStrategy(kind="model"), [len(rows)])[0]
+    got = relation_vector(state, [len(rows)])[0]
     assert np.array_equal(got, want_sum)
 
 
 def test_compose_sum_backward_broadcasts_grad():
     # model sharing: each constituent gets the whole gradient, once per use
     registry = NewRelationRegistry(3, [(2, 0, 2)])
-    state = EmbeddingState(np.zeros((1, 4)), np.arange(12.0).reshape(3, 4), registry)
+    state = EmbeddingState(np.zeros((1, 4)), np.arange(12.0).reshape(3, 4), registry,
+                           SharingStrategy(kind="model"))
     grad = np.array([1.0, -2.0, 0.5, 3.0])
     out = SparseGrads()
-    relation_backward(state, SharingStrategy(kind="model"), [3], grad[None], out)
+    relation_backward(state, [3], grad[None], out)
     assert out.relation_rows.tolist() == [0, 2]
     assert np.array_equal(out.relation_grad[0], grad)
     assert np.array_equal(out.relation_grad[1], 2 * grad)
 
 
 def test_rnn_forward_matches_manual_recurrence():
-    state, strategy = make_state("rnn", seed=3)
+    state = make_state("rnn", seed=3)
     h = np.zeros(4)
     for x in state.relation_emb[[2, 1, 0]]:
         h = np.tanh(state.rnn.w_in @ x + state.rnn.w_rec @ h + state.rnn.bias)
-    final = relation_vector(state, strategy, [4])[0]  # minted (2, 1, 0)
+    final = relation_vector(state, [4])[0]  # minted (2, 1, 0)
     assert final.tobytes() == h.tobytes()
     assert final.tobytes() == rnn_forward(state.rnn, state.relation_emb[[2, 1, 0]])[0].tobytes()
 
 
 def test_rnn_backward_matches_finite_differences():
     # one stacked call over ids of both metapath lengths, a repeat and an original
-    state, strategy = make_state("rnn", seed=5)
+    state = make_state("rnn", seed=5)
     rng = np.random.default_rng(11)
     state.rnn.bias[:] = rng.normal(scale=0.1, size=4)
     ids = np.array([4, 1, 3, 4])
     grads = rng.normal(size=(ids.size, 4))
     out = SparseGrads()
-    relation_backward(state, strategy, ids, grads, out)
+    relation_backward(state, ids, grads, out)
 
     def fn():
-        return float((grads * relation_vector(state, strategy, ids)).sum())
+        return float((grads * relation_vector(state, ids)).sum())
 
     dense_rel = np.zeros_like(state.relation_emb)
     dense_rel[out.relation_rows] = out.relation_grad
@@ -144,17 +145,17 @@ def test_rnn_backward_matches_finite_differences():
                                    rtol=1e-5, atol=1e-8)
 
 
-def _assert_stacked_equals_loop(state, kind, ids, grads):
+def _assert_stacked_equals_loop(state, ids, grads):
     """Stacked `relation_vector` / `relation_backward` equal the per-relation
     oracle byte for byte. A second backward call into the same bundle adds
     onto what it holds, as the oracle over both id arrays does."""
-    strategy = SharingStrategy(kind=kind)
-    got = relation_vector(state, strategy, ids)
+    kind = state.strategy.kind
+    got = relation_vector(state, ids)
     assert got.tobytes() == loop_relation_vector(state, kind, ids).tobytes()
     out = SparseGrads()
     calls = [(ids, grads), (ids[::-1], grads[::-1])]
     for n in (1, 2):
-        relation_backward(state, strategy, *calls[n - 1], out)
+        relation_backward(state, *calls[n - 1], out)
         rows, total, rnn = loop_relation_backward(
             state, kind, np.concatenate([c[0] for c in calls[:n]]),
             np.concatenate([c[1] for c in calls[:n]]))
@@ -180,7 +181,7 @@ def test_stacked_sharing_equals_the_per_relation_oracle(kind, dim):
     if kind == "rnn":
         state.rnn.bias[:] = rng.normal(scale=0.1, size=dim)
     ids = np.array([6, 1, 3, 7, 4, 0, 6, 5, 2, 3])  # unsorted, repeats, originals mixed in
-    _assert_stacked_equals_loop(state, kind, ids, rng.normal(size=(ids.size, dim)))
+    _assert_stacked_equals_loop(state, ids, rng.normal(size=(ids.size, dim)))
 
 
 _metapaths = st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=3).map(tuple),
@@ -198,7 +199,7 @@ def test_stacked_sharing_equals_the_oracle_on_any_registry(kind, dim, metapaths,
     if kind == "rnn":
         state.rnn.bias[:] = rng.normal(scale=0.1, size=dim)
     ids = np.array([pick % (3 + len(registry)) for pick in picks])
-    _assert_stacked_equals_loop(state, kind, ids, rng.normal(size=(ids.size, dim)))
+    _assert_stacked_equals_loop(state, ids, rng.normal(size=(ids.size, dim)))
 
 
 def test_recurrence_backward_scratch_is_blocked():
@@ -216,7 +217,7 @@ def test_recurrence_backward_scratch_is_blocked():
     out = SparseGrads()
     tracemalloc.start()
     try:
-        relation_backward(state, strategy, ids, grads, out)
+        relation_backward(state, ids, grads, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,38 +227,38 @@ def test_recurrence_backward_scratch_is_blocked():
 
 
 def test_representation_none_reads_minted_row():
-    state, strategy = make_state("none")
-    rep = relation_vector(state, strategy, [3])[0]  # minted (0, 1)
+    state = make_state("none")
+    rep = relation_vector(state, [3])[0]  # minted (0, 1)
     assert np.array_equal(rep, state.relation_emb[3])
 
 
 def test_representation_model_is_vector_sum():
-    state, strategy = make_state("model")
-    rep = relation_vector(state, strategy, [4])[0]  # minted (2, 1, 0)
+    state = make_state("model")
+    rep = relation_vector(state, [4])[0]  # minted (2, 1, 0)
     want = state.relation_emb[2] + state.relation_emb[1] + state.relation_emb[0]
     assert np.array_equal(rep, want)
 
 
 def test_representation_basis_is_linear_combination():
-    state, strategy = make_state("basis")
+    state = make_state("basis")
     coef = state.basis.coefficients[0]  # the row of the first minted metapath
-    rep = relation_vector(state, strategy, [3])[0]  # minted (0, 1)
+    rep = relation_vector(state, [3])[0]  # minted (0, 1)
     assert np.array_equal(rep, state.basis.vectors.T @ coef)
-    assert np.array_equal(relation_vector(state, strategy, [1])[0], state.relation_emb[1])
+    assert np.array_equal(relation_vector(state, [1])[0], state.relation_emb[1])
 
 
 @pytest.mark.parametrize("kind", ["none", "model", "rnn", "basis"])
 def test_strategy_backward_matches_finite_differences(kind):
-    state, strategy = make_state(kind, seed=9)
+    state = make_state(kind, seed=9)
     rng = np.random.default_rng(13)
     grad = rng.normal(size=4)
     metapath = (2, 1, 0)
     minted = MINTED.id_of(metapath)
     out = SparseGrads()
-    relation_backward(state, strategy, [minted], grad[None], out)
+    relation_backward(state, [minted], grad[None], out)
 
     def fn():
-        return float(grad @ relation_vector(state, strategy, [minted])[0])
+        return float(grad @ relation_vector(state, [minted])[0])
 
     dense_rel = np.zeros_like(state.relation_emb)
     if out.relation_rows.size:  # none under basis: an untouched table is (0, 0)
@@ -293,31 +294,31 @@ def test_strategy_backward_matches_finite_differences(kind):
 
 
 def test_relation_vector_routing():
-    state, strategy = make_state("model")
-    assert np.array_equal(relation_vector(state, strategy, [1])[0], state.relation_emb[1])
-    composed = relation_vector(state, strategy, [3])[0]
+    state = make_state("model")
+    assert np.array_equal(relation_vector(state, [1])[0], state.relation_emb[1])
+    composed = relation_vector(state, [3])[0]
     assert np.array_equal(composed, state.relation_emb[0] + state.relation_emb[1])
 
-    state, strategy = make_state("basis", include_original=True)
-    vec = relation_vector(state, strategy, [2])[0]
+    state = make_state("basis", include_original=True)
+    vec = relation_vector(state, [2])[0]
     want = state.basis.vectors.T @ state.basis.coefficients[len(MINTED) + 2]  # the row of (2,)
     assert np.array_equal(vec, want)
 
-    state, strategy = make_state("none")
-    assert np.array_equal(relation_vector(state, strategy, [4])[0], state.relation_emb[4])
+    state = make_state("none")
+    assert np.array_equal(relation_vector(state, [4])[0], state.relation_emb[4])
 
 
 def test_relation_backward_splits_onto_constituents():
-    state, strategy = make_state("model")
+    state = make_state("model")
     grad = np.array([1.0, 0.0, -1.0, 2.0])
     out = SparseGrads()
-    relation_backward(state, strategy, [4], grad[None], out)  # minted (2, 1, 0)
+    relation_backward(state, [4], grad[None], out)  # minted (2, 1, 0)
     assert out.relation_rows.tolist() == [0, 1, 2]
     for row_grad in out.relation_grad:
         assert np.array_equal(row_grad, grad)
 
     out = SparseGrads()
-    relation_backward(state, strategy, [1], grad[None], out)  # original: free row
+    relation_backward(state, [1], grad[None], out)  # original: free row
     assert out.relation_rows.tolist() == [1]
 
 
@@ -439,10 +440,10 @@ def test_one_backward_call_equals_one_call_per_id(kind, include_original):
     grads = rng.normal(size=(ids.size, 4))
 
     whole = SparseGrads()
-    relation_backward(state, strategy, ids, grads, whole)
+    relation_backward(state, ids, grads, whole)
     single = SparseGrads()
     for rel, grad in zip(ids, grads):
-        relation_backward(state, strategy, [rel], grad[None], single)
+        relation_backward(state, [rel], grad[None], single)
 
     for table in SparseGrads.TABLES:
         for part in ("rows", "grad"):
@@ -456,5 +457,5 @@ def test_one_backward_call_equals_one_call_per_id(kind, include_original):
     if whole.basis_vectors is not None:
         assert whole.basis_vectors.tobytes() == single.basis_vectors.tobytes()
     # and the forward of the whole array is the stack of single-id forwards
-    want = np.stack([relation_vector(state, strategy, [rel])[0] for rel in ids])
-    assert relation_vector(state, strategy, ids).tobytes() == want.tobytes()
+    want = np.stack([relation_vector(state, [rel])[0] for rel in ids])
+    assert relation_vector(state, ids).tobytes() == want.tobytes()

@@ -152,12 +152,12 @@ def test_checkpoint_preserves_sharing_parameters(tmp_path, kind):
     state = init_state(N, NewRelationRegistry(R, [(0, 1)]), config, strategy, rng)
     ckpt_dir = str(tmp_path / kind)
     save_checkpoint(ckpt_dir, Checkpoint(
-        state=state, best_state=state.copy(), config=config, strategy=strategy,
+        state=state, best_state=state.copy(), config=config,
         rng_state=rng.bit_generator.state,
         epoch=1, best_mrr=0.25, bad_epochs=0, log=[],
     ))
     ckpt = load_checkpoint(ckpt_dir)
-    assert dataclasses.asdict(ckpt.strategy) == dataclasses.asdict(strategy)
+    assert ckpt.state.strategy == ckpt.best_state.strategy == strategy
     if kind == "rnn":
         assert np.array_equal(ckpt.state.rnn.w_in, state.rnn.w_in)
         assert np.array_equal(ckpt.state.rnn.w_rec, state.rnn.w_rec)
@@ -165,7 +165,7 @@ def test_checkpoint_preserves_sharing_parameters(tmp_path, kind):
     else:
         assert np.array_equal(ckpt.state.basis.vectors, state.basis.vectors)
         assert np.array_equal(ckpt.state.basis.coefficients, state.basis.coefficients)
-        assert ckpt.strategy.basis_include_original
+        assert ckpt.state.strategy.basis_include_original
         # the flag lives on the strategy; older checkpoints also wrote it per state
         meta_path = os.path.join(ckpt_dir, "meta.json")
         meta = json.load(open(meta_path))
@@ -187,7 +187,7 @@ def test_checkpoint_with_sorted_basis_keys_loads_each_relation_coefficient(tmp_p
     state = init_state(N, registry, config, strategy, rng)
     ckpt_dir = str(tmp_path / "old")
     save_checkpoint(ckpt_dir, Checkpoint(
-        state=state, best_state=state.copy(), config=config, strategy=strategy,
+        state=state, best_state=state.copy(), config=config,
         rng_state=rng.bit_generator.state, epoch=1, best_mrr=0.25, bad_epochs=0, log=[],
     ))
     meta_path = os.path.join(ckpt_dir, "meta.json")
@@ -206,8 +206,8 @@ def test_checkpoint_with_sorted_basis_keys_loads_each_relation_coefficient(tmp_p
     for got in (loaded.state, loaded.best_state):
         assert np.array_equal(got.basis.coefficients, state.basis.coefficients)
         ids = np.arange(R + len(registry))
-        assert np.array_equal(relation_vector(got, strategy, ids),
-                              relation_vector(state, strategy, ids))
+        assert np.array_equal(relation_vector(got, ids),
+                              relation_vector(state, ids))
 
 
 @pytest.mark.parametrize("kind,damage,message", [
@@ -230,7 +230,7 @@ def test_load_checkpoint_checks_arrays_against_strategy_and_registry(tmp_path, k
         state.basis.vectors = np.zeros((2, 9))
     ckpt_dir = str(tmp_path / "ckpt")
     save_checkpoint(ckpt_dir, Checkpoint(
-        state=state, best_state=state.copy(), config=config, strategy=strategy,
+        state=state, best_state=state.copy(), config=config,
         rng_state=rng.bit_generator.state, epoch=1, best_mrr=0.25, bad_epochs=0, log=[],
     ))
     if damage == "mint one more metapath":
