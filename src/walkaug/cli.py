@@ -241,8 +241,10 @@ def cmd_mine(args) -> int:
     )
     path = _artifact(cfg, args.metapaths, "metapaths.tsv")
     write_metapath_report(path, infos, dataset.relation_dict)
+    fallbacks = sum(any(hop.fallback for hop in info.per_hop) for info in infos.values())
     print(f"mined {len(infos)} informative metapaths (l_max={cfg.l_max}, "
-          f"threshold={cfg.threshold}, p={cfg.sample_p}) -> {path}")
+          f"threshold={cfg.threshold}, p={cfg.sample_p}; {fallbacks} used the "
+          f"correction fallback) -> {path}")
     return 0
 
 

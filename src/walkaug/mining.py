@@ -1,12 +1,12 @@
 """Metapath mining over relational self-joins.
 
-A metapath is a tuple of relation ids. The miner grows a table of path
-instances one hop at a time, scoring each metapath m by
+A metapath is a tuple of relation ids. The miner grows metapaths one hop at
+a time, scoring each metapath m by
 
     z_m = prod_i  (edges of type m_i covered by instances of m at hop i)
                   / (all edges of type m_i)
 
-and deleting any group whose partial product already falls below the
+and dropping any candidate whose partial product already falls below the
 threshold. The per-hop ratio can only shrink when a metapath is extended,
 because every instance of the extension embeds an instance of the prefix,
 so the pruning never discards a metapath that could still qualify.
@@ -15,14 +15,19 @@ When the graph is edge-sampled with probability p < 1, covered-edge counts
 are corrected back to full-graph scale by solving for the root of an
 occupancy residual (see `correction_residual`).
 
-This module is the one join layer. Each level extends every group by every
-relation through `_RelIndex.follow`, a range join over the relation's
-out-edges sorted by source, and counts a hop's covered edges by marking
-their ids in one boolean array over the mined graph's edges. The range
-expansion (`expand_ranges`) and the sort-based dedupe (`sorted_unique`)
-are shared with rule scoring, and `KeyIndex` is the one key-to-values
-lookup: the eval filter and the rule pair index each find the values of
-many keys in it with one `searchsorted`.
+This module is the one join layer. A candidate, a kept group of path
+instances extended by one relation, is scored before it is built: the
+relation's out-degree at the node each parent row ends on gives the
+candidate's instance count and says which parent rows continue. A hop
+before the last covers the distinct edges of the continuing rows, counted
+by marking their ids in one boolean array over the mined graph's edges;
+the last hop covers every out-edge of each distinct continuing node. Only
+a kept candidate that a later level extends gets its instance table,
+joined through `_RelIndex.follow`, a range join over the relation's
+out-edges sorted by source. The range expansion (`expand_ranges`) and the
+sort-based dedupe (`sorted_unique`) are shared with rule scoring, and
+`KeyIndex` is the one key-to-values lookup: the eval filter and the rule
+pair index each find the values of many keys in it with one `searchsorted`.
 """
 
 from __future__ import annotations
@@ -163,11 +168,9 @@ class JoinTable:
         return self._index
 
 
-def _extend_group(group: PathGroup, idx: _RelIndex) -> PathGroup | None:
+def _extend_group(group: PathGroup, idx: _RelIndex) -> PathGroup:
     """Join every instance in `group` with the indexed relation's out-edges."""
     rows, take = idx.follow(group.dst)
-    if rows.size == 0:
-        return None
     edges = np.concatenate((group.edges[rows], idx.edge[take][:, None]), axis=1)
     return PathGroup(group.src[rows], idx.dst[take], edges)
 
@@ -257,27 +260,32 @@ def solve_correction(
     return brent(f, lo, hi, fa=flo, fb=fhi, ftol=1e-9, max_iter=200), False
 
 
-def _group_association(
-    graph: KnowledgeGraph, metapath: Metapath, group: PathGroup, hop: int,
-    p: float, full_type_counts: np.ndarray, mark: np.ndarray,
+def _hop_association(
+    graph: KnowledgeGraph, metapath: Metapath, hop: int, covered: int, instances: int,
+    p: float, full_type_counts: np.ndarray,
 ) -> AssociationStats:
-    """Coverage of hop `hop`; `mark` is an all-False scratch array with one
-    entry per edge of `graph` and is left all-False again."""
+    """Coverage of hop `hop`, from its count of distinct covered edges and
+    the metapath's instance count."""
     rel = metapath[hop]
     sampled_total = int(graph.relation_counts[rel])
-    ids = group.edges[:, hop]
-    mark[ids] = True
-    covered = int(np.count_nonzero(mark))
-    mark[ids] = False
     full_total = int(full_type_counts[rel])
     if p == 1.0:
         return AssociationStats(metapath, hop, sampled_total, covered,
                                 float(covered), covered / full_total)
     estimate, fallback = solve_correction(
-        p, len(metapath), full_total, group.size, sampled_total - covered, covered,
+        p, len(metapath), full_total, instances, sampled_total - covered, covered,
     )
     return AssociationStats(metapath, hop, sampled_total, covered,
                             estimate, min(estimate / full_total, 1.0), fallback)
+
+
+def _covered_edges(ids: np.ndarray, mark: np.ndarray) -> int:
+    """Distinct ids in `ids`; `mark` is an all-False scratch array with one
+    entry per edge of the mined graph and is left all-False again."""
+    mark[ids] = True
+    covered = int(np.count_nonzero(mark))
+    mark[ids] = False
+    return covered
 
 
 def mine_informative_metapaths(
@@ -291,9 +299,14 @@ def mine_informative_metapaths(
     """All metapaths of length 2..l_max whose score z_m reaches `threshold`.
 
     Edge sampling (p < 1) mines on a Bernoulli subgraph and corrects the
-    coverage counts back to full-graph scale. Groups are dropped as soon as
-    their partial score falls below the threshold; the working table may
-    hold at most `max_table_rows` instances per level.
+    coverage counts back to full-graph scale. Each candidate (a kept group
+    extended by one relation) is scored from its parent's rows and the
+    relation's out-degrees, hop by hop, and dropped as soon as its partial
+    score falls below the threshold. Instance tables are built only for
+    kept candidates shorter than `l_max`, the ones the next level extends.
+    The instances of every kept candidate still count against
+    `max_table_rows` per level, and the limit raises before the table that
+    would exceed it is built.
     """
     if l_max < 2:
         raise ValueError(f"l_max must be at least 2, got {l_max}")
@@ -307,6 +320,7 @@ def mine_informative_metapaths(
     base = JoinTable.from_graph(mined)
     index = base.hop_index()
     mark = np.zeros(mined.num_triplets, dtype=bool)
+    rank = np.empty(mined.num_entities, dtype=np.int64)
     current = dict(sorted(base.groups.items()))
     result: dict[Metapath, MetapathInfo] = {}
 
@@ -314,31 +328,44 @@ def mine_informative_metapaths(
         nxt: dict[Metapath, PathGroup] = {}
         level_rows = 0
         for m, group in current.items():
+            # candidates are scored on the distinct nodes the parent's rows end
+            # on: `repeats` counts the rows ending on each, `inverse` maps each
+            # row to its node
+            repeats = np.bincount(group.dst, minlength=mined.num_entities)
+            nodes = np.flatnonzero(repeats)
+            rank[nodes] = np.arange(nodes.size)
+            repeats, inverse = repeats[nodes], rank[group.dst]
             for rel, idx in index.items():
-                extended = _extend_group(group, idx)
-                if extended is None:
+                counts = idx.offsets[nodes + 1] - idx.offsets[nodes]  # out-degree of each node
+                if not counts.any():
                     continue
+                instances = int(counts @ repeats)
                 candidate = m + (rel,)
+                rows = np.flatnonzero(counts[inverse])  # the parent's rows that continue
                 z = 1.0
                 per_hop = []
-                keep = True
                 for hop in range(length):
-                    stats = _group_association(mined, candidate, extended, hop, p, full_counts,
-                                               mark)
+                    if hop < length - 1:
+                        covered = _covered_edges(group.edges[rows, hop], mark)
+                    else:  # every out-edge of a distinct continuing node ends an instance
+                        covered = int(counts.sum())
+                    stats = _hop_association(mined, candidate, hop, covered, instances, p,
+                                             full_counts)
                     z *= stats.association
                     per_hop.append(stats)
                     if z < threshold:
-                        keep = False
                         break
-                if not keep:
+                if z < threshold:
                     continue
-                level_rows += extended.size
+                level_rows += instances
                 if level_rows > max_table_rows:
                     raise MiningLimitError(
-                        f"metapath table exceeds {max_table_rows} rows at length {length}"
+                        f"metapath table exceeds {max_table_rows} rows at length {length} "
+                        f"({level_rows} rows)"
                     )
-                result[candidate] = MetapathInfo(candidate, z, tuple(per_hop), extended.size)
-                nxt[candidate] = extended
+                result[candidate] = MetapathInfo(candidate, z, tuple(per_hop), instances)
+                if length < l_max:
+                    nxt[candidate] = _extend_group(group, idx)
         current = nxt
         if not current:
             break

@@ -11,7 +11,10 @@ and turns one name into an id, at a time. The two-pass batch kernel scores
 and differentiates a chunk's positives and its corruptions in separate
 passes, each recomputing the translation; it shares the package's relation
 dispatch and `add_rows`, so it pins the chunk arithmetic of the fused
-kernel bit for bit.
+kernel bit for bit. The materializing miner builds every candidate's
+instance table by a per-row join of its own before it scores it, and
+counts each hop's covered edges as a set; it shares only the edge sample
+and the correction solver with the package.
 """
 
 from collections import defaultdict
@@ -19,8 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from walkaug.errors import DataError, NumericError
-from walkaug.graph import INVERSE_SUFFIX, Triplet
+from walkaug.errors import DataError, MiningLimitError, NumericError
+from walkaug.graph import INVERSE_SUFFIX, Triplet, sample_edges
+from walkaug.mining import AssociationStats, MetapathInfo, solve_correction
 from walkaug.models import score
 from walkaug.sharing import BLOCK_VALUES, SparseGrads, add_rows, relation_backward, relation_vector
 
@@ -75,6 +79,69 @@ def dfs_z(stats: PathStats, metapath, type_counts) -> float:
     for assoc in dfs_association(stats, metapath, type_counts):
         z *= assoc
     return z
+
+
+def materializing_mine(graph, l_max, threshold, p=1.0, seed=0, max_table_rows=None):
+    """`mine_informative_metapaths` by building each candidate before scoring it.
+
+    Every kept group is extended by every relation into a list of
+    (edge ids, end node) instances; a candidate is scored hop by hop from
+    the sets of its instances' edge ids, pruned at the first hop whose
+    partial product falls below `threshold`, and its instances count against
+    `max_table_rows` per level once it is kept.
+    """
+    mined = sample_edges(graph, p, seed)
+    out_edges = defaultdict(list)
+    current = defaultdict(list)
+    triplets = zip(mined.heads.tolist(), mined.relations.tolist(), mined.tails.tolist())
+    for eid, (head, rel, tail) in enumerate(triplets):
+        out_edges[head, rel].append((eid, tail))
+        current[(rel,)].append(((eid,), tail))
+    current = dict(sorted(current.items()))
+    relations = [key[0] for key in current]
+    result = {}
+    for length in range(2, l_max + 1):
+        nxt = {}
+        level_rows = 0
+        for metapath, instances in current.items():
+            for rel in relations:
+                extended = [(edges + (eid,), tail) for edges, node in instances
+                            for eid, tail in out_edges.get((node, rel), ())]
+                if not extended:
+                    continue
+                candidate = metapath + (rel,)
+                z = 1.0
+                per_hop = []
+                for hop, hop_rel in enumerate(candidate):
+                    covered = len({edges[hop] for edges, _ in extended})
+                    sampled_total = int(mined.relation_counts[hop_rel])
+                    full_total = int(graph.relation_counts[hop_rel])
+                    if p == 1.0:
+                        stats = AssociationStats(candidate, hop, sampled_total, covered,
+                                                 float(covered), covered / full_total)
+                    else:
+                        estimate, fallback = solve_correction(
+                            p, length, full_total, len(extended), sampled_total - covered, covered)
+                        stats = AssociationStats(candidate, hop, sampled_total, covered, estimate,
+                                                 min(estimate / full_total, 1.0), fallback)
+                    z *= stats.association
+                    per_hop.append(stats)
+                    if z < threshold:
+                        break
+                if z < threshold:
+                    continue
+                level_rows += len(extended)
+                if max_table_rows is not None and level_rows > max_table_rows:
+                    raise MiningLimitError(
+                        f"metapath table exceeds {max_table_rows} rows at length {length} "
+                        f"({level_rows} rows)"
+                    )
+                result[candidate] = MetapathInfo(candidate, z, tuple(per_hop), len(extended))
+                nxt[candidate] = extended
+        current = nxt
+        if not current:
+            break
+    return result
 
 
 def dfs_metapath_pairs(heads, relations, tails, metapath) -> set[tuple[int, int]]:

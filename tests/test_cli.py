@@ -185,6 +185,17 @@ def test_mine_reruns_are_byte_identical(data, tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("sample_p,fallbacks", [("1.0", 0), ("0.5", 1)])
+def test_mine_reports_the_metapaths_that_used_the_correction_fallback(data, capsys, sample_p,
+                                                                      fallbacks):
+    # at p = 0.5 and seed 0 the sampled (r0, r1) shows no sign change to bracket
+    argv = base_args(data, "mine") + ["--sample-p", sample_p, "--seed", "0"]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.startswith("mined 1 informative metapaths ")
+    assert f"; {fallbacks} used the correction fallback) -> " in line
+
+
 def test_cli_resume_matches_straight_run(data, tmp_path):
     assert main(base_args(data, "mine")) == 0
     assert main(base_args(data, "rules")) == 0

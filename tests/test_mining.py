@@ -1,3 +1,4 @@
+import dataclasses
 from collections import defaultdict
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import make_graph, random_multigraph
-from oracles import dfs_association, dfs_metapath_stats, dfs_z
+from oracles import dfs_association, dfs_metapath_stats, dfs_z, materializing_mine
 from walkaug import (
     DataError,
     MiningLimitError,
@@ -17,6 +18,7 @@ from walkaug import (
     solve_correction,
     write_metapath_report,
 )
+from walkaug import mining
 from walkaug.graph import Dictionary
 from walkaug.mining import KeyIndex
 
@@ -186,6 +188,112 @@ def test_memory_budget_enforced():
         mine_informative_metapaths(g, l_max=2, threshold=TINY, max_table_rows=100)
     # a budget that fits passes
     mine_informative_metapaths(g, l_max=2, threshold=TINY, max_table_rows=1000)
+
+
+# ------------------------------------------------- materializing reference
+
+REFERENCE_THRESHOLDS = (0.1, 0.3, 0.6)
+
+
+def _reference_graph(seed):
+    # sparse enough that coverage varies: the thresholds prune at every hop
+    return random_multigraph(np.random.default_rng(seed), 30, 3, 80)
+
+
+def _pruned_at(full, threshold):
+    """Where candidates first fall below `threshold`: "first", "middle" or
+    "last" hop, from an unpruned run's per-hop associations."""
+    where = set()
+    for metapath, info in full.items():
+        if len(metapath) > 2 and full[metapath[:-1]].z < threshold:
+            continue  # its parent is pruned, so it is never a candidate
+        z = 1.0
+        for hop, stats in enumerate(info.per_hop):
+            z *= stats.association
+            if z < threshold:
+                where.add("first" if hop == 0 else "last" if hop == len(metapath) - 1
+                          else "middle")
+                break
+    return where
+
+
+def _assert_same_infos(got, expected):
+    assert list(got) == list(expected)
+    for metapath, ref in expected.items():
+        info = got[metapath]
+        for field in ("metapath", "z", "instance_count"):
+            assert getattr(info, field) == getattr(ref, field), (metapath, field)
+        assert len(info.per_hop) == len(ref.per_hop), metapath
+        for stats, ref_stats in zip(info.per_hop, ref.per_hop):
+            for field in dataclasses.fields(ref_stats):
+                assert getattr(stats, field.name) == getattr(ref_stats, field.name), \
+                    (metapath, stats.hop, field.name)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("l_max", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_matches_the_materializing_reference(seed, l_max, p):
+    g = _reference_graph(seed)
+    full = materializing_mine(g, l_max, TINY, p=p, seed=seed)
+    pruned = set()
+    for threshold in (TINY, *REFERENCE_THRESHOLDS):
+        mined = mine_informative_metapaths(g, l_max=l_max, threshold=threshold, p=p, seed=seed)
+        _assert_same_infos(mined, materializing_mine(g, l_max, threshold, p=p, seed=seed))
+        pruned |= _pruned_at(full, threshold)
+    assert pruned == ({"first", "middle", "last"} if l_max > 2 else {"first", "last"})
+
+
+def test_matches_the_reference_where_the_correction_falls_back():
+    # the command-line fixture: at p = 0.5 its (r0, r1) has no sign change to bracket
+    edges = [(i, 0, 6 + i % 3) for i in range(6)]
+    edges += [(6 + j, 1, 9 + j + k) for k in range(2) for j in range(3)]
+    edges += [(i, 2, 9 + i % 3 + k) for k in range(2) for i in range(4)]
+    g = make_graph(edges)
+    mined = mine_informative_metapaths(g, l_max=3, threshold=0.2, p=0.5, seed=0)
+    assert any(stats.fallback for info in mined.values() for stats in info.per_hop)
+    _assert_same_infos(mined, materializing_mine(g, 3, 0.2, p=0.5, seed=0))
+
+
+def _level_rows(infos, length):
+    return sum(info.instance_count for m, info in infos.items() if len(m) == length)
+
+
+# thresholds at which the last level keeps more rows than the middle one
+@pytest.mark.parametrize("p,threshold", [(1.0, 0.1), (0.5, TINY)])
+@pytest.mark.parametrize("level", ["middle", "last"])
+def test_row_budget_raises_at_the_reference_level_and_total(level, p, threshold):
+    g = _reference_graph(0)
+    full = materializing_mine(g, 3, threshold, p=p, seed=0)
+    second, third = _level_rows(full, 2), _level_rows(full, 3)
+    assert third > second > 0
+    budget = second - 1 if level == "middle" else third - 1
+    with pytest.raises(MiningLimitError) as expected:
+        materializing_mine(g, 3, threshold, p=p, seed=0, max_table_rows=budget)
+    with pytest.raises(MiningLimitError) as got:
+        mine_informative_metapaths(g, l_max=3, threshold=threshold, p=p, seed=0,
+                                   max_table_rows=budget)
+    assert str(got.value) == str(expected.value)
+    assert f"at length {2 if level == 'middle' else 3} " in str(got.value)
+    # a budget that holds the largest level passes
+    mine_informative_metapaths(g, l_max=3, threshold=threshold, p=p, seed=0,
+                               max_table_rows=third)
+
+
+@pytest.mark.parametrize("l_max", [2, 3, 4])
+def test_builds_one_table_per_kept_metapath_shorter_than_l_max(monkeypatch, l_max):
+    built = []
+    extend = mining._extend_group
+
+    def counting(group, idx):
+        out = extend(group, idx)
+        built.append(out.size)
+        return out
+
+    monkeypatch.setattr(mining, "_extend_group", counting)
+    mined = mine_informative_metapaths(_reference_graph(1), l_max=l_max, threshold=0.1)
+    shorter = [info.instance_count for m, info in mined.items() if len(m) < l_max]
+    assert sorted(built) == sorted(shorter)
 
 
 def test_argument_validation():
