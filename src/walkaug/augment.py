@@ -18,6 +18,8 @@ registry does not hold (all of them when minting is off) emits nothing.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .errors import DataError
@@ -107,6 +109,15 @@ class SegmentTable:
 
     def __len__(self) -> int:
         return int(self.keys.size)
+
+    def digest(self) -> str:
+        """SHA-256 of what walks can emit under this table: the segment keys,
+        z scores, minted ids, rule relations and confidences, with shapes."""
+        sha = hashlib.sha256()
+        for arr in (self.keys, self.z, self.minted, self.rule_relations, self.rule_confs):
+            sha.update(repr(arr.shape).encode())
+            sha.update(np.ascontiguousarray(arr).tobytes())
+        return sha.hexdigest()
 
 
 def random_walk(graph: KnowledgeGraph, starts, l_max: int, rng):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, check_pair_keys
 from .mining import KeyIndex
 from .models import SCORINGS, EmbeddingState, TripletBatch, _rowdot, side_scores, side_vector
 from .sharing import relation_vector
@@ -48,7 +48,8 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 class EvalFilter:
     """Known-true candidates per (head, relation) and (relation, tail): one
-    `KeyIndex` per side, keyed entity * num_relations + relation."""
+    `KeyIndex` per side, keyed entity * num_relations + relation. A filter
+    whose packed keys do not fit in int64 is a DataError."""
 
     def __init__(self):
         self._num_relations = 1
@@ -62,8 +63,7 @@ class EvalFilter:
         out = cls()
         if relations.size:
             num_relations = out._num_relations = int(relations.max()) + 1
-            if max(heads.max(), tails.max()) >= np.iinfo(np.int64).max // num_relations:
-                raise ValueError("entity ids too large to pack with relation ids into int64")
+            check_pair_keys(max(heads.max(), tails.max()) + 1, num_relations)
             out._by_head = KeyIndex(heads * num_relations + relations, tails)
             out._by_tail = KeyIndex(tails * num_relations + relations, heads)
         return out

@@ -167,10 +167,18 @@ class KnowledgeGraph:
         return self.heads * np.int64(self.num_entities) + self.tails
 
 
-def check_pair_keys(num_entities: int) -> None:
-    """DataError unless every pair key head * num_entities + tail fits in int64."""
-    if int(num_entities) ** 2 - 1 > np.iinfo(np.int64).max:
-        raise DataError(f"pair keys of {num_entities} entities do not fit in int64")
+def check_pair_keys(num_entities: int, num_relations: int = 1) -> None:
+    """DataError unless n * n * R keys fit in int64, from 0 to n * n * R - 1.
+
+    R = 1 bounds the pair keys head * n + tail. A larger R bounds the keys
+    that pack an entity pair with a relation id, as the eval filter's
+    `mining.KeyIndex` packs each entity * R + relation key with a candidate
+    entity.
+    """
+    n, r = int(num_entities), int(num_relations)
+    if n * n * r - 1 > np.iinfo(np.int64).max:
+        relations = "" if r == 1 else f" and {r} relations"
+        raise DataError(f"pair keys of {n} entities{relations} do not fit in int64")
 
 
 def build_adjacency(

@@ -27,7 +27,11 @@ joined through `_RelIndex.follow`, a range join over the relation's
 out-edges sorted by source. The range expansion (`expand_ranges`) and the
 sort-based dedupe (`sorted_unique`) are shared with rule scoring, and
 `KeyIndex` is the one key-to-values lookup: the eval filter and the rule
-pair index each find the values of many keys in it with one `searchsorted`.
+pair index each find the values of many keys in it with one `searchsorted`,
+and only the keys that hit have their value ranges expanded. It is built by
+one sort of packed int64 keys key * span + value (span the largest value
++ 1); a pair whose packed key would pass the int64 maximum is refused
+before anything is multiplied.
 """
 
 from __future__ import annotations
@@ -83,28 +87,42 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 class KeyIndex:
     """The sorted unique values of each key of parallel (key, value) arrays:
     the distinct keys sorted, per-key offsets, and the values sorted by key
-    then value with duplicate pairs dropped."""
+    then value with duplicate pairs dropped.
+
+    Keys and values are non-negative int64. The build packs each pair into
+    one int64 key * span + value, span the largest value + 1, sorts those
+    once, drops repeats with a mask and splits them back with one `divmod`.
+    A pair whose packed key would pass the int64 maximum is a ValueError,
+    raised before anything is multiplied; the eval filter and rule scoring
+    report it as a DataError naming their entity and relation counts.
+    """
 
     def __init__(self, keys: np.ndarray, values: np.ndarray):
-        order = np.lexsort((values, keys))
-        keys, values = keys[order], values[order]
-        new = np.ones(keys.size, dtype=bool)
-        new[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
-        keys, self.values = keys[new], values[new]
+        keys, values = np.asarray(keys, np.int64), np.asarray(values, np.int64)
+        span, top = int(values.max()) + 1 if values.size else 1, np.iinfo(np.int64).max
+        if keys.size and (min(keys.min(), values.min()) < 0 or span > top
+                          or keys.max() > (top - (span - 1)) // span):
+            raise ValueError(f"(key, value) pairs up to ({keys.max()}, {span - 1}) do not pack "
+                             "into int64 keys; keys and values must be non-negative")
+        packed = np.sort(keys * span + values)
+        new = np.ones(packed.size, dtype=bool)
+        new[1:] = packed[1:] != packed[:-1]
+        keys, self.values = np.divmod(packed[new], span)
         new = np.ones(keys.size, dtype=bool)
         new[1:] = keys[1:] != keys[:-1]
         self.keys, self.offsets = keys[new], np.append(np.flatnonzero(new), keys.size)
 
     def lookup(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, values): the values of each key in `query`, found by one
-        `searchsorted`; rows index `query` (ascending), absent keys have none."""
+        `searchsorted`; rows index `query` (ascending), absent keys have none.
+        Only the keys that hit have their offset ranges expanded."""
         if not self.keys.size:
             return np.empty(0, dtype=np.int64), self.values
         pos = np.minimum(self.keys.searchsorted(query), self.keys.size - 1)
-        starts = self.offsets[pos]
-        counts = np.where(self.keys[pos] == query, self.offsets[pos + 1] - starts, 0)
-        rows, slots = expand_ranges(starts, counts)
-        return rows, self.values[slots]
+        hit = np.flatnonzero(self.keys[pos] == query)
+        starts = self.offsets[pos[hit]]
+        rows, slots = expand_ranges(starts, self.offsets[pos[hit] + 1] - starts)
+        return hit[rows], self.values[slots]
 
 
 @dataclass(frozen=True)

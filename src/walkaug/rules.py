@@ -90,8 +90,12 @@ def build_rulemaps(
     """
     if not 0.0 < conf_threshold <= 1.0:
         raise ValueError(f"confidence threshold must be in (0, 1], got {conf_threshold}")
+    try:  # the index packs each pair key with a relation id; KeyIndex checks the range
+        pairs = KeyIndex(graph.pair_keys(), graph.relations)
+    except ValueError:
+        raise DataError(f"pair keys of {graph.num_entities} entities packed with "
+                        f"{graph.num_relations} relation ids do not fit in int64") from None
     base = JoinTable.from_graph(graph)
-    pairs = KeyIndex(graph.pair_keys(), graph.relations)
     out: dict[Metapath, RuleMap] = {}
     # stack[i]: the length-i prefix of the last metapath and its keys (None for the empty path)
     stack: list[tuple[Metapath, np.ndarray | None]] = [((), None)]

@@ -11,8 +11,10 @@ strategy and the map, so a malformed checkpoint is a DataError before any
 training or ranking starts.
 
 The `walks` section holds the walk settings that `train` takes beside the
-model config (`WALK_SETTINGS`), so that a resume can refuse other ones.
-Older checkpoints lack it: they load, with `walks` None, and cannot resume.
+model config (`WALK_SETTINGS`) and the SHA-256 of what its walks can emit
+(`WALK_DIGEST`, `augment.SegmentTable.digest`), so that a resume can refuse
+other settings, metapaths, rules or modes. Older checkpoints lack the
+section, or its digest: they load, and evaluate, but cannot resume.
 
 `basis_keys` in meta.json names the metapath of each `basis_coef.npy` row.
 Saves write the rows in state order (`sharing.basis_keys`); loads map each
@@ -39,6 +41,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import stat
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -54,6 +57,7 @@ from .sharing import BasisParams, RnnParams, SharingStrategy, basis_keys
 
 _META = "meta.json"
 WALK_SETTINGS = ("l_max", "original_edge_sample", "rule_sampling")
+WALK_DIGEST = "segments_sha256"
 DATASET_CACHE = "dataset.cache.npz"
 
 
@@ -69,7 +73,7 @@ class Checkpoint:
     best_mrr: float
     bad_epochs: int
     log: list[dict] = field(default_factory=list)
-    walks: dict | None = None  # WALK_SETTINGS -> value; None if not recorded
+    walks: dict | None = None  # WALK_SETTINGS (and WALK_DIGEST) -> value; None if not recorded
 
 
 def _save_state(directory: str, prefix: str, state: EmbeddingState) -> dict:
@@ -242,10 +246,18 @@ def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
 
 
 def _check_walks(walks) -> None:
-    """DataError unless `walks` maps each of WALK_SETTINGS to a value `train` takes."""
-    if not isinstance(walks, dict) or sorted(walks) != sorted(WALK_SETTINGS):
-        raise DataError(f"walks must hold exactly the keys {sorted(WALK_SETTINGS)}, "
-                        f"got {walks!r}")
+    """DataError unless `walks` maps each of WALK_SETTINGS to a value `train`
+    takes, and WALK_DIGEST, if present (it is not in older checkpoints), to a
+    SHA-256 hex digest."""
+    keys = sorted(WALK_SETTINGS)
+    if not isinstance(walks, dict) or sorted(set(walks) - {WALK_DIGEST}) != keys:
+        raise DataError(f"walks must hold exactly the keys {keys} and {WALK_DIGEST} "
+                        f"(older checkpoints lack {WALK_DIGEST}), got {walks!r}")
+    if WALK_DIGEST in walks:
+        digest = walks[WALK_DIGEST]
+        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+            raise DataError(f"walks {WALK_DIGEST} must be a SHA-256 hex digest, "
+                            f"got {digest!r}")
     l_max, sample = walks["l_max"], walks["original_edge_sample"]
     if type(l_max) is not int or l_max < 1:
         raise DataError(f"walks l_max must be a positive integer, got {l_max!r}")

@@ -34,7 +34,7 @@ from .models import (
 from .models import loss_and_grad, negative_sample  # noqa: F401
 from .rules import RuleMap
 from .sharing import SharingStrategy
-from .storage import WALK_SETTINGS, Checkpoint, save_checkpoint
+from .storage import WALK_DIGEST, WALK_SETTINGS, Checkpoint, save_checkpoint
 
 
 @dataclass
@@ -62,6 +62,9 @@ def _check_resume(resume: Checkpoint, num_entities: int, config: ModelConfig,
     if resume.walks is None:
         raise ConfigError(f"resume checkpoint does not record its walk settings "
                           f"({', '.join(WALK_SETTINGS)}), so they are unknown")
+    if WALK_DIGEST not in resume.walks:
+        raise ConfigError(f"resume checkpoint does not record what its walks emit "
+                          f"({WALK_DIGEST}), so it is unknown")
     ours, theirs = asdict(config), asdict(resume.config)
     ours.pop("epochs"), theirs.pop("epochs")  # training longer is the point of resuming
     mismatched = [k for k in ours if ours[k] != theirs[k]]
@@ -75,6 +78,9 @@ def _check_resume(resume: Checkpoint, num_entities: int, config: ModelConfig,
             f"resume checkpoint minted relations {dict(theirs.items())} after "
             f"{theirs.first_id} original ones, but these inputs mint "
             f"{dict(registry.items())} after {registry.first_id}")
+    if walks[WALK_DIGEST] != resume.walks[WALK_DIGEST]:
+        raise ConfigError(f"resume checkpoint disagrees on: {WALK_DIGEST} (its walks emitted "
+                          f"under another mode, other metapaths or other rules)")
 
 
 def train(
@@ -101,8 +107,10 @@ def train(
     mining result regardless of walk order; without it, walks on them emit
     nothing. A resume must mint exactly what its checkpoint minted, over
     as many entities, with the same model config but for `epochs`, the same
-    strategy and the same walk settings (`l_max`, `rule_sampling`,
-    `original_edge_sample`); `patience` may change.
+    strategy, the same walk settings (`l_max`, `rule_sampling`,
+    `original_edge_sample`) and a `SegmentTable` of the same digest, so
+    that its walks emit the same triplets (this refuses, say, a resume under
+    another `--mode`); `patience` may change.
     """
     config.validate()
     strategy.validate(config.scoring)
@@ -114,7 +122,7 @@ def train(
         graph.num_relations, informative if mint_new_relations else {}, rulemaps)
     table = SegmentTable(informative, rulemaps, registry, l_max)
     walks = {"l_max": l_max, "original_edge_sample": original_edge_sample,
-             "rule_sampling": rule_sampling}
+             "rule_sampling": rule_sampling, WALK_DIGEST: table.digest()}
     if resume is not None:
         _check_resume(resume, graph.num_entities, config, strategy, walks, registry)
         state = resume.state

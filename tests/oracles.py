@@ -14,7 +14,8 @@ dispatch and `add_rows`, so it pins the chunk arithmetic of the fused
 kernel bit for bit. The materializing miner builds every candidate's
 instance table by a per-row join of its own before it scores it, and
 counts each hop's covered edges as a set; it shares only the edge sample
-and the correction solver with the package.
+and the correction solver with the package. The lexsort key index sorts
+(key, value) pairs by `np.lexsort` and looks up one query key at a time.
 """
 
 from collections import defaultdict
@@ -178,6 +179,31 @@ def first_hop_metapath_pairs(heads, relations, tails, num_entities, metapath) ->
         rows, cols = np.nonzero(dst[:, None] == heads[hop][None, :])
         keys = np.unique(src[rows] * n + tails[hop][cols])
     return keys
+
+
+class LexsortKeyIndex:
+    """`mining.KeyIndex` built by `np.lexsort((values, keys))` instead of one
+    sort of packed keys, and looked up one query key at a time."""
+
+    def __init__(self, keys, values):
+        order = np.lexsort((values, keys))
+        keys, values = keys[order], values[order]
+        new = np.ones(keys.size, dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
+        keys, self.values = keys[new], values[new]
+        new = np.ones(keys.size, dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        self.keys, self.offsets = keys[new], np.append(np.flatnonzero(new), keys.size)
+
+    def lookup(self, query):
+        rows, values = [], []
+        for row, key in enumerate(query.tolist()):
+            at = int(self.keys.searchsorted(key))
+            if at < self.keys.size and self.keys[at] == key:
+                span = self.values[self.offsets[at]:self.offsets[at + 1]]
+                rows += [row] * span.size
+                values += span.tolist()
+        return np.array(rows, dtype=np.int64), np.array(values, dtype=np.int64)
 
 
 def numeric_gradient(fn, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -340,6 +340,8 @@ RESUME_FIELD_DAMAGE = {
         lambda meta: meta["walks"].update(original_edge_sample=-1), "original_edge_sample"),
     "walks unknown rule_sampling": (
         lambda meta: meta["walks"].update(rule_sampling="soft"), "rule_sampling"),
+    "walks digest not hex": (
+        lambda meta: meta["walks"].update(segments_sha256="Z" * 64), "SHA-256 hex digest"),
 }
 
 
@@ -599,6 +601,7 @@ def test_checkpoint_without_walk_settings_evaluates_but_does_not_resume(data, tm
     checkpoint = os.path.join(data["out"], "checkpoint")
     meta_path = os.path.join(checkpoint, "meta.json")
     meta = json.load(open(meta_path))
+    assert len(meta["walks"].pop("segments_sha256")) == 64
     assert meta["walks"] == {"l_max": 3, "original_edge_sample": None,
                              "rule_sampling": "normalized"}
     del meta["walks"]  # as checkpoints written before the section existed
@@ -611,6 +614,40 @@ def test_checkpoint_without_walk_settings_evaluates_but_does_not_resume(data, tm
     assert main(resume_argv) == 2
     err = capsys.readouterr().err
     assert "walk settings" in err and "unknown" in err and "Traceback" not in err
+
+
+def test_checkpoint_without_walk_digest_evaluates_but_does_not_resume(data, tmp_path, capsys):
+    train_argv = base_args(data, "train") + TRAIN_SPEED + ["--mode", "none", "--epochs", "1"]
+    assert main(train_argv) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    meta_path = os.path.join(checkpoint, "meta.json")
+    meta = json.load(open(meta_path))
+    del meta["walks"]["segments_sha256"]  # as checkpoints written before the digest existed
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    assert main(base_args(data, "eval") + ["--test", data["test"]]) == 0
+    capsys.readouterr()
+    resume_argv = train_argv + ["--epochs", "2", "--resume", checkpoint,
+                                "--checkpoint", str(tmp_path / "next")]
+    assert main(resume_argv) == 2
+    err = capsys.readouterr().err
+    assert "segments_sha256" in err and "unknown" in err and "Traceback" not in err
+
+
+def test_resume_refuses_another_mode(data, tmp_path, capsys):
+    # neither mode mints a relation, so only what the walks emit tells them apart
+    assert main(base_args(data, "mine")) == 0
+    assert main(base_args(data, "rules")) == 0
+    train_argv = base_args(data, "train") + TRAIN_SPEED
+    assert main(train_argv + ["--mode", "none", "--epochs", "1"]) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    capsys.readouterr()
+    resume_argv = train_argv + ["--epochs", "2", "--resume", checkpoint,
+                                "--checkpoint", str(tmp_path / "next")]
+    assert main(resume_argv + ["--mode", "rules-only"]) == 2
+    err = capsys.readouterr().err
+    assert "disagrees on: segments_sha256" in err and "Traceback" not in err
+    assert main(resume_argv + ["--mode", "none"]) == 0
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Ranking against hand fixtures, a score-loop oracle and a set-based filter."""
 
 from collections import defaultdict
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_graph
 from oracles import brute_force_rank, loop_ranks
 from walkaug import (
+    DataError,
     EvalFilter,
     ModelConfig,
     SharingStrategy,
@@ -180,6 +182,20 @@ def test_eval_filter_of_zero_triplets_is_empty():
     ef = EvalFilter.from_graphs([make_graph([], num_entities=3, num_relations=2)])
     assert ef.known_tails(0, 0).size == 0 and ef.known_heads(1, 2).size == 0
     assert ef.known_tails(0, 0).dtype == np.int64
+
+
+def test_eval_filter_refuses_entity_and_relation_counts_that_overflow_int64():
+    # 2 * 2**31 * 2**31 keys fill int64 exactly: entity (n-1, relation 1) packs
+    # with candidate n-1 into 2**63 - 1; one entity more does not fit
+    def stub(n):
+        last = np.array([n - 1], np.int64)
+        return SimpleNamespace(heads=last, relations=np.array([1], np.int64), tails=last)
+
+    ef = EvalFilter.from_graphs([stub(2**31)])
+    assert ef.known_tails(2**31 - 1, 1).tolist() == [2**31 - 1]
+    assert ef.known_heads(1, 2**31 - 1).tolist() == [2**31 - 1]
+    with pytest.raises(DataError, match="2147483649 entities and 2 relations do not fit"):
+        EvalFilter.from_graphs([stub(2**31 + 1)])
 
 
 @pytest.mark.parametrize("kind,include_original", [

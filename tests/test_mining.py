@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import make_graph, random_multigraph
-from oracles import dfs_association, dfs_metapath_stats, dfs_z, materializing_mine
+from oracles import (LexsortKeyIndex, dfs_association, dfs_metapath_stats, dfs_z,
+                     materializing_mine)
 from walkaug import (
     DataError,
     MiningLimitError,
@@ -91,6 +92,58 @@ def test_key_index_lookup_packs_to_strictly_increasing_keys(seed):
     rows, found = KeyIndex(keys, values).lookup(query)
     packed = rows * n + found
     assert packed.size and np.all(np.diff(packed) > 0)
+
+
+INT64_MAX = np.iinfo(np.int64).max
+
+
+@st.composite
+def key_value_pairs(draw):
+    """Parallel int64 (keys, values): few distinct keys and values, so pairs
+    repeat, with keys up to the largest that packs with the drawn values."""
+    span = draw(st.sampled_from([1, 2, 7, 2**20, 2**62]))  # largest value + 1
+    size = draw(st.integers(0, 30))
+    values = draw(st.lists(st.integers(0, min(span - 1, 3)) | st.just(span - 1),
+                           min_size=size, max_size=size))
+    bound = (INT64_MAX - (max(values, default=0))) // (max(values, default=0) + 1)
+    keys = draw(st.lists(st.integers(0, min(bound, 4)) | st.integers(max(bound - 2, 0), bound),
+                         min_size=size, max_size=size))
+    return np.array(keys, np.int64), np.array(values, np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_value_pairs(), st.data())
+def test_key_index_equals_the_lexsort_oracle(pairs, data):
+    keys, values = pairs
+    index, oracle = KeyIndex(keys, values), LexsortKeyIndex(keys, values)
+    for name in ("keys", "offsets", "values"):
+        got, want = getattr(index, name), getattr(oracle, name)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    # unsorted, repeated, -1, absent and past-the-last query keys
+    past = [min(int(keys.max()) + 1, INT64_MAX)] if keys.size else []
+    query = np.array(data.draw(st.lists(
+        st.sampled_from(keys.tolist() + past + [-1, INT64_MAX]) | st.integers(-1, 6),
+        max_size=20)), np.int64)
+    for got, want in zip(index.lookup(query), oracle.lookup(query)):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 1000, 2**62, INT64_MAX])
+def test_key_index_refuses_pairs_whose_packed_key_passes_int64(span):
+    bound = (INT64_MAX - (span - 1)) // span  # the largest key that packs
+    values = np.array([span - 1, 0], np.int64)
+    index = KeyIndex(np.array([bound, bound], np.int64), values)
+    np.testing.assert_array_equal(index.values, np.unique(values))
+    if bound < INT64_MAX:
+        with pytest.raises(ValueError, match="do not pack"):
+            KeyIndex(np.array([bound + 1, 0], np.int64), values)
+    with pytest.raises(ValueError, match="do not pack"):  # span 2**63 itself passes int64
+        KeyIndex(np.array([0], np.int64), np.array([INT64_MAX], np.int64))
+    for keys, values in (([0], [-1]), ([-1], [0])):
+        with pytest.raises(ValueError, match="non-negative"):
+            KeyIndex(np.array(keys, np.int64), np.array(values, np.int64))
 
 
 # ------------------------------------------------------- exactness vs oracle

@@ -177,6 +177,21 @@ def test_pair_keys_refuse_entity_counts_that_overflow_int64():
         stub.pair_keys()
 
 
+def test_rule_keys_refuse_entity_and_relation_counts_that_overflow_int64():
+    # the pair index packs pair key n * n - 1 with relation 1 into 2 * n * n - 1,
+    # which is 2**63 - 1 at n = 2**31; one entity more does not fit
+    def stub(n):
+        graph = KnowledgeGraph.__new__(KnowledgeGraph)
+        graph.num_entities, graph.num_relations = n, 2
+        graph.heads = graph.tails = np.array([n - 1], np.int64)
+        graph.relations = np.array([1], np.int64)
+        return graph
+
+    assert build_rulemaps(stub(2**31), [(1,)])[(1,)].entries == {1: 1.0}
+    with pytest.raises(DataError, match="2147483649 entities packed with 2 relation ids"):
+        build_rulemaps(stub(2**31 + 1), [(1,)])
+
+
 def test_metapath_pairs_joins_last_hop_onto_prefix_keys():
     g = make_graph([(0, 0, 1), (1, 1, 2), (2, 0, 3), (1, 1, 3)])
     base = JoinTable.from_graph(g)

@@ -22,7 +22,7 @@ from walkaug import (
     write_embedding_matrix,
     write_embedding_tsv,
 )
-from walkaug.augment import NewRelationRegistry
+from walkaug.augment import NewRelationRegistry, SegmentTable
 from walkaug.models import init_state
 from walkaug.sharing import relation_vector
 from walkaug.storage import Checkpoint, save_checkpoint
@@ -337,7 +337,9 @@ def test_resume_rejects_changed_walk_settings_and_entities(tmp_path):
     train(dataset, INFORMATIVE, {}, small_config(epochs=1), checkpoint_dir=ckpt_dir,
           original_edge_sample=4)
     ckpt = load_checkpoint(ckpt_dir)
-    assert ckpt.walks == {"l_max": 3, "original_edge_sample": 4, "rule_sampling": "normalized"}
+    table = SegmentTable(INFORMATIVE, {}, NewRelationRegistry.rule_less(R, INFORMATIVE, {}), 3)
+    assert ckpt.walks == {"l_max": 3, "original_edge_sample": 4, "rule_sampling": "normalized",
+                          "segments_sha256": table.digest()}
     for changed in ({"l_max": 4}, {"original_edge_sample": None}, {"rule_sampling": "raw"}):
         settings = {"original_edge_sample": 4, **changed}
         with pytest.raises(ConfigError, match=next(iter(changed))):
@@ -349,3 +351,16 @@ def test_resume_rejects_changed_walk_settings_and_entities(tmp_path):
               original_edge_sample=4)
     train(dataset, INFORMATIVE, {}, small_config(epochs=2), resume=ckpt, original_edge_sample=4,
           patience=5)
+
+
+def test_resume_refuses_rules_of_other_confidence(tmp_path):
+    # both rule sets map (0, 1) to relation 2 and mint nothing; only the weight differs
+    dataset = make_dataset()
+    ckpt_dir = str(tmp_path / "ckpt")
+    rules = {(0, 1): RuleMap((0, 1), {2: 0.9})}
+    train(dataset, INFORMATIVE, rules, small_config(epochs=1), checkpoint_dir=ckpt_dir)
+    ckpt = load_checkpoint(ckpt_dir)
+    with pytest.raises(ConfigError, match="disagrees on: segments_sha256"):
+        train(dataset, INFORMATIVE, {(0, 1): RuleMap((0, 1), {2: 0.8})},
+              small_config(epochs=2), resume=ckpt)
+    assert len(train(dataset, INFORMATIVE, rules, small_config(epochs=2), resume=ckpt).log) == 2
