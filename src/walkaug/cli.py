@@ -298,9 +298,11 @@ def cmd_train(args) -> int:
     entity_path = _artifact(cfg, None, "entity.emb")
     relation_path = _artifact(cfg, None, "relation.emb")
     write_embedding_matrix(entity_path, state.entity_emb)
-    # the vectors the scorer reads: basis sharing of the original relations
-    # leaves their own rows untrained
-    vectors = relation_vector(state, np.arange(len(state.relation_emb)))
+    # the vectors the scorer reads: of every relation under `none`, else of the
+    # original ones (which under basis sharing own no relation_emb rows)
+    registry = state.registry
+    count = registry.first_id + (len(registry) if state.strategy.kind == "none" else 0)
+    vectors = relation_vector(state, np.arange(count))
     write_embedding_matrix(relation_path, vectors)
     log_path = _artifact(cfg, None, "training_log.tsv")
     with atomic_write(log_path) as fh:

@@ -123,7 +123,7 @@ class EmbeddingState:
     strategy that decides which of the arrays each relation reads."""
 
     entity_emb: np.ndarray    # (num_entities, d)
-    relation_emb: np.ndarray  # (rows, d); rows include minted ids only for the free strategy
+    relation_emb: np.ndarray  # (rows, d); which relations own a row: `state_shapes`
     registry: NewRelationRegistry  # fixed; copies share it
     strategy: SharingStrategy
     rnn: RnnParams | None = None
@@ -137,15 +137,57 @@ class EmbeddingState:
     def num_entities(self) -> int:
         return int(self.entity_emb.shape[0])
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The parameter arrays under their checkpoint names (`state_shapes`)."""
+        arrays = {"entity_emb": self.entity_emb, "relation_emb": self.relation_emb}
+        if self.rnn is not None:
+            arrays.update(rnn_w_in=self.rnn.w_in, rnn_w_rec=self.rnn.w_rec,
+                          rnn_bias=self.rnn.bias)
+        if self.basis is not None:
+            arrays.update(basis_vectors=self.basis.vectors, basis_coef=self.basis.coefficients)
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], registry: NewRelationRegistry,
+                    strategy: SharingStrategy) -> "EmbeddingState":
+        """The state holding `arrays`, named as `arrays()` names them."""
+        rnn = basis = None
+        if "rnn_w_in" in arrays:
+            rnn = RnnParams(arrays["rnn_w_in"], arrays["rnn_w_rec"], arrays["rnn_bias"])
+        if "basis_vectors" in arrays:
+            basis = BasisParams(arrays["basis_vectors"], arrays["basis_coef"])
+        return cls(arrays["entity_emb"], arrays["relation_emb"], registry, strategy, rnn, basis)
+
     def copy(self) -> "EmbeddingState":
-        return EmbeddingState(
-            self.entity_emb.copy(),
-            self.relation_emb.copy(),
-            self.registry,
-            self.strategy,
-            self.rnn.copy() if self.rnn is not None else None,
-            self.basis.copy() if self.basis is not None else None,
-        )
+        arrays = {name: array.copy() for name, array in self.arrays().items()}
+        return EmbeddingState.from_arrays(arrays, self.registry, self.strategy)
+
+
+def state_shapes(num_entities: int, dim: int, registry: NewRelationRegistry,
+                 strategy: SharingStrategy) -> dict[str, tuple[int, ...]]:
+    """{name: shape} of every array a state of `strategy` holds for the
+    relations of `registry`, in `init_state`'s draw order, under the names of
+    `EmbeddingState.arrays` and of the checkpoint's files.
+
+    A relation owns a `relation_emb` row unless its vector is shared: under
+    `none` every relation owns one, under `basis_include_original` none does,
+    and otherwise the original ones do.
+    """
+    num_relations = registry.first_id
+    if strategy.kind == "none":
+        rows = num_relations + len(registry)
+    elif strategy.kind == "basis" and strategy.basis_include_original:
+        rows = 0
+    else:
+        rows = num_relations
+    shapes = {"entity_emb": (num_entities, dim), "relation_emb": (rows, dim)}
+    if strategy.kind == "rnn":
+        shapes.update(rnn_w_in=(dim, dim), rnn_w_rec=(dim, dim), rnn_bias=(dim,))
+    elif strategy.kind == "basis":
+        count = strategy.basis_count or min(num_relations, DEFAULT_BASIS_CAP)
+        shapes.update(basis_vectors=(count, dim),
+                      basis_coef=(len(basis_keys(registry, strategy)), count))
+    return shapes
 
 
 def init_state(
@@ -155,34 +197,23 @@ def init_state(
     strategy: SharingStrategy,
     rng,
 ) -> EmbeddingState:
-    """Fresh parameters for the original relations (`registry.first_id` of
-    them) and the minted ones; the rng draw order is fixed so seeds reproduce."""
+    """Fresh parameters of the `state_shapes` arrays, drawn in that order so
+    that seeds reproduce: uniform in +-6/sqrt(d) (entity, relation and basis
+    vectors) or +-1/sqrt(d) (recurrence weights), a zero recurrence bias, and
+    normal basis coefficients of variance 1/count."""
     strategy.validate(config.scoring)
     config.validate()
     d = config.dim
-    num_relations = registry.first_id
-    bound = 6.0 / math.sqrt(d)
-    entity = rng.uniform(-bound, bound, size=(num_entities, d))
-    rows = num_relations + (len(registry) if strategy.kind == "none" else 0)
-    relation = rng.uniform(-bound, bound, size=(rows, d))
-
-    rnn = None
-    basis = None
-    if strategy.kind == "rnn":
-        wb = 1.0 / math.sqrt(d)
-        rnn = RnnParams(
-            w_in=rng.uniform(-wb, wb, size=(d, d)),
-            w_rec=rng.uniform(-wb, wb, size=(d, d)),
-            bias=np.zeros(d),
-        )
-    elif strategy.kind == "basis":
-        count = strategy.basis_count or min(num_relations, DEFAULT_BASIS_CAP)
-        vectors = rng.uniform(-bound, bound, size=(count, d))
-        rows = len(basis_keys(registry, strategy))
-        coefficients = rng.normal(0.0, math.sqrt(1.0 / count), size=(rows, count))
-        basis = BasisParams(vectors, coefficients)
-
-    return EmbeddingState(entity, relation, registry, strategy, rnn, basis)
+    arrays = {}
+    for name, shape in state_shapes(num_entities, d, registry, strategy).items():
+        if name == "rnn_bias":
+            arrays[name] = np.zeros(shape)
+        elif name == "basis_coef":
+            arrays[name] = rng.normal(0.0, math.sqrt(1.0 / shape[1]), size=shape)
+        else:
+            bound = (1.0 if name.startswith("rnn_") else 6.0) / math.sqrt(d)
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
+    return EmbeddingState.from_arrays(arrays, registry, strategy)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

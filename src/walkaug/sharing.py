@@ -13,9 +13,10 @@ Four strategies decide how a minted relation gets its vector:
 `relation_vector` and `relation_backward` are the one dispatch from an array
 of relation ids to their vectors and back, called once per minibatch or
 ranking call. A relation either owns a row of `relation_emb` (every relation
-under `none`, and the original ones under the others) or takes its vector
-from shared parameters: the rows of its minted metapath, or its basis
-coefficient row (`basis_rows`). The backward routes the gradients onto the
+under `none`, none under `basis_include_original`, and the original ones
+otherwise; `models.state_shapes`) or takes its vector from shared
+parameters: the rows of its minted metapath, or its basis coefficient row
+(`basis_rows`). The backward routes the gradients onto the
 touched parameters as the row arrays of `SparseGrads`. A state carries its
 strategy (`EmbeddingState.strategy`) and is trusted to hold the parameters
 that strategy reads; `storage.load_checkpoint` checks a stored one.
@@ -77,9 +78,6 @@ class RnnParams:
     w_rec: np.ndarray  # (d, d)
     bias: np.ndarray   # (d,)
 
-    def copy(self) -> "RnnParams":
-        return RnnParams(self.w_in.copy(), self.w_rec.copy(), self.bias.copy())
-
     def __add__(self, other: "RnnParams") -> "RnnParams":
         return RnnParams(self.w_in + other.w_in, self.w_rec + other.w_rec,
                          self.bias + other.bias)
@@ -93,13 +91,6 @@ class BasisParams:
 
     vectors: np.ndarray       # (B, d)
     coefficients: np.ndarray  # (K, B)
-
-    @property
-    def count(self) -> int:
-        return int(self.vectors.shape[0])
-
-    def copy(self) -> "BasisParams":
-        return BasisParams(self.vectors.copy(), self.coefficients.copy())
 
 
 def basis_keys(registry: "NewRelationRegistry", strategy: SharingStrategy) -> list[Metapath]:

@@ -1,24 +1,27 @@
 """On-disk formats: checkpoint directories, embedding matrices, TSV export.
 
 A checkpoint is a directory (not an archive, so reruns are byte-identical)
-holding one .npy file per parameter array plus a meta.json with the config,
-sharing strategy, walk settings, minted-relation map, rng state and training
-counters. A state carries its strategy and its minted-relation map; each is
-stored once, in the `strategy` and `registry` sections, and the current and
-best states share them. Loading validates the stored config, strategy, walk
-settings, rng state, counters and log, and checks every array against the
-strategy and the map, so a malformed checkpoint is a DataError before any
-training or ranking starts.
+holding one .npy file per parameter array of the current state and, under a
+`best_` prefix, of the best one, plus a meta.json with the format number
+(`FORMAT`), config, sharing strategy, walk settings, minted-relation map, rng
+state and training counters. A state carries its strategy and its
+minted-relation map; each is stored once, in the `strategy` and `registry`
+sections, and the current and best states share them. The two decide which
+arrays a state holds and their shapes (`models.state_shapes`), so meta.json
+says nothing per state.
+
+Loading first checks the format number: a checkpoint of any other format,
+or of none, is refused with a DataError, to be trained again. It then
+validates the stored config, strategy, walk settings, rng state, counters
+and log, and reads `entity_emb` and exactly the other arrays `state_shapes`
+names, each of which must be float64, finite and of its shape. So a
+malformed checkpoint is a DataError before any training or ranking starts.
 
 The `walks` section holds the walk settings that `train` takes beside the
 model config (`WALK_SETTINGS`) and the SHA-256 of what its walks can emit
 (`WALK_DIGEST`, `augment.SegmentTable.digest`), so that a resume can refuse
-other settings, metapaths, rules or modes. Older checkpoints lack the
-section, or its digest: they load, and evaluate, but cannot resume.
-
-`basis_keys` in meta.json names the metapath of each `basis_coef.npy` row.
-Saves write the rows in state order (`sharing.basis_keys`); loads map each
-stored key to its row, so older checkpoints with sorted keys still load.
+other settings, metapaths, rules or modes. A checkpoint saved without it
+(`walks=None`, library use) evaluates but cannot resume.
 
 The embedding binary starts with an 8-byte header (little-endian uint32 row
 count, then uint32 dimension) followed by row-major float32 values.
@@ -52,10 +55,11 @@ from .augment import RULE_SAMPLING_MODES, NewRelationRegistry
 from .errors import ConfigError, DataError
 from . import graph
 from .graph import DatasetSplit, Dictionary, KnowledgeGraph, atomic_write
-from .models import EmbeddingState, ModelConfig
-from .sharing import BasisParams, RnnParams, SharingStrategy, basis_keys
+from .models import EmbeddingState, ModelConfig, state_shapes
+from .sharing import SharingStrategy
 
 _META = "meta.json"
+FORMAT = 2  # meta.json "format"; a change to the layout of a checkpoint bumps it
 WALK_SETTINGS = ("l_max", "original_edge_sample", "rule_sampling")
 WALK_DIGEST = "segments_sha256"
 DATASET_CACHE = "dataset.cache.npz"
@@ -73,84 +77,44 @@ class Checkpoint:
     best_mrr: float
     bad_epochs: int
     log: list[dict] = field(default_factory=list)
-    walks: dict | None = None  # WALK_SETTINGS (and WALK_DIGEST) -> value; None if not recorded
+    walks: dict | None = None  # WALK_SETTINGS and WALK_DIGEST -> value; None if not recorded
 
 
-def _save_state(directory: str, prefix: str, state: EmbeddingState) -> dict:
-    np.save(os.path.join(directory, f"{prefix}entity_emb.npy"), state.entity_emb)
-    np.save(os.path.join(directory, f"{prefix}relation_emb.npy"), state.relation_emb)
-    meta = {}
-    if state.rnn is not None:
-        np.save(os.path.join(directory, f"{prefix}rnn_w_in.npy"), state.rnn.w_in)
-        np.save(os.path.join(directory, f"{prefix}rnn_w_rec.npy"), state.rnn.w_rec)
-        np.save(os.path.join(directory, f"{prefix}rnn_bias.npy"), state.rnn.bias)
-        meta["rnn"] = True
-    if state.basis is not None:
-        np.save(os.path.join(directory, f"{prefix}basis_vectors.npy"), state.basis.vectors)
-        np.save(os.path.join(directory, f"{prefix}basis_coef.npy"), state.basis.coefficients)
-        meta["basis_keys"] = [list(k) for k in basis_keys(state.registry, state.strategy)]
-    return meta
+def _save_state(directory: str, prefix: str, state: EmbeddingState) -> None:
+    for name, array in state.arrays().items():
+        np.save(os.path.join(directory, f"{prefix}{name}.npy"), array)
 
 
-def _load_state(directory: str, prefix: str, meta: dict, registry: NewRelationRegistry,
-                strategy: SharingStrategy) -> EmbeddingState:
+def _load_state(directory: str, prefix: str, registry: NewRelationRegistry,
+                strategy: SharingStrategy, dim: int) -> EmbeddingState:
+    """The state stored under `prefix`: `entity_emb`, then exactly the other
+    `state_shapes` arrays, each float64, finite and of its shape."""
     def load(name):
-        return np.load(os.path.join(directory, f"{prefix}{name}.npy"))
+        array = np.load(os.path.join(directory, f"{prefix}{name}.npy"))
+        if array.dtype != np.float64:
+            raise DataError(f"{prefix}{name} has dtype {array.dtype}, expected float64")
+        if not np.isfinite(array).all():
+            raise DataError(f"{prefix}{name} holds non-finite values")
+        return array
 
-    rnn = None
-    if meta.get("rnn"):
-        rnn = RnnParams(load("rnn_w_in"), load("rnn_w_rec"), load("rnn_bias"))
-    basis = None
-    if "basis_keys" in meta:
-        # keys may come in any order (older checkpoints sort them and also hold
-        # "basis_include_original" here, but the strategy's flag counts)
-        keys = [tuple(k) for k in meta["basis_keys"]]
-        expected = basis_keys(registry, strategy)
-        coef = load("basis_coef")
-        if sorted(keys) != sorted(expected) or coef.shape[:1] != (len(keys),):
-            raise DataError(f"{prefix}state basis coefficients cover {sorted(keys)} with "
-                            f"shape {coef.shape}, expected {sorted(expected)}")
-        row_of = {key: i for i, key in enumerate(keys)}
-        basis = BasisParams(load("basis_vectors"), coef[[row_of[key] for key in expected]])
-    state = EmbeddingState(load("entity_emb"), load("relation_emb"), registry, strategy,
-                           rnn, basis)
-    _check_state(state, f"{prefix}state")
-    return state
-
-
-def _check_state(state: EmbeddingState, name: str) -> None:
-    """DataError unless the arrays of `state` are the ones its strategy trains
-    for its minted relations, all of the entity dimension."""
-    registry, strategy, kind = state.registry, state.strategy, state.strategy.kind
-    if state.entity_emb.ndim != 2:
-        raise DataError(f"{name} entity_emb has shape {state.entity_emb.shape}")
-    d = state.dim
-    rows = registry.first_id + (len(registry) if kind == "none" else 0)
-    if state.relation_emb.shape != (rows, d):
-        raise DataError(f"{name} relation_emb has shape {state.relation_emb.shape}, expected "
-                        f"{(rows, d)} for strategy {kind!r} and {len(registry)} minted relations")
-    if (state.rnn is not None) != (kind == "rnn"):
-        raise DataError(f"{name} {'has' if state.rnn else 'lacks'} rnn parameters "
-                        f"under strategy {kind!r}")
-    if state.rnn is not None:
-        shapes = (state.rnn.w_in.shape, state.rnn.w_rec.shape, state.rnn.bias.shape)
-        if shapes != ((d, d), (d, d), (d,)):
-            raise DataError(f"{name} rnn parameters have shapes {shapes}, expected dimension {d}")
-    if (state.basis is not None) != (kind == "basis"):
-        raise DataError(f"{name} {'has' if state.basis else 'lacks'} basis parameters "
-                        f"under strategy {kind!r}")
-    if state.basis is not None:
-        count, rows = state.basis.count, len(basis_keys(registry, strategy))
-        if (state.basis.vectors.shape != (count, d)
-                or state.basis.coefficients.shape != (rows, count)):
-            raise DataError(f"{name} basis parameters are not {count} vectors of dimension {d} "
-                            f"and {rows} coefficient rows")
+    entity = load("entity_emb")
+    # its row count sizes the state; a 0-d entity_emb fails the shape check below
+    shapes = state_shapes(len(entity) if entity.ndim else 0, dim, registry, strategy)
+    arrays = {name: entity if name == "entity_emb" else load(name) for name in shapes}
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise DataError(f"{prefix}{name} has shape {arrays[name].shape}, expected {shape} "
+                            f"for strategy {strategy.kind!r}, dimension {dim} and "
+                            f"{len(registry)} minted relations")
+    return EmbeddingState.from_arrays(arrays, registry, strategy)
 
 
 def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
     os.makedirs(directory, exist_ok=True)
+    _save_state(directory, "", ckpt.state)
+    _save_state(directory, "best_", ckpt.best_state)
     meta = {
-        "format": 1,
+        "format": FORMAT,
         "config": asdict(ckpt.config),
         "strategy": asdict(ckpt.state.strategy),
         "walks": ckpt.walks,
@@ -163,8 +127,6 @@ def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
         "best_mrr": ckpt.best_mrr,
         "bad_epochs": ckpt.bad_epochs,
         "log": ckpt.log,
-        "state": _save_state(directory, "", ckpt.state),
-        "best_state": _save_state(directory, "best_", ckpt.best_state),
     }
     with open(os.path.join(directory, _META), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -191,6 +153,10 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise DataError(f"cannot read checkpoint: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{meta_path} is not valid JSON: {exc}") from None
+    found = meta.get("format") if isinstance(meta, dict) else None
+    if type(found) is not int or found != FORMAT:
+        raise DataError(f"{meta_path} is checkpoint format {found!r}, and this version reads "
+                        f"format {FORMAT} only; train again to write one")
     try:
         return _checkpoint_from_meta(directory, meta)
     except DataError as exc:
@@ -208,12 +174,7 @@ def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
         if rid != first_id + i:
             raise DataError(f"registry ids are not contiguous at {rid}")
     registry = NewRelationRegistry(first_id, [m for _, m in minted])
-    strategy = dict(meta["strategy"])
-    # older checkpoints store the model composition, which is always the sum
-    compose_op = strategy.pop("compose_op", "sum")
-    if compose_op != "sum":
-        raise DataError(f"unsupported compose op {compose_op!r}")
-    strategy = _dataclass_section(SharingStrategy, strategy, "strategy")
+    strategy = _dataclass_section(SharingStrategy, meta["strategy"], "strategy")
     config = _dataclass_section(ModelConfig, meta["config"], "config")
     try:
         config.validate()
@@ -226,15 +187,15 @@ def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
             raise DataError(f"{name} must be a non-negative integer, got {meta[name]!r}")
     if type(meta["best_mrr"]) not in (int, float):
         raise DataError(f"best_mrr must be a number, got {meta['best_mrr']!r}")
-    walks = meta.get("walks")
+    walks = meta["walks"]
     if walks is not None:
         _check_walks(walks)
     log_keys = {"epoch", "mean_loss", "valid_mrr"}
     if any(not isinstance(entry, dict) or set(entry) != log_keys for entry in meta["log"]):
         raise DataError(f"every log entry must hold exactly the keys {sorted(log_keys)}")
     return Checkpoint(
-        state=_load_state(directory, "", meta["state"], registry, strategy),
-        best_state=_load_state(directory, "best_", meta["best_state"], registry, strategy),
+        state=_load_state(directory, "", registry, strategy, config.dim),
+        best_state=_load_state(directory, "best_", registry, strategy, config.dim),
         config=config,
         rng_state=meta["rng_state"],
         epoch=meta["epoch"],
@@ -247,17 +208,13 @@ def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
 
 def _check_walks(walks) -> None:
     """DataError unless `walks` maps each of WALK_SETTINGS to a value `train`
-    takes, and WALK_DIGEST, if present (it is not in older checkpoints), to a
-    SHA-256 hex digest."""
-    keys = sorted(WALK_SETTINGS)
-    if not isinstance(walks, dict) or sorted(set(walks) - {WALK_DIGEST}) != keys:
-        raise DataError(f"walks must hold exactly the keys {keys} and {WALK_DIGEST} "
-                        f"(older checkpoints lack {WALK_DIGEST}), got {walks!r}")
-    if WALK_DIGEST in walks:
-        digest = walks[WALK_DIGEST]
-        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
-            raise DataError(f"walks {WALK_DIGEST} must be a SHA-256 hex digest, "
-                            f"got {digest!r}")
+    takes, and WALK_DIGEST to a SHA-256 hex digest."""
+    keys = sorted((*WALK_SETTINGS, WALK_DIGEST))
+    if not isinstance(walks, dict) or sorted(walks) != keys:
+        raise DataError(f"walks must hold exactly the keys {keys}, got {walks!r}")
+    digest = walks[WALK_DIGEST]
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+        raise DataError(f"walks {WALK_DIGEST} must be a SHA-256 hex digest, got {digest!r}")
     l_max, sample = walks["l_max"], walks["original_edge_sample"]
     if type(l_max) is not int or l_max < 1:
         raise DataError(f"walks l_max must be a positive integer, got {l_max!r}")

@@ -62,9 +62,6 @@ def _check_resume(resume: Checkpoint, num_entities: int, config: ModelConfig,
     if resume.walks is None:
         raise ConfigError(f"resume checkpoint does not record its walk settings "
                           f"({', '.join(WALK_SETTINGS)}), so they are unknown")
-    if WALK_DIGEST not in resume.walks:
-        raise ConfigError(f"resume checkpoint does not record what its walks emit "
-                          f"({WALK_DIGEST}), so it is unknown")
     ours, theirs = asdict(config), asdict(resume.config)
     ours.pop("epochs"), theirs.pop("epochs")  # training longer is the point of resuming
     mismatched = [k for k in ours if ours[k] != theirs[k]]

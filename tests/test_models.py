@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradcheck
 from oracles import WeightedTriplet, scalar_loss, score_backward, two_pass_batch_loss_and_grad
@@ -26,7 +28,7 @@ from walkaug import (
     score,
     score_and_grad,
 )
-from walkaug.models import BLOCK_VALUES, default_margin
+from walkaug.models import BLOCK_VALUES, default_margin, state_shapes
 from walkaug.sharing import RnnParams
 
 SCORINGS = ("transe_l2", "transe_l1", "distmult")
@@ -249,6 +251,29 @@ def test_init_state_bound_scales_with_dimension():
     state = init_state(200, NewRelationRegistry(3), config, strategy, np.random.default_rng(0))
     assert np.abs(state.entity_emb).max() <= 1.0  # 6 / sqrt(36)
     assert np.abs(state.entity_emb).max() > 0.9
+
+
+@st.composite
+def _registries(draw):
+    """A registry of 1-4 original relations and up to 4 distinct minted metapaths."""
+    first_id = draw(st.integers(1, 4))
+    path = st.lists(st.integers(0, first_id - 1), min_size=2, max_size=3).map(tuple)
+    return NewRelationRegistry(first_id, draw(st.lists(path, max_size=4, unique=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["none", "model", "rnn", "basis"]),
+       include_original=st.booleans(), basis_count=st.none() | st.integers(1, 4),
+       registry=_registries(), num_entities=st.integers(0, 6), dim=st.integers(1, 5))
+def test_state_shapes_are_the_shapes_init_state_draws(kind, include_original, basis_count,
+                                                      registry, num_entities, dim):
+    strategy = SharingStrategy(kind=kind, basis_count=basis_count,
+                               basis_include_original=include_original)
+    config = ModelConfig(scoring="transe_l2", dim=dim)
+    state = init_state(num_entities, registry, config, strategy, np.random.default_rng(0))
+    shapes = state_shapes(num_entities, dim, registry, strategy)
+    assert [(name, array.shape) for name, array in state.arrays().items()] == list(shapes.items())
+    assert all(array.dtype == np.float64 for array in state.arrays().values())
 
 
 def test_model_config_validation():

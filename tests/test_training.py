@@ -24,7 +24,6 @@ from walkaug import (
 )
 from walkaug.augment import NewRelationRegistry, SegmentTable
 from walkaug.models import init_state
-from walkaug.sharing import relation_vector
 from walkaug.storage import Checkpoint, save_checkpoint
 
 N, R = 10, 3
@@ -143,78 +142,38 @@ def test_checkpoint_roundtrip(tmp_path):
     assert ckpt.state.registry.items() == [(R, (0, 1))]
 
 
-@pytest.mark.parametrize("kind", ["rnn", "basis"])
-def test_checkpoint_preserves_sharing_parameters(tmp_path, kind):
+@pytest.mark.parametrize("kind,include_original", [
+    ("none", False), ("model", False), ("rnn", False), ("basis", False), ("basis", True)],
+    ids=["none", "model", "rnn", "basis", "basis-include-original"])
+def test_checkpoint_preserves_sharing_parameters(tmp_path, kind, include_original):
     strategy = SharingStrategy(kind=kind, basis_count=2 if kind == "basis" else None,
-                               basis_include_original=(kind == "basis"))
+                               basis_include_original=include_original)
     config = small_config()
     rng = np.random.default_rng(5)
-    state = init_state(N, NewRelationRegistry(R, [(0, 1)]), config, strategy, rng)
+    registry = NewRelationRegistry(R, [(0, 1), (2, 1, 0)])
+    state = init_state(N, registry, config, strategy, rng)
+    best = init_state(N, registry, config, strategy, rng)
     ckpt_dir = str(tmp_path / kind)
     save_checkpoint(ckpt_dir, Checkpoint(
-        state=state, best_state=state.copy(), config=config,
+        state=state, best_state=best, config=config,
         rng_state=rng.bit_generator.state,
         epoch=1, best_mrr=0.25, bad_epochs=0, log=[],
     ))
     ckpt = load_checkpoint(ckpt_dir)
-    assert ckpt.state.strategy == ckpt.best_state.strategy == strategy
-    if kind == "rnn":
-        assert np.array_equal(ckpt.state.rnn.w_in, state.rnn.w_in)
-        assert np.array_equal(ckpt.state.rnn.w_rec, state.rnn.w_rec)
-        assert np.array_equal(ckpt.state.rnn.bias, state.rnn.bias)
-    else:
-        assert np.array_equal(ckpt.state.basis.vectors, state.basis.vectors)
-        assert np.array_equal(ckpt.state.basis.coefficients, state.basis.coefficients)
-        assert ckpt.state.strategy.basis_include_original
-        # the flag lives on the strategy; older checkpoints also wrote it per state
-        meta_path = os.path.join(ckpt_dir, "meta.json")
-        meta = json.load(open(meta_path))
-        assert "basis_include_original" not in meta["state"]
-        meta["state"]["basis_include_original"] = True
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh)
-        assert np.array_equal(load_checkpoint(ckpt_dir).state.basis.coefficients,
-                              state.basis.coefficients)
-
-
-def test_checkpoint_with_sorted_basis_keys_loads_each_relation_coefficient(tmp_path):
-    # older checkpoints wrote the basis rows under sorted keys, so the (r,)
-    # rows of the original relations sit between the minted ones
-    registry = NewRelationRegistry(R, [(0, 1), (2, 1, 0), (1, 2)])
-    strategy = SharingStrategy(kind="basis", basis_count=2, basis_include_original=True)
-    config = small_config()
-    rng = np.random.default_rng(5)
-    state = init_state(N, registry, config, strategy, rng)
-    ckpt_dir = str(tmp_path / "old")
-    save_checkpoint(ckpt_dir, Checkpoint(
-        state=state, best_state=state.copy(), config=config,
-        rng_state=rng.bit_generator.state, epoch=1, best_mrr=0.25, bad_epochs=0, log=[],
-    ))
-    meta_path = os.path.join(ckpt_dir, "meta.json")
-    meta = json.load(open(meta_path))
-    for section, prefix in (("state", ""), ("best_state", "best_")):
-        keys = [tuple(k) for k in meta[section]["basis_keys"]]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        meta[section]["basis_keys"] = [list(keys[i]) for i in order]
-        coef_path = os.path.join(ckpt_dir, f"{prefix}basis_coef.npy")
-        np.save(coef_path, np.load(coef_path)[order])
-    assert meta["state"]["basis_keys"] == [[0], [0, 1], [1], [1, 2], [2], [2, 1, 0]]
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh)
-
-    loaded = load_checkpoint(ckpt_dir)
-    for got in (loaded.state, loaded.best_state):
-        assert np.array_equal(got.basis.coefficients, state.basis.coefficients)
-        ids = np.arange(R + len(registry))
-        assert np.array_equal(relation_vector(got, ids),
-                              relation_vector(state, ids))
+    for got, want in ((ckpt.state, state), (ckpt.best_state, best)):
+        assert got.strategy == strategy and got.registry == registry
+        assert list(got.arrays()) == list(want.arrays())
+        for name, array in want.arrays().items():
+            loaded = got.arrays()[name]
+            assert loaded.dtype == array.dtype and loaded.shape == array.shape, name
+            assert loaded.tobytes() == array.tobytes(), name
 
 
 @pytest.mark.parametrize("kind,damage,message", [
     ("none", "drop the minted row", "relation_emb has shape"),
-    ("rnn", "widen w_in", "rnn parameters have shapes"),
-    ("basis", "mint one more metapath", "basis coefficients cover"),
-    ("basis", "widen the basis vectors", "basis parameters are not"),
+    ("rnn", "widen w_in", "rnn_w_in has shape"),
+    ("basis", "mint one more metapath", "basis_coef has shape"),
+    ("basis", "widen the basis vectors", "basis_vectors has shape"),
 ])
 def test_load_checkpoint_checks_arrays_against_strategy_and_registry(tmp_path, kind, damage,
                                                                      message):
