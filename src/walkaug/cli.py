@@ -324,7 +324,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = build_config(args)
     checkpoint_dir = _artifact(cfg, args.checkpoint, "checkpoint")
-    ckpt = load_checkpoint(checkpoint_dir)
+    ckpt = load_checkpoint(checkpoint_dir, best_only=True)
     dataset = _load_dataset(cfg)
     state = ckpt.best_state
     if state.num_entities != dataset.num_entities:

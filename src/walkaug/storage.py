@@ -10,12 +10,18 @@ sections, and the current and best states share them. The two decide which
 arrays a state holds and their shapes (`models.state_shapes`), so meta.json
 says nothing per state.
 
+Saving removes the arrays of either state that the new state does not
+hold (`ARRAY_NAMES`), so that a run under another strategy leaves none of
+the last one's behind; it touches no other file.
+
 Loading first checks the format number: a checkpoint of any other format,
 or of none, is refused with a DataError, to be trained again. It then
 validates the stored config, strategy, walk settings, rng state, counters
 and log, and reads `entity_emb` and exactly the other arrays `state_shapes`
 names, each of which must be float64, finite and of its shape. So a
 malformed checkpoint is a DataError before any training or ranking starts.
+`eval` ranks the best state alone, and loads with `best_only`, which reads
+and checks no array of the current one.
 
 The `walks` section holds the walk settings that `train` takes beside the
 model config (`WALK_SETTINGS`) and the SHA-256 of what its walks can emit
@@ -63,13 +69,16 @@ FORMAT = 2  # meta.json "format"; a change to the layout of a checkpoint bumps i
 WALK_SETTINGS = ("l_max", "original_edge_sample", "rule_sampling")
 WALK_DIGEST = "segments_sha256"
 DATASET_CACHE = "dataset.cache.npz"
+# every name `EmbeddingState.arrays` (and `state_shapes`) can give an array, under any strategy
+ARRAY_NAMES = ("entity_emb", "relation_emb", "rnn_w_in", "rnn_w_rec", "rnn_bias",
+               "basis_vectors", "basis_coef")
 
 
 @dataclass
 class Checkpoint:
     """Everything needed to resume or evaluate a training run."""
 
-    state: EmbeddingState
+    state: EmbeddingState | None  # None when loaded `best_only`
     best_state: EmbeddingState
     config: ModelConfig
     rng_state: dict
@@ -111,6 +120,12 @@ def _load_state(directory: str, prefix: str, registry: NewRelationRegistry,
 
 def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
     os.makedirs(directory, exist_ok=True)
+    held = ckpt.state.arrays()
+    stale = [f"{prefix}{name}.npy" for name in ARRAY_NAMES if name not in held
+             for prefix in ("", "best_")]
+    for file_name in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, file_name))
     _save_state(directory, "", ckpt.state)
     _save_state(directory, "best_", ckpt.best_state)
     meta = {
@@ -144,7 +159,10 @@ def _dataclass_section(cls, section, name: str):
     return cls(**section)
 
 
-def load_checkpoint(directory: str) -> Checkpoint:
+def load_checkpoint(directory: str, best_only: bool = False) -> Checkpoint:
+    """The checkpoint in `directory`, checked (see the module docstring).
+    With `best_only`, the current state's arrays are neither read nor
+    checked and `state` is None: what ranking the best state needs."""
     meta_path = os.path.join(directory, _META)
     try:
         with open(meta_path, encoding="utf-8") as fh:
@@ -158,7 +176,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise DataError(f"{meta_path} is checkpoint format {found!r}, and this version reads "
                         f"format {FORMAT} only; train again to write one")
     try:
-        return _checkpoint_from_meta(directory, meta)
+        return _checkpoint_from_meta(directory, meta, best_only)
     except DataError as exc:
         raise DataError(f"{meta_path}: {exc}") from None
     except KeyError as exc:
@@ -167,7 +185,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise DataError(f"{meta_path}: malformed checkpoint ({exc})") from None
 
 
-def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
+def _checkpoint_from_meta(directory: str, meta: dict, best_only: bool) -> Checkpoint:
     first_id = meta["registry"]["first_id"]
     minted = meta["registry"]["minted"]
     for i, (rid, _) in enumerate(minted):
@@ -194,7 +212,7 @@ def _checkpoint_from_meta(directory: str, meta: dict) -> Checkpoint:
     if any(not isinstance(entry, dict) or set(entry) != log_keys for entry in meta["log"]):
         raise DataError(f"every log entry must hold exactly the keys {sorted(log_keys)}")
     return Checkpoint(
-        state=_load_state(directory, "", registry, strategy, config.dim),
+        state=None if best_only else _load_state(directory, "", registry, strategy, config.dim),
         best_state=_load_state(directory, "best_", registry, strategy, config.dim),
         config=config,
         rng_state=meta["rng_state"],

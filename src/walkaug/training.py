@@ -56,6 +56,8 @@ class TrainResult:
 
 def _check_resume(resume: Checkpoint, num_entities: int, config: ModelConfig,
                   strategy: SharingStrategy, walks: dict, registry: NewRelationRegistry) -> None:
+    if resume.state is None:
+        raise ValueError("resume needs the checkpoint's current state, not a best_only load")
     if resume.state.num_entities != num_entities:
         raise DataError(f"resume checkpoint has {resume.state.num_entities} entities, "
                         f"the training graph has {num_entities}")

@@ -293,12 +293,38 @@ def test_a_damaged_checkpoint_array_is_a_data_error(data, tmp_path, capsys, dama
         named = f"{name} has dtype {damage.split()[0]}"
     np.save(path, array)
     capsys.readouterr()
-    assert main(base_args(data, "eval") + ["--test", data["test"]]) == 3
+    # eval reads and checks the best state alone; a resume reads and checks both
+    ranked = name.startswith("best_")
+    assert main(base_args(data, "eval") + ["--test", data["test"]]) == (3 if ranked else 0)
     resume_argv = train_argv + ["--epochs", "2", "--resume", checkpoint,
                                 "--checkpoint", str(tmp_path / "next")]
     assert main(resume_argv) == 3
     err = capsys.readouterr().err
-    assert err.count("data error") == 2 and err.count(named) == 2 and "Traceback" not in err
+    refusals = 2 if ranked else 1
+    assert err.count("data error") == refusals and err.count(named) == refusals
+    assert "Traceback" not in err
+
+
+def test_a_new_strategy_removes_the_last_ones_arrays(data):
+    assert main(base_args(data, "mine")) == 0
+    assert main(base_args(data, "rules")) == 0
+    checkpoint = os.path.join(data["out"], "checkpoint")
+    train_argv = base_args(data, "train") + TRAIN_SPEED + ["--conf-threshold", "0.9",
+                                                           "--epochs", "1"]
+    assert main(train_argv + ["--strategy", "rnn"]) == 0
+    rnn_files = {f"{prefix}rnn_{name}.npy" for prefix in ("", "best_")
+                 for name in ("w_in", "w_rec", "bias")}
+    assert rnn_files <= set(os.listdir(checkpoint))
+    with open(os.path.join(checkpoint, "notes.txt"), "w") as fh:
+        fh.write("kept\n")
+    np.save(os.path.join(checkpoint, "rnn_extra.npy"), np.zeros(2))  # not a state array name
+    assert main(train_argv + ["--strategy", "basis"]) == 0
+    names = {name.removeprefix("best_").removesuffix(".npy")
+             for name in os.listdir(checkpoint) if name.endswith(".npy")}
+    assert names == {"entity_emb", "relation_emb", "basis_vectors", "basis_coef", "rnn_extra"}
+    assert open(os.path.join(checkpoint, "notes.txt")).read() == "kept\n"
+    assert load_checkpoint(checkpoint).state.basis is not None
+    assert main(base_args(data, "eval") + ["--test", data["test"]]) == 0
 
 
 def test_explicit_dictionaries_and_tsv_export(data, tmp_path):
@@ -589,15 +615,20 @@ def test_basis_coefficients_must_match_their_keys(data, capsys, damage):
     checkpoint = os.path.join(data["out"], "checkpoint")
     eval_argv = base_args(data, "eval") + ["--test", data["test"]]
     assert main(eval_argv) == 0
-    coef_path = os.path.join(checkpoint, "basis_coef.npy")
-    coef = np.load(coef_path)
-    assert len(coef), "the run mints a basis-shared relation"
-    np.save(coef_path, np.concatenate((coef, coef[:1])))
-    capsys.readouterr()
-    assert main(eval_argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error:") and "basis_coef has shape" in err
-    assert "Traceback" not in err
+    # eval reads the best state's coefficients, a resume the current ones too
+    for prefix, argv in (("best_", eval_argv),
+                         ("", train_argv + ["--epochs", "2", "--resume", checkpoint,
+                                            "--checkpoint", os.path.join(data["out"], "next")])):
+        coef_path = os.path.join(checkpoint, f"{prefix}basis_coef.npy")
+        coef = np.load(coef_path)
+        assert len(coef), "the run mints a basis-shared relation"
+        np.save(coef_path, np.concatenate((coef, coef[:1])))
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{prefix}basis_coef has shape" in err
+        assert "Traceback" not in err
+        np.save(coef_path, coef)
 
 
 @pytest.mark.parametrize("other", ["more entities", "fewer entities"])

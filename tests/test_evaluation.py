@@ -334,22 +334,41 @@ def _rows_near_overflow(emb, relations):
     emb[[2, 7]] *= 1e154  # |e|^2 overflows
 
 
-def _scaled(exp):
+def _subnormal_duplicate_rows(emb, relations):
+    emb[15:] = emb[:15]  # exact ties
+    emb *= 1e-43
+    relations *= 1e53
+
+
+def _scaled(exp, relation_exp=None):
     def scale(emb, relations):
         emb *= 10.0 ** exp
-        relations *= 10.0 ** exp
+        relations *= 10.0 ** (exp if relation_exp is None else relation_exp)
     return scale
 
 
 @pytest.mark.parametrize("spoil", [_infinite_row, _nan_relation, _rows_near_overflow,
-                                   _scaled(153), _scaled(152), _scaled(100)],
+                                   _scaled(153), _scaled(152), _scaled(100),
+                                   _scaled(19), _scaled(18), _scaled(17), _scaled(12),
+                                   _scaled(-18), _scaled(-20), _subnormal_duplicate_rows,
+                                   _scaled(-30, 70)],
                          ids=["inf row", "nan relation", "rows near 1e154", "scale 1e153",
-                              "scale 1e152", "scale 1e100"])
+                              "scale 1e152", "scale 1e100", "scale 1e19", "scale 1e18",
+                              "scale 1e17", "scale 1e12", "scale 1e-18", "scale 1e-20",
+                              "rows 1e-43, relations 1e53", "rows 1e-30, relations 1e70"])
 def test_untrusted_sides_are_rescored_exactly(spoil):
-    # `_band` step 14: a side whose screen could overflow or is not finite is
-    # rescored in full. At scale 1e153 every side's band bound reaches
-    # max / 16; at 1e152 (transe_l2) and 1e100 (distmult) the screen is
-    # trusted, with a band as wide as the values demand.
+    # `_band` step 14: a side whose float32 screen could overflow or is not
+    # finite is rescored in full. From scale 1e19 every side's M' reaches
+    # float32's max / 16 (from 1e13 under distmult, which grows as the cube);
+    # at 1e18 (transe_l2) and 1e12 (distmult) only some sides do, and at 1e17
+    # the transe_l2 screen is trusted with a band as wide as the values
+    # demand. At 1e-18 and 1e-20 the float32 products are subnormal or zero,
+    # and tau's term covers their underflow. Rows of 1e-43 lose up to a few
+    # percent of their value in the float32 table, and relations of 1e53
+    # make distmult's side vectors 1e10: the sqrt(d) S' term covers that
+    # loss, which would flip the exact ties of the duplicate rows without it.
+    # With rows of 1e-30 and relations of 1e70, M' is small but distmult's
+    # side vectors pass float32's max, so S' alone untrusts them.
     rng = np.random.default_rng(53)
     n, d, m = 30, 5, 16
     emb, relations = rng.normal(size=(n, d)), rng.normal(size=(3, d))
@@ -389,6 +408,73 @@ def test_zero_band_misranks_a_tie_table(monkeypatch):
             got = evaluate(state, scoring, graph, None, "raw", tie)
             monkeypatch.setattr(evaluation, "_band", band)
             assert not np.array_equal(np.stack((got.head_ranks, got.tail_ranks)), want)
+
+
+def _float64_band(scoring, d, max_sq_norm, side_sq_norms):
+    """The band a float64 screen needs: k = 5d + 19 (transe_l2) or 4d + 2
+    (distmult) with float64's unit roundoff, and tau = 2^22 tiny64."""
+    u = 2.0 ** -53
+    k = 5 * d + 19 if scoring == "transe_l2" else 4 * d + 2
+    table_norm, side_norms = np.sqrt(max_sq_norm), np.sqrt(side_sq_norms)
+    if scoring == "transe_l2":
+        magnitude = (table_norm + side_norms) ** 2
+    else:
+        magnitude = table_norm * side_norms
+    return 2 * (k * u / (1 - k * u) * magnitude + d * np.finfo(np.float64).tiny * 2.0 ** 22)
+
+
+def test_float64_band_misranks_a_near_tie_table(monkeypatch):
+    # the float32 screen rounds near-ties far more than a float64 one: the
+    # band derived for float64 gets them wrong, the float32 one does not
+    rng = np.random.default_rng(31)
+    n, d, m = 3000, 8, 200
+    emb, relations = adversarial_table(rng, "one_decimal", n, d, 1.0)
+    state = EmbeddingState(emb, relations, NewRelationRegistry(3), STRATEGY)
+    edges = np.column_stack((rng.integers(n, size=m), rng.integers(3, size=m),
+                             rng.integers(n, size=m)))
+    graph = make_graph(edges, num_entities=n, num_relations=3)
+    band = evaluation._band
+    for scoring in ("transe_l2", "distmult"):
+        for tie in ("optimistic", "pessimistic"):
+            want = loop_ranks(graph, state, scoring, None, "raw", tie)
+            got = evaluate(state, scoring, graph, None, "raw", tie)
+            assert np.array_equal(np.stack((got.head_ranks, got.tail_ranks)), want)
+            monkeypatch.setattr(evaluation, "_band", _float64_band)
+            got = evaluate(state, scoring, graph, None, "raw", tie)
+            monkeypatch.setattr(evaluation, "_band", band)
+            assert not np.array_equal(np.stack((got.head_ranks, got.tail_ranks)), want)
+
+
+def test_float32_width_never_narrows_the_band():
+    # the float64 W rounded up: the least float32 at or above it
+    rng = np.random.default_rng(59)
+    info = np.finfo(np.float32)
+    widths = [0.0, float(info.smallest_subnormal) / 3, float(info.smallest_subnormal),
+              float(info.tiny) * 0.7, float(info.tiny), 1.0, 1.0 + 2.0 ** -30, 1.0 / 3,
+              float(info.max) * (1 - 2.0 ** -30), float(info.max)]
+    widths += (rng.random(500) * 10.0 ** rng.integers(-47, 39, size=500)).tolist()
+    for width in widths:
+        got = evaluation._float32_width(width)
+        assert isinstance(got, np.float32)
+        assert float(got) >= width, width
+        below = np.nextafter(got, np.float32(-np.inf))
+        assert float(below) < width, width
+    with np.errstate(over="ignore"):
+        assert evaluation._float32_width(float(info.max) * 2) == np.inf
+    assert evaluation._float32_width(np.inf) == np.inf
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (8, 8), (1024, 128), (832, 128), (2040, 8),
+                                   (2047, 16), (4104, 8), (4106, 24), (5, 130)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_column_counts_count_every_true_entry(shape):
+    # uint64 words summed 255 at a time: full columns make every byte lane
+    # as large as it can get
+    rng = np.random.default_rng(shape)
+    for fill in (0.0, 0.01, 0.5, 1.0):
+        mask = rng.random(shape) < fill
+        got = evaluation._column_counts(mask)
+        assert got.tolist() == np.count_nonzero(mask, axis=0).tolist(), fill
 
 
 @pytest.mark.parametrize("scoring", SCORINGS)

@@ -24,7 +24,7 @@ from walkaug import (
 )
 from walkaug.augment import NewRelationRegistry, SegmentTable
 from walkaug.models import init_state
-from walkaug.storage import Checkpoint, save_checkpoint
+from walkaug.storage import ARRAY_NAMES, Checkpoint, save_checkpoint
 
 N, R = 10, 3
 
@@ -167,6 +167,33 @@ def test_checkpoint_preserves_sharing_parameters(tmp_path, kind, include_origina
             loaded = got.arrays()[name]
             assert loaded.dtype == array.dtype and loaded.shape == array.shape, name
             assert loaded.tobytes() == array.tobytes(), name
+    assert set(state.arrays()) <= set(ARRAY_NAMES)
+    best_only = load_checkpoint(ckpt_dir, best_only=True)
+    assert best_only.state is None
+    assert list(best_only.best_state.arrays()) == list(best.arrays())
+    for name, array in best.arrays().items():
+        assert best_only.best_state.arrays()[name].tobytes() == array.tobytes(), name
+
+
+def test_best_only_load_reads_and_checks_the_best_state_alone(tmp_path):
+    dataset = make_dataset()
+    ckpt_dir = str(tmp_path / "ckpt")
+    train(dataset, INFORMATIVE, {}, small_config(epochs=1), checkpoint_dir=ckpt_dir)
+    for prefix in ("", "best_"):
+        path = os.path.join(ckpt_dir, f"{prefix}entity_emb.npy")
+        intact = np.load(path)
+        np.save(path, np.full_like(intact, np.nan))
+        with pytest.raises(DataError, match=f"{prefix}entity_emb holds non-finite values"):
+            load_checkpoint(ckpt_dir)
+        if prefix:
+            with pytest.raises(DataError, match="best_entity_emb holds non-finite"):
+                load_checkpoint(ckpt_dir, best_only=True)
+        else:
+            assert load_checkpoint(ckpt_dir, best_only=True).state is None
+        np.save(path, intact)
+    ckpt = load_checkpoint(ckpt_dir, best_only=True)
+    with pytest.raises(ValueError, match="current state"):
+        train(dataset, INFORMATIVE, {}, small_config(epochs=2), resume=ckpt)
 
 
 @pytest.mark.parametrize("kind,damage,message", [
