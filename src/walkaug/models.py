@@ -24,22 +24,27 @@ forward pass: the translation h + r - t (TransE) or the product h * t
 A chunk gathers the vectors of each positive's head and tail and of its k
 corruptions' into one block, computes the translation once for the
 positive and its corruptions together, and derives the scores, the loss
-and every gradient from it. The block, the translation, the gradient
-buffers and the flat cell indices are allocated once per call and refilled
-in place (`out=`) by every chunk. A chunk holds at most BLOCK_VALUES (2^14)
-values per buffer: at 2^17 the kernel took about 18,000 minor page faults
-per `train` call of the planted benchmark, against about 700 at 2^14, and
-was no faster. Each chunk adds its entity and relation gradients with
-`sharing.add_rows`, numpy's 1-D `ufunc.at` over flat (row, column) cell
-indices: it adds the terms in the order the 2-D `np.add.at` does, so the
-bits are the same, and numpy 1.25+ runs it in a fast loop (numpy 1.24
-gives the same bits, slower). Entity gradients are added in slot order
-(head, tail, corrupted heads, corrupted tails) and a relation's as its
-positive's term plus the sum of its corruptions', in the order of the
-two-pass oracle in `tests/oracles.py`, which the tests hold the kernel to
-bit for bit. Weight-0 positives are dropped before scoring. The gradients
-are row arrays (`SparseGrads`), applied by plain SGD with optional L2
-shrinkage on exactly the touched rows of each table.
+and every gradient from it; under TransE ds/dt of each side is computed
+once, in place of the translation, and copied into the block's tail
+slots, whose head slots take its negation. A chunk holds at most
+CHUNK_VALUES (2^16) values per buffer and is a whole number of loss runs,
+each filling a BLOCK_VALUES (2^14) block: the loss is summed run by run,
+so its total does not depend on the chunk size, and the gradients never
+do. The scratch buffers come from a `KernelWorkspace`, which
+`training.train` keeps for its whole run, so they are faulted in once
+rather than per minibatch. The touched entity rows and each slot's first
+flat (row, column) cell are found once per batch, through a mark and a
+rank table over the entities, and the gradients are added by numpy's 1-D
+`ufunc.at` over those cells, one call per run for entities and per chunk
+for relations: it adds the terms in the order the 2-D `np.add.at` does,
+so the bits are the same, and numpy 1.25+ runs it in a fast loop (numpy
+1.24 gives the same bits, slower). Entity gradients are
+added in slot order (head, tail, corrupted heads, corrupted tails) and a
+relation's as its positive's term plus the sum of its corruptions', in
+the order of the two-pass oracle in `tests/oracles.py`, which the tests
+hold the kernel to bit for bit. Weight-0 positives are dropped before
+scoring. The gradients are row arrays (`SparseGrads`), applied by plain
+SGD with optional L2 shrinkage on exactly the touched rows of each table.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from .sharing import (
     RnnParams,
     SharingStrategy,
     SparseGrads,
-    add_rows,
     basis_keys,
     relation_backward,
     relation_vector,
@@ -374,6 +378,45 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+# Values per buffer of one compute chunk of the batch kernel (512 KB of
+# float64). A chunk is a whole number of loss runs of BLOCK_VALUES // ((2 +
+# 2k) d) positives, so the loss is summed run by run whatever the chunk size.
+CHUNK_VALUES = 1 << 16
+
+
+class KernelWorkspace:
+    """Scratch arrays of `batch_loss_and_grad`, kept from one call to the next.
+
+    `training.train` holds one for its run, so the kernel's buffers are
+    allocated and faulted in once rather than per minibatch. Each buffer
+    grows to the largest request made of it and is freed with the workspace.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """An uninitialised C-contiguous array of `shape`, a view of the
+        buffer `name`; it stays valid until `name` is taken again."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
+def _raise_non_finite_loss(loss: np.ndarray, offset: int, batch: TripletBatch) -> None:
+    """Raise NumericError naming the first positive of `loss` with a
+    non-finite loss, `offset` being its first positive's index in `batch`.
+    Finite losses whose sum overflows are not an error."""
+    bad = np.flatnonzero(~np.isfinite(loss))
+    if bad.size:
+        i = offset + int(bad[0])
+        ident = Triplet(int(batch.heads[i]), int(batch.relations[i]), int(batch.tails[i]))
+        raise NumericError(f"non-finite loss {float(loss[bad[0]])!r} for triplet "
+                           f"{tuple(ident)}", triplet=ident)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # once per call: a per-chunk `with` cost 3%
 def batch_loss_and_grad(
     batch: TripletBatch,
@@ -381,6 +424,7 @@ def batch_loss_and_grad(
     neg_tails: np.ndarray,
     state: EmbeddingState,
     config: ModelConfig,
+    workspace: KernelWorkspace | None = None,
 ) -> tuple[float, SparseGrads]:
     """Summed weighted logistic loss of a minibatch, and its gradients.
 
@@ -388,13 +432,16 @@ def batch_loss_and_grad(
     arrays `neg_heads` / `neg_tails`, which keep its relation. Weight-0
     positives are dropped first and contribute nothing. One
     `relation_vector` call builds the vectors of the distinct relations;
-    positives are scored in chunks sized by BLOCK_VALUES, each in one
-    forward pass over the positive and its corruptions together; entity
-    and relation gradients are summed onto the unique touched rows by
-    `add_rows`, in chunk order; and one `relation_backward` call routes
-    each relation's summed vector gradient. A non-finite loss raises
-    NumericError before any gradient is computed, and a non-finite
-    gradient raises it in `apply_update`; numpy does not warn first.
+    positives are scored in chunks of CHUNK_VALUES per buffer, each in one
+    forward pass over the positive and its corruptions together; the loss
+    is summed per run of BLOCK_VALUES per block, in order; entity and
+    relation gradients are summed onto the unique touched rows by one 1-D
+    `np.add.at` per run and per chunk, in positive order; and one
+    `relation_backward` call routes each relation's summed vector gradient.
+    The scratch comes from `workspace`, or a fresh one per call. A
+    non-finite loss raises NumericError before its chunk's gradients are
+    computed, and a non-finite gradient raises it in `apply_update`; numpy
+    does not warn first.
     """
     grads = SparseGrads()
     keep = batch.weights != 0.0
@@ -403,6 +450,7 @@ def batch_loss_and_grad(
     size = len(batch)
     if size == 0:
         return 0.0, grads
+    ws = KernelWorkspace() if workspace is None else workspace
 
     scoring = config.scoring
     margin = config.margin
@@ -417,21 +465,33 @@ def batch_loss_and_grad(
     # h, t, the k corrupted heads, the k corrupted tails
     sides = np.concatenate((h, neg_heads, t, neg_tails), axis=1)
     slots = np.concatenate((h, t, neg_heads, neg_tails), axis=1)
-    rows, row_of = np.unique(slots, return_inverse=True)
-    if rows[0] < 0 or rows[-1] >= state.num_entities:
+    # checked first: a negative id would index the tables from the end
+    if slots.min() < 0 or slots.max() >= state.num_entities:
         raise IndexError(f"entity id out of range [0, {state.num_entities})")
-    row_of = row_of.reshape(slots.shape)
+    # the touched rows, sorted, and the first flat cell of each slot's row
+    mark = ws.take("mark", (state.num_entities,), bool)
+    mark.fill(False)
+    mark[slots] = True
+    rows = np.flatnonzero(mark)
+    cell_of = ws.take("cell_of", (state.num_entities,), np.int64)
+    cell_of[rows] = np.arange(0, rows.size * d, d)
+    entity_base = cell_of[slots]
+    relation_base = relation_of * d
+    columns = np.arange(d)
     entity_grad = np.zeros((rows.size, d))
     relation_grad = np.zeros((relations.size, d))
+    entity_cells, relation_cells = entity_grad.reshape(-1), relation_grad.reshape(-1)
 
-    # scratch for one chunk, refilled in place by every chunk
     width = slots.shape[1]
-    chunk = min(size, max(1, BLOCK_VALUES // (width * d)))
-    block = np.empty((chunk, width, d))      # gathered vectors, then entity gradients
-    kept = np.empty((chunk, 1 + k, d))       # the translation, or h * t
-    grad = np.empty((chunk, 2, 1 + k, d))    # ds/dh and ds/dt of every side
-    r_block = np.empty((chunk, d))           # relation vectors, then their gradients
-    cells = np.empty(chunk * width * d, dtype=np.int64)
+    run = max(1, BLOCK_VALUES // (width * d))
+    chunk = min(size, run * max(1, CHUNK_VALUES // (run * width * d)))
+    block = ws.take("block", (chunk, width, d))   # gathered vectors, then entity gradients
+    kept = ws.take("kept", (chunk, 1 + k, d))     # the translation, or h * t
+    r_block = ws.take("r_block", (chunk, d))      # relation vectors, then their gradients
+    cells = ws.take("cells", (min(run, chunk) * width * d,), np.int64)
+    r_cells = ws.take("r_cells", (chunk, d), np.int64)
+    if scoring == "distmult":
+        grad = ws.take("grad", (chunk, 2, 1 + k, d))  # ds/dh and ds/dt of every side
 
     total = 0.0
     for lo in range(0, size, chunk):
@@ -447,13 +507,11 @@ def batch_loss_and_grad(
         np.negative(z[:, 0], out=z[:, 0])
         softplus = _softplus(z)
         loss = w * (softplus[:, 0] + (softplus[:, 1:] / k).sum(axis=1))
-        if not np.isfinite(loss).all():
-            bad = np.flatnonzero(~np.isfinite(loss))
-            i = lo + int(bad[0])
-            ident = Triplet(int(batch.heads[i]), int(batch.relations[i]), int(batch.tails[i]))
-            raise NumericError(f"non-finite loss {float(loss[bad[0]])!r} for triplet "
-                               f"{tuple(ident)}", triplet=ident)
-        total += float(loss.sum())
+        for a in range(0, n, run):
+            run_loss = float(loss[a:a + run].sum())
+            if not math.isfinite(run_loss):
+                _raise_non_finite_loss(loss[a:a + run], lo + a, batch)
+            total += run_loss
 
         # dloss/ds: -w * sigmoid(-(margin + s)) for the positive, and
         # w * sigmoid(margin + s) / k for each corruption
@@ -461,20 +519,40 @@ def batch_loss_and_grad(
         coef[:, 0] *= -w
         coef[:, 1:] *= w[:, None]
         coef[:, 1:] /= k
-        dh, dr, _ = _backward(heads, r, tails, scoring, s, inner, out=(grad[:n, 0], grad[:n, 1]))
         # the gathered vectors are spent: the block takes the entity gradients in slot order
-        np.multiply(grad[:n, :, 0], coef[:, :1, None], out=block[:n, :2])
-        np.multiply(grad[:n, :, 1:], coef[:, None, 1:, None],
-                    out=block[:n, 2:].reshape(n, 2, k, d))
-        # a relation's gradient is its positive's term plus the sum of its corruptions'
-        if dr is dh:
-            pos, neg = block[:n, 0], block[:n, 2:2 + k]
-        else:
+        if scoring == "distmult":
+            dh, dr, _ = _backward(heads, r, tails, scoring, s, inner,
+                                  out=(grad[:n, 0], grad[:n, 1]))
+            np.multiply(grad[:n, :, 0], coef[:, :1, None], out=block[:n, :2])
+            np.multiply(grad[:n, :, 1:], coef[:, None, 1:, None],
+                        out=block[:n, 2:].reshape(n, 2, k, d))
             dr = np.multiply(dr, coef[..., None], out=dr)
             pos, neg = dr[:, 0], dr[:, 1:]
+        else:
+            # ds/dt of every side, scaled, in place of the translation: the tail
+            # slots take it and the head slots its negation, ds/dh = ds/dr, as
+            # (-a) * c is -(a * c) exactly
+            if scoring == "transe_l2":
+                # a zero norm is the kink of |.|; dividing by inf gives it the zero subgradient
+                norm = np.where(s < 0, -s, np.inf)[..., None]
+                dt = np.divide(inner, norm, out=inner)
+            else:
+                dt = np.sign(inner, out=inner)
+            dt *= coef[..., None]
+            block[:n, 1] = dt[:, 0]
+            block[:n, 2 + k:] = dt[:, 1:]
+            pos = np.negative(dt[:, 0], out=block[:n, 0])
+            neg = np.negative(dt[:, 1:], out=block[:n, 2:2 + k])
+        # a relation's gradient is its positive's term plus the sum of its corruptions'
         np.add(pos, neg.sum(axis=1, out=r_block[:n]), out=r_block[:n])
-        add_rows(relation_grad, relation_of[part], r_block[:n], cells)
-        add_rows(entity_grad, row_of[part], block[:n], cells)
+        np.add(relation_base[part, None], columns, out=r_cells[:n])
+        np.add.at(relation_cells, r_cells[:n].reshape(-1), r_block[:n].reshape(-1))
+        # 1-D `ufunc.at` over flat cells visits them in the 2-D `np.add.at` order
+        for a in range(0, n, run):
+            m = min(run, n - a)
+            ids = np.add(entity_base[lo + a:lo + a + m, :, None], columns,
+                         out=cells[:m * width * d].reshape(m, width, d))
+            np.add.at(entity_cells, ids.reshape(-1), block[a:a + m].reshape(-1))
 
     grads.entity_rows, grads.entity_grad = rows, entity_grad
     relation_backward(state, relations, relation_grad, grads)

@@ -111,16 +111,17 @@ def basis_rows(registry: "NewRelationRegistry", strategy: SharingStrategy,
     return np.where(rel_ids >= first, rel_ids - first, own)
 
 
-# Values in one block of float64 scratch (128 KB). The batch kernel gathers
-# the vectors of a chunk of positives into one block, the SGD step updates
-# rows in blocks of this size, and the recurrence backward builds the dense
-# (d, d) gradients of a block of relations at a time, so scratch memory does
-# not grow with the length of a minibatch or the number of minted relations.
+# Values in one block of float64 scratch (128 KB). The SGD step updates rows
+# in blocks of this size and the recurrence backward builds the dense (d, d)
+# gradients of a block of relations at a time, so scratch memory does not
+# grow with the number of minted relations. The batch kernel sums its loss
+# over runs of positives whose vectors fill one block, and so its loss total
+# does not depend on how many positives it computes at once
+# (`models.CHUNK_VALUES`).
 BLOCK_VALUES = 1 << 14
 
 
-def add_rows(total: np.ndarray, rows: np.ndarray, values: np.ndarray,
-             cells: np.ndarray | None = None) -> None:
+def add_rows(total: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """Add `values[i]` onto row `rows[i]` of the C-contiguous `total`, in place.
 
     `values` has shape `rows.shape + total.shape[1:]`. The rows become flat
@@ -128,15 +129,11 @@ def add_rows(total: np.ndarray, rows: np.ndarray, values: np.ndarray,
     cell in the order the 2-D `np.add.at(total, rows, values)` does, so each
     cell still rounds as a running total from what it held. numpy 1.25+ runs
     the 1-D form in a fast loop; numpy 1.24 gives the same bits, slower.
-    `cells`, if given, is int64 scratch of at least `values.size` entries
-    that receives the cell indices.
     """
     if not total.flags.c_contiguous:
         raise ValueError("add_rows sums into a C-contiguous array")
     width = math.prod(total.shape[1:])
-    if cells is not None:
-        cells = cells[:rows.size * width].reshape(-1, width)
-    cells = np.add(rows.reshape(-1, 1) * width, np.arange(width), out=cells)
+    cells = rows.reshape(-1, 1) * width + np.arange(width)
     np.add.at(total.reshape(-1), cells.reshape(-1), values.reshape(-1))
 
 

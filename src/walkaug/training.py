@@ -23,6 +23,7 @@ from .graph import DatasetSplit
 from .mining import Metapath
 from .models import (
     EmbeddingState,
+    KernelWorkspace,
     ModelConfig,
     apply_update,
     batch_loss_and_grad,
@@ -143,6 +144,7 @@ def train(
 
     has_valid = dataset.valid.num_triplets > 0
     graph_filter = EvalFilter.from_graphs(dataset.graphs()) if has_valid else None
+    workspace = KernelWorkspace()  # the kernel's scratch, reused by every batch
 
     for epoch in range(first_epoch, config.epochs + 1):
         order = rng.permutation(graph.num_entities)
@@ -155,7 +157,8 @@ def train(
             if not batch:
                 continue
             neg_heads, neg_tails = draw_negatives(batch, graph.num_entities, config.negatives, rng)
-            loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, config)
+            loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, config,
+                                              workspace)
             apply_update(state, grads, config)
             loss_sum += loss
             loss_count += len(batch)

@@ -28,7 +28,8 @@ from walkaug import (
     score,
     score_and_grad,
 )
-from walkaug.models import BLOCK_VALUES, default_margin, state_shapes
+from walkaug.models import (BLOCK_VALUES, CHUNK_VALUES, KernelWorkspace, default_margin,
+                            state_shapes)
 from walkaug.sharing import RnnParams
 
 SCORINGS = ("transe_l2", "transe_l1", "distmult")
@@ -447,7 +448,7 @@ def test_batch_kernel_equals_the_two_pass_oracle_bit_for_bit(scoring, kind, incl
     assert not np.any(state.entity_emb[0] + r0 - state.entity_emb[1])
     weights[5::9] = 0.0
     kept = int(np.count_nonzero(weights))
-    assert kept > 3 * chunk and kept % chunk  # four chunks, the last one ragged
+    assert kept > 3 * chunk and kept % chunk  # four loss runs, the last one ragged
     batch = TripletBatch(heads, relations, tails, weights)
     neg_heads, neg_tails = draw_negatives(batch, num_entities, config.negatives, rng)
 
@@ -455,6 +456,68 @@ def test_batch_kernel_equals_the_two_pass_oracle_bit_for_bit(scoring, kind, incl
     want_loss, want = two_pass_batch_loss_and_grad(batch, neg_heads, neg_tails, state, config)
     assert loss == want_loss
     _assert_grads_equal(grads, want)
+
+
+def _run_and_chunk(config: ModelConfig) -> tuple[int, int]:
+    """Positives per loss run and per compute chunk of the batch kernel."""
+    values = (2 + 2 * config.negatives) * config.dim
+    run = BLOCK_VALUES // values
+    return run, run * (CHUNK_VALUES // (run * values))
+
+
+def _random_batch(rng, size, num_entities, num_relations):
+    return TripletBatch(rng.integers(num_entities, size=size),
+                        rng.integers(num_relations, size=size),
+                        rng.integers(num_entities, size=size),
+                        rng.choice([0.4, 1.0, 2.3], size=size))
+
+
+@pytest.mark.parametrize("scoring,kind,include_original", SHARING_CASES)
+def test_batch_kernel_equals_the_oracle_across_compute_chunks(scoring, kind, include_original):
+    """Loss runs and compute chunks: the loss is summed per run whatever
+    the chunk size, and the gradients match the run-by-run oracle bit for
+    bit across chunk boundaries."""
+    rng = np.random.default_rng(29)
+    minted = NewRelationRegistry(3, [(0, 1), (2, 1, 0)])
+    strategy = SharingStrategy(kind=kind, basis_count=4 if kind == "basis" else None,
+                               basis_include_original=include_original)
+    config = ModelConfig(scoring=scoring, dim=32, margin=2.0, negatives=5, seed=0)
+    num_entities = 12
+    state = init_state(num_entities, minted, config, strategy, rng)
+    run, chunk = _run_and_chunk(config)
+    assert chunk >= 2 * run
+    batch = _random_batch(rng, 2 * chunk + 3 * run, num_entities, 5)
+    batch.weights[5::9] = 0.0
+    kept = int(np.count_nonzero(batch.weights))
+    # three chunks, the last one ragged, over at least five runs, the last one ragged
+    assert kept > 2 * chunk and kept % chunk and kept % run and kept > 4 * run
+    neg_heads, neg_tails = draw_negatives(batch, num_entities, config.negatives, rng)
+
+    loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, config)
+    want_loss, want = two_pass_batch_loss_and_grad(batch, neg_heads, neg_tails, state, config)
+    assert loss == want_loss
+    _assert_grads_equal(grads, want)
+
+
+@pytest.mark.parametrize("scoring", SCORINGS)
+def test_a_reused_workspace_gives_the_bits_of_fresh_scratch(scoring):
+    """A large batch, a small one over fewer entities, then another large
+    one through one workspace: nothing left from an earlier call leaks."""
+    rng = np.random.default_rng(31)
+    config = ModelConfig(scoring=scoring, dim=32, margin=2.0, negatives=5, seed=0)
+    num_entities = 12
+    state = init_state(num_entities, NewRelationRegistry(3), config, SharingStrategy(), rng)
+    run, chunk = _run_and_chunk(config)
+    workspace = KernelWorkspace()
+    for size, entities in ((2 * chunk + 9, num_entities), (run - 3, 6),
+                           (2 * chunk + 9, num_entities)):
+        batch = _random_batch(rng, size, entities, 3)
+        neg_heads, neg_tails = draw_negatives(batch, entities, config.negatives, rng)
+        loss, grads = batch_loss_and_grad(batch, neg_heads, neg_tails, state, config, workspace)
+        want_loss, want = batch_loss_and_grad(batch, neg_heads, neg_tails, state, config)
+        assert loss == want_loss
+        _assert_grads_equal(grads, want)
+        assert grads.entity_rows.max() < entities
 
 
 def test_zero_weight_positives_contribute_nothing_to_a_batch():
@@ -492,6 +555,39 @@ def test_non_finite_loss_names_the_first_offending_triplet():
             batch_loss_and_grad(TripletBatch.pack(positives), neg, neg, state, config)
         assert info.value.triplet == Triplet(3, 0, 1)
         assert "(3, 0, 1)" in str(info.value)
+
+
+def test_non_finite_loss_in_a_later_run_names_its_triplet():
+    # one chunk of four loss runs; the first non-finite loss is in the third
+    for scoring in SCORINGS:
+        rng = np.random.default_rng(5)
+        config = ModelConfig(scoring=scoring, dim=256, margin=1.0, negatives=1, seed=0)
+        state = init_state(6, NewRelationRegistry(1), config, SharingStrategy(), rng)
+        state.entity_emb[5] = np.inf
+        run, chunk = _run_and_chunk(config)
+        assert chunk >= 4 * run
+        batch = _random_batch(rng, chunk, 5, 1)
+        first, later = 2 * run + 3, 3 * run + 1
+        batch.heads[first] = batch.tails[later] = 5
+        neg_heads, neg_tails = draw_negatives(batch, 5, config.negatives, rng)
+        with pytest.raises(NumericError) as info:
+            batch_loss_and_grad(batch, neg_heads, neg_tails, state, config)
+        assert info.value.triplet == Triplet(5, 0, int(batch.tails[first]))
+
+
+def test_finite_losses_whose_run_sum_overflows_do_not_raise():
+    # each loss is 1e308 * 2 ln 2, finite; their sum is not, and the check is per positive
+    for scoring in SCORINGS:
+        rng = np.random.default_rng(6)
+        config = ModelConfig(scoring=scoring, dim=3, margin=0.0, negatives=1, seed=0)
+        state = init_state(4, NewRelationRegistry(1), config, SharingStrategy(), rng)
+        state.entity_emb[:] = 0.0
+        state.relation_emb[:] = 0.0
+        batch = TripletBatch(np.array([0, 1]), np.array([0, 0]), np.array([2, 3]),
+                             np.array([1e308, 1e308]))
+        loss, _ = batch_loss_and_grad(batch, np.array([[3], [1]]), np.array([[2], [0]]),
+                                      state, config)
+        assert loss == math.inf
 
 
 def test_non_finite_corruption_raises_numeric_error_without_a_warning():

@@ -260,11 +260,18 @@ def test_resume_rejects_changed_config(tmp_path):
 
 def test_reruns_are_byte_identical(tmp_path):
     dataset = make_dataset()
-    dirs = []
+    dirs, results = [], []
     for name in ("a", "b"):
         ckpt_dir = str(tmp_path / name)
-        train(dataset, INFORMATIVE, {}, small_config(epochs=3), checkpoint_dir=ckpt_dir)
+        results.append(train(dataset, INFORMATIVE, {}, small_config(epochs=3),
+                             checkpoint_dir=ckpt_dir))
         dirs.append(ckpt_dir)
+    one, two = results
+    assert [e.to_dict() for e in one.log] == [e.to_dict() for e in two.log]
+    for got, want in ((one.state, two.state), (one.final_state, two.final_state)):
+        assert got.arrays().keys() == want.arrays().keys()
+        for name, array in got.arrays().items():
+            assert np.array_equal(array, want.arrays()[name]), name
     files = sorted(os.listdir(dirs[0]))
     assert files == sorted(os.listdir(dirs[1]))
     for name in files:
