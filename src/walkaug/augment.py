@@ -77,7 +77,8 @@ class SegmentTable:
     Per key: the z score, the minted id or -1, and a rule row or -1. Rule row
     q holds its relations and confidences in relation order and `rule_acc`
     their running sums (`np.cumsum`); past the last entry the row repeats it
-    under a running sum of +inf. `rule_totals` are the rules' Python sums.
+    under a running sum of +inf. `rule_totals` are the rules' last running
+    sums, so a total and its running sums come from one summation.
     """
 
     def __init__(self, informative, rulemaps, registry: NewRelationRegistry, l_max: int):
@@ -103,9 +104,10 @@ class SegmentTable:
         padded = padded.reshape(len(rules), width, 2)  # (relation, confidence) pairs
         self.rule_relations, self.rule_confs = padded[..., 0].astype(np.int64), padded[..., 1]
         self.rule_acc = np.full((len(rules), width), np.inf)
+        self.rule_totals = np.empty(len(rules))
         for q, row in enumerate(rules):
             self.rule_acc[q, :len(row)] = np.cumsum([conf for _, conf in row])
-        self.rule_totals = np.array([sum(conf for _, conf in row) for row in rules])
+            self.rule_totals[q] = self.rule_acc[q, len(row) - 1]
 
     def __len__(self) -> int:
         return int(self.keys.size)

@@ -23,12 +23,13 @@ with |e|^2 and 1 as extra columns (`_screen_table`), and each tile is a
 slice of it; each side's row, with the positive's term as its last column,
 is rounded once per block. A candidate whose screen value lies below -W
 surely beats the positive and one above W surely does not, W a rounding
-band derived for the float32 screen (`_band`). One comparison per tile
-counts the candidates below -W, and one pass finds the band members,
-|D| <= W. Those besides the positive and the known candidates are
-rescored in float64 with `side_scores` and compared under the tie policy,
-so the ranks stay exact. A side whose screen could overflow or is not
-finite is rescored in full. TransE-L1 has no matmul form: its screen is
+band derived for the float32 screen (`_band`). In each tile the cells of a
+side whose screen could overflow or is not finite are set to 0, and then
+the cells of the positives and the known candidates to NaN. One rule then
+covers every cell: D < -W counts as better, |D| <= W is rescored in float64
+with `side_scores` and compared under the tie policy, and NaN, which fails
+every comparison, is ignored. So the ranks stay exact, and an untrusted
+side is rescored in full. TransE-L1 has no matmul form: its screen is
 s_p - s from `side_scores` itself, in float64 and narrower tiles, and only
 exact ties are rescored. Relation vectors are built once per call.
 """
@@ -222,9 +223,9 @@ def _band(scoring: str, d: int, max_sq_norm, side_sq_norms: np.ndarray) -> np.nd
     14. A side whose M' or S' is not finite or reaches max32 / 16 gets W =
         inf here; below that, no float32 operand, product or partial sum of
         its screen can overflow. Such a side, and one whose P is not finite,
-        is untrusted: its screen column is set to NaN, which fails every
-        comparison, so it counts no candidate as better and finds no band
-        member, and every one of its candidates is rescored exactly.
+        is untrusted: its screen column is set to 0, which lies inside any
+        band, so it counts no candidate as better and every one of its
+        candidates is rescored exactly.
     """
     u = float(_SCREEN.eps) / 2
     k = 2 * d + 11 if scoring == "transe_l2" else 2 * d + 8
@@ -265,20 +266,18 @@ def _rank_block(emb: np.ndarray, table: np.ndarray | None, max_sq_norm, x: np.nd
                 tie: str, scratch: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
     """Ranks of a block of b triplet sides. Side j's positive is entity
     `positives[j]` and its side vector is `x[j]`; `known` holds (side,
-    entity) arrays of candidates that do not compete, with side * n + entity
-    strictly increasing (as `KeyIndex.lookup` returns them).
+    entity) arrays of candidates that do not compete, in any order.
 
     `scratch` is (buf, flags, tile): the table is screened in tiles of
     `tile` candidates, each into a (tile, b) view of `buf`, by one matmul
     of a slice of `table` (`_screen_table`; None under transe_l1), whose
     largest |e|^2 is `max_sq_norm`, with the sides' float32 rows. That
     orientation is about a quarter faster than (b, tile) in OpenBLAS's
-    sgemm at 128 x 1,024. Candidates below -W are counted as better, and
-    one pass finds the band members, |D| <= W. The positives and the known
-    candidates among them are dropped, the rest rescored with
-    `models.side_scores`, in chunks of RANK_BLOCK_VALUES // d, and compared
-    with the positive under `tie`. Positives and known candidates below -W,
-    read from each tile by a gather, are taken off the count.
+    sgemm at 128 x 1,024. An untrusted side's cells are set to 0, and the
+    positives' and known candidates' cells to NaN. Then one rule covers
+    every cell: D < -W counts as better, and the band members, |D| <= W, are
+    found in one pass and rescored with `models.side_scores`, in chunks of
+    RANK_BLOCK_VALUES // d, and compared with the positive under `tie`.
     """
     (n, d), b = emb.shape, x.shape[0]
     buf, flags, tile = scratch
@@ -301,15 +300,13 @@ def _rank_block(emb: np.ndarray, table: np.ndarray | None, max_sq_norm, x: np.nd
     width = width[trusted].max(initial=0.0)
     if y is not None:
         width = _float32_width(width)
-    # the positives and the other known candidates, grouped by tile
+    # the positives and the known candidates (any order, repeats too), by tile
     known_sides, known_cands = known
-    other = known_cands != positives[known_sides]
-    member_sides = np.concatenate((np.arange(b), known_sides[other]))
-    member_cands = np.concatenate((positives, known_cands[other]))
-    order = np.argsort(member_cands, kind="stable")
+    member_sides = np.concatenate((np.arange(b), known_sides))
+    member_cands = np.concatenate((positives, known_cands))
+    order = np.argsort(member_cands)
     member_sides, member_cands = member_sides[order], member_cands[order]
     bounds = member_cands.searchsorted(np.arange(0, n + tile, tile))
-    member_below = np.zeros(member_sides.size, dtype=bool)
     better = np.zeros(b, dtype=np.int64)
     found = []
     for t, c0 in enumerate(range(0, n, tile)):
@@ -321,22 +318,14 @@ def _rank_block(emb: np.ndarray, table: np.ndarray | None, max_sq_norm, x: np.nd
             np.subtract(pos_scores, scores, out=screen)
         else:
             np.matmul(table[c0:c1], y.T, out=screen)
-        screen[:, untrusted] = np.nan
-        better += _column_counts(np.less(screen, -width, out=mask))
+        screen[:, untrusted] = 0  # inside any band: every candidate is rescored
         part = slice(bounds[t], bounds[t + 1])
-        member_below[part] = screen[member_cands[part] - c0, member_sides[part]] < -width
+        screen[member_cands[part] - c0, member_sides[part]] = np.nan  # fails every comparison
+        better += _column_counts(np.less(screen, -width, out=mask))
         np.less_equal(np.abs(screen, out=screen), width, out=mask)
         cands, sides = np.divmod(np.flatnonzero(mask), b)
         found.append((sides, cands + c0))
-    better -= np.bincount(member_sides[member_below], minlength=b)
-    # an untrusted side's NaN column found nothing: all its candidates are rescored
-    found.append((np.repeat(untrusted, n), np.tile(np.arange(n), untrusted.size)))
     sides, cands = (np.concatenate(arrays) for arrays in zip(*found))
-    keep = cands != positives[sides]
-    if known_cands.size:
-        keys, known_keys = sides * n + cands, known_sides * n + known_cands
-        keep &= known_keys[np.minimum(known_keys.searchsorted(keys), known_keys.size - 1)] != keys
-    sides, cands = sides[keep], cands[keep]
     step = max(1, RANK_BLOCK_VALUES // d)
     for start in range(0, sides.size, step):
         side, cand = sides[start:start + step], cands[start:start + step]

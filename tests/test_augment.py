@@ -212,9 +212,21 @@ def test_rule_sampling_raw_over_unit_total_normalizes():
     assert len(batch) == 2000
 
 
+def test_rule_totals_are_the_last_running_sums():
+    # ten confidences of 0.1 sum to 0.9999999999999999 one by one, but to
+    # 1.0 under a compensated sum (Python 3.12's `sum`): the normalized
+    # draw's total is the running sums' own, whatever the Python version
+    rules = {(0, 1): RuleMap((0, 1), {rel: 0.1 for rel in range(1, 11)})}
+    table = SegmentTable({(0, 1): 1.0}, rules, NewRelationRegistry(12), 3)
+    assert table.rule_acc[0, 9] == 0.9999999999999999
+    assert table.rule_totals.tolist() == [0.9999999999999999]
+    last = np.nextafter(1.0, 0.0)  # the largest uniform: u stays below the total
+    assert _rows(walk_to_triplets(*_repeated_walk(1), table, Uniforms([last]))) == [(0, 10, 2, 0.1)]
+
+
 def test_normalized_rounding_slack_takes_the_last_relation():
-    # a compensated Python sum (3.12+) can exceed the last running sum by a
-    # rounding step, so u can pass them all; force that with a larger total
+    # a u at or past the last running sum falls in the row's +inf padding,
+    # which repeats the last relation; force that with a larger total
     rules = {(0, 1): RuleMap((0, 1), {1: 0.3, 2: 0.2})}
     table = SegmentTable({(0, 1): 1.0}, rules, NewRelationRegistry(9), 3)
     walks = _repeated_walk(1)

@@ -389,6 +389,42 @@ def test_untrusted_sides_are_rescored_exactly(spoil):
         assert got.tail_ranks.tolist() == want[1].tolist(), (scoring, protocol, tie)
 
 
+def test_ranks_hold_for_known_candidates_in_any_order_and_repeated():
+    # ranking asks nothing of the order of the filter's pairs: the same
+    # pairs shuffled, and each given twice (the positive's too), give the
+    # same ranks on a table with exact ties
+    rng = np.random.default_rng(61)
+    n, d, m = 40, 6, 30
+    emb, relations = adversarial_table(rng, "duplicates", n, d, 1.0)
+    state = EmbeddingState(emb, relations, NewRelationRegistry(3), STRATEGY)
+    edges = np.column_stack((rng.integers(n, size=m), rng.integers(3, size=m),
+                             rng.integers(n, size=m)))
+    graph = make_graph(edges, num_entities=n, num_relations=3)
+    known = make_graph(np.column_stack((rng.integers(n, size=3 * n), rng.integers(3, size=3 * n),
+                                        rng.integers(n, size=3 * n))), n, 3)
+    ef = EvalFilter.from_graphs([graph, known])
+    shuffled = EvalFilter.from_graphs([graph, known])
+
+    def shuffle_twice(lookup):
+        def wrapped(*args):
+            rows, cands = lookup(*args)
+            order = rng.permutation(2 * rows.size)
+            return np.tile(rows, 2)[order], np.tile(cands, 2)[order]
+        return wrapped
+
+    shuffled.known_heads_block = shuffle_twice(shuffled.known_heads_block)
+    shuffled.known_tails_block = shuffle_twice(shuffled.known_tails_block)
+    rows, cands = shuffled.known_tails_block(graph.heads, graph.relations)
+    assert np.count_nonzero(cands == graph.tails[rows]) == 2 * m  # each positive, twice
+    assert np.any(np.diff(rows) < 0)
+    for scoring in SCORINGS:
+        for tie in ("optimistic", "pessimistic"):
+            got = evaluate(state, scoring, graph, shuffled, "filtered", tie)
+            want = loop_ranks(graph, state, scoring, ef, "filtered", tie)
+            assert got.head_ranks.tolist() == want[0].tolist(), (scoring, tie)
+            assert got.tail_ranks.tolist() == want[1].tolist(), (scoring, tie)
+
+
 def test_zero_band_misranks_a_tie_table(monkeypatch):
     # the screen alone, without its rounding band, gets near-ties wrong
     rng = np.random.default_rng(31)
