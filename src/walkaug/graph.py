@@ -19,6 +19,7 @@ the dataset cache are written through it.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -38,11 +39,19 @@ class Triplet(NamedTuple):
 
 
 class Dictionary:
-    """Bijective name <-> dense-id map. Ids are assigned in first-seen order."""
+    """Bijective name <-> dense-id map. Ids are assigned in first-seen order.
+
+    The name -> id dict is built on the first `id_of`, `ids_of` or `in`, so a
+    dictionary that is only counted, iterated or asked for names never
+    builds it.
+    """
 
     def __init__(self, names: Iterable[str] = ()):
         self._names: list[str] = list(dict.fromkeys(names))
-        self._index: dict[str, int] = dict(zip(self._names, range(len(self._names))))
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self._names, range(len(self._names))))
 
     def id_of(self, name: str) -> int:
         try:

@@ -18,7 +18,11 @@ occupancy residual (see `correction_residual`).
 This module is the one join layer. A candidate, a kept group of path
 instances extended by one relation, is scored before it is built: the
 relation's out-degree at the node each parent row ends on gives the
-candidate's instance count and says which parent rows continue. A hop
+candidate's instance count and says which parent rows continue. A group's
+candidates are only the relations that continue it, read in ascending
+order from the mined graph's CSR (`offsets`, `adj_relations`) over the
+distinct nodes its rows end on, so a level loops over the candidates that
+have instances rather than over every relation for every group. A hop
 before the last covers the distinct edges of the continuing rows, counted
 by marking their ids in one boolean array over the mined graph's edges;
 the last hop covers every out-edge of each distinct continuing node. Only
@@ -28,7 +32,9 @@ out-edges sorted by source. The range expansion (`expand_ranges`) and the
 sort-based dedupe (`sorted_unique`) are shared with rule scoring, and
 `KeyIndex` is the one key-to-values lookup: the eval filter and the rule
 pair index each find the values of many keys in it with one `searchsorted`,
-and only the keys that hit have their value ranges expanded. It is built by
+and only the keys that hit have their value ranges expanded. A presence
+table of one byte per slot, indexed by the key's low bits, drops most
+absent keys before the search. It is built by
 one sort of packed int64 keys key * span + value (span the largest value
 + 1); a pair whose packed key would pass the int64 maximum is refused
 before anything is multiplied.
@@ -95,6 +101,13 @@ class KeyIndex:
     A pair whose packed key would pass the int64 maximum is a ValueError,
     raised before anything is multiplied; the eval filter and rule scoring
     report it as a DataError naming their entity and relation counts.
+
+    A presence table of one byte per slot marks the slot key & (slots - 1)
+    of every distinct key; slots is the smallest power of two with at least
+    8 slots per key, and at least 64. A lookup searches only the query keys
+    whose slot is marked, so most absent keys (nearly all of rule scoring's
+    pair keys) cost one masked read; a key that shares a slot with a present
+    one is still told apart by the search.
     """
 
     def __init__(self, keys: np.ndarray, values: np.ndarray):
@@ -111,18 +124,25 @@ class KeyIndex:
         new = np.ones(keys.size, dtype=bool)
         new[1:] = keys[1:] != keys[:-1]
         self.keys, self.offsets = keys[new], np.append(np.flatnonzero(new), keys.size)
+        self._mask = max(64, 1 << (8 * self.keys.size - 1).bit_length()) - 1
+        self._present = np.zeros(self._mask + 1, dtype=bool)
+        self._present[self.keys & self._mask] = True
 
     def lookup(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, values): the values of each key in `query`, found by one
-        `searchsorted`; rows index `query` (ascending), absent keys have none.
-        Only the keys that hit have their offset ranges expanded."""
+        `searchsorted` over the keys whose presence slot is marked; rows
+        index `query` (ascending), absent keys have none. Only the keys that
+        hit have their offset ranges expanded."""
         if not self.keys.size:
             return np.empty(0, dtype=np.int64), self.values
+        maybe = np.flatnonzero(self._present[query & self._mask])
+        query = query[maybe]
         pos = np.minimum(self.keys.searchsorted(query), self.keys.size - 1)
         hit = np.flatnonzero(self.keys[pos] == query)
-        starts = self.offsets[pos[hit]]
-        rows, slots = expand_ranges(starts, self.offsets[pos[hit] + 1] - starts)
-        return hit[rows], self.values[slots]
+        pos = pos[hit]
+        starts = self.offsets[pos]
+        rows, slots = expand_ranges(starts, self.offsets[pos + 1] - starts)
+        return maybe[hit[rows]], self.values[slots]
 
 
 @dataclass(frozen=True)
@@ -353,10 +373,12 @@ def mine_informative_metapaths(
             nodes = np.flatnonzero(repeats)
             rank[nodes] = np.arange(nodes.size)
             repeats, inverse = repeats[nodes], rank[group.dst]
-            for rel, idx in index.items():
+            # the candidates: the relations of the nodes' out-edges in the mined graph
+            starts = mined.offsets[nodes]
+            _, slots = expand_ranges(starts, mined.offsets[nodes + 1] - starts)
+            for rel in sorted_unique(mined.adj_relations[slots]).tolist():
+                idx = index[rel]
                 counts = idx.offsets[nodes + 1] - idx.offsets[nodes]  # out-degree of each node
-                if not counts.any():
-                    continue
                 instances = int(counts @ repeats)
                 candidate = m + (rel,)
                 rows = np.flatnonzero(counts[inverse])  # the parent's rows that continue

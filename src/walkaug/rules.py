@@ -20,7 +20,9 @@ one sort and a mask (`mining.sorted_unique`). Confidences come from a
 pair index built once per call: a `mining.KeyIndex` of each pair key's
 distinct relations. A metapath's pairs find their relations in it with one
 `lookup`, and one `bincount` of those relations counts every rule's
-support at once (AMIE's support/confidence counting).
+support at once (AMIE's support/confidence counting). Few connected pairs
+are edges (about 1% on a typed graph), and the index's presence table
+drops nearly all the others before its `searchsorted`.
 """
 
 from __future__ import annotations

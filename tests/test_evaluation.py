@@ -481,6 +481,31 @@ def test_float64_band_misranks_a_near_tie_table(monkeypatch):
             assert not np.array_equal(np.stack((got.head_ranks, got.tail_ranks)), want)
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_ranks_hold_where_float32_rounding_reaches_past_a_narrow_band(seed):
+    # every row is one positive vector moved a few u32 per coordinate, so all
+    # candidates of a side nearly tie, and the float32 screen sums d = 64
+    # terms of one sign: its rounding error often passes 2 u32 M', the band
+    # with k = 1 in `_band` step 13, and misranks most sides under that band.
+    # The derived k = 2d + 11 (2d + 8) rescores all of them exactly.
+    rng = np.random.default_rng(seed)
+    n, d, m = 300, 64, 30
+    base = rng.uniform(1.0, 2.0, size=d)
+    emb = base + base * 2.0 ** -24 * rng.integers(-4, 5, size=(n, d))
+    emb[n // 2:n // 2 + 20] = emb[:20]  # and some exact ties
+    relations = np.abs(rng.normal(size=(3, d))) * 0.1
+    state = EmbeddingState(emb, relations, NewRelationRegistry(3), STRATEGY)
+    edges = np.column_stack((rng.integers(n, size=m), rng.integers(3, size=m),
+                             rng.integers(n, size=m)))
+    graph = make_graph(edges, num_entities=n, num_relations=3)
+    for scoring in ("transe_l2", "distmult"):
+        for tie in ("optimistic", "pessimistic"):
+            got = evaluate(state, scoring, graph, None, "raw", tie)
+            want = loop_ranks(graph, state, scoring, None, "raw", tie)
+            assert got.head_ranks.tolist() == want[0].tolist(), (scoring, tie)
+            assert got.tail_ranks.tolist() == want[1].tolist(), (scoring, tie)
+
+
 def test_float32_width_never_narrows_the_band():
     # the float64 W rounded up: the least float32 at or above it
     rng = np.random.default_rng(59)

@@ -46,6 +46,40 @@ def test_dictionary_unknown_name():
         Dictionary(["x"]).id_of("y")
 
 
+def test_dictionary_builds_its_name_index_on_first_lookup(tmp_path):
+    # a dataset-cache hit that never looks a name up never builds the dict
+    train = tmp_path / "train.tsv"
+    train.write_text("a\tr\tb\nb\ts\tc\n")
+    key = dataset_key(train, None, None)
+    write_dataset_cache(tmp_path / DATASET_CACHE, key, load_tsv_dataset(train, None, None))
+    cached = read_dataset_cache(tmp_path / DATASET_CACHE, key)
+    for dct, names in ((cached.entity_dict, ["a", "b", "c"]), (cached.relation_dict, ["r", "s"])):
+        assert list(dct) == names and len(dct) == len(names) and dct.name_of(1) == names[1]
+        assert "_index" not in vars(dct)
+        assert names[-1] in dct and "x" not in dct
+        assert "_index" in vars(dct)
+        assert dct.id_of(names[0]) == 0 and dct.ids_of(names).tolist() == list(range(len(names)))
+    lookups = (lambda dct: dct.id_of("a"), lambda dct: dct.ids_of(["a"]), lambda dct: "a" in dct)
+    for lookup in lookups:
+        dct = Dictionary(["b", "a", "b"])
+        lookup(dct)
+        assert vars(dct)["_index"] == {"b": 0, "a": 1}
+
+
+def test_a_dataset_cache_of_repeated_names_is_a_miss(tmp_path):
+    train = tmp_path / "train.tsv"
+    train.write_text("ab\tr\tac\n")
+    key, cache = dataset_key(train, None, None), tmp_path / DATASET_CACHE
+    write_dataset_cache(cache, key, load_tsv_dataset(train, None, None))
+    with np.load(cache) as npz:
+        arrays = dict(npz)
+    assert arrays["entities"].tobytes() == b"ab\tac"
+    arrays["entities"] = np.frombuffer(b"ab\tab", np.uint8)  # two names, one of them twice
+    with open(cache, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert read_dataset_cache(cache, key) is None
+
+
 def test_dictionary_file_roundtrip(tmp_path):
     dct = Dictionary(["alpha", "beta", "gamma"])
     path = tmp_path / "d.dict"

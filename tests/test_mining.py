@@ -130,6 +130,68 @@ def test_key_index_equals_the_lexsort_oracle(pairs, data):
         np.testing.assert_array_equal(got, want)
 
 
+def _presence_slots(distinct):
+    """The presence table's size: the smallest power of two with at least 8
+    slots per distinct key, and at least 64."""
+    return max(64, 1 << (8 * distinct - 1).bit_length())
+
+
+def _assert_lookup_matches_oracles(keys, values, query):
+    index = KeyIndex(keys, values)
+    rows, found = index.lookup(query)
+    for got, want in zip((rows, found), LexsortKeyIndex(keys, values).lookup(query)):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    oracle = defaultdict(set)
+    for key, value in zip(keys.tolist(), values.tolist()):
+        oracle[key].add(value)
+    got = defaultdict(list)
+    for row, value in zip(rows.tolist(), found.tolist()):
+        got[row].append(value)
+    assert got == {row: sorted(oracle[key]) for row, key in enumerate(query.tolist())
+                   if key in oracle}
+    return index
+
+
+@pytest.mark.parametrize("distinct", [1, 5, 8, 9, 40, 300])
+def test_key_index_tells_apart_keys_that_share_a_presence_slot(distinct):
+    # absent keys equal to present ones modulo the table size pass the
+    # presence test; only the search tells them apart. Some present keys
+    # share a slot too, and -1, INT64_MAX and past-the-last keys map into
+    # the table through the mask like any other query.
+    rng = np.random.default_rng(distinct)
+    slots, half = _presence_slots(distinct), distinct // 2
+    residues = rng.choice(slots - 1, size=distinct, replace=False)
+    residues[0] = slots - 1  # the slot of -1 and INT64_MAX is marked
+    residues[distinct - half:] = residues[:half]  # the last half share the first half's slots
+    multiples = rng.integers(0, 4, size=distinct)
+    multiples[distinct - half:] = multiples[:half] + rng.integers(1, 4, size=half)
+    keys = np.repeat(residues + slots * multiples, 3)  # each key with up to 3 values
+    values = rng.integers(0, 4, size=keys.size)
+    order = rng.permutation(keys.size)
+    keys, values = keys[order], values[order]
+    index = KeyIndex(keys, values)
+    assert index.keys.size == distinct and index._present.size == slots
+    assert np.count_nonzero(index._present) == distinct - half
+    present = set(index.keys.tolist())
+    near = (index.keys[:, None] + slots * np.array([-2, -1, 1, 2, 7])).ravel()
+    absent = [key for key in near.tolist() if key not in present]
+    assert len(absent) > distinct
+    top = int(index.keys.max())
+    query = np.array(absent + index.keys.tolist() + [-1, INT64_MAX, top + 1, top + slots,
+                                                     INT64_MAX - slots + 1], np.int64)
+    rng.shuffle(query)
+    _assert_lookup_matches_oracles(keys, values, query)
+    _assert_lookup_matches_oracles(keys, values, query[:0])
+
+
+def test_key_index_lookup_of_an_empty_index():
+    empty = np.empty(0, np.int64)
+    for query in (empty, np.array([-1, 0, 1, 64, INT64_MAX], np.int64)):
+        index = _assert_lookup_matches_oracles(empty, empty, query)
+        assert index.keys.size == 0
+
+
 @pytest.mark.parametrize("span", [1, 2, 3, 1000, 2**62, INT64_MAX])
 def test_key_index_refuses_pairs_whose_packed_key_passes_int64(span):
     bound = (INT64_MAX - (span - 1)) // span  # the largest key that packs
@@ -306,6 +368,45 @@ def test_matches_the_reference_where_the_correction_falls_back():
     mined = mine_informative_metapaths(g, l_max=3, threshold=0.2, p=0.5, seed=0)
     assert any(stats.fallback for info in mined.values() for stats in info.per_hop)
     _assert_same_infos(mined, materializing_mine(g, 3, 0.2, p=0.5, seed=0))
+
+
+def _many_relation_sparse_graph(seed):
+    """A typed graph of 60 relations over 12 entity types: each relation joins
+    the entities of one type to those of another, so a group's end nodes
+    have out-edges of only a few relations."""
+    rng = np.random.default_rng(seed)
+    types, per_type, relations = 12, 15, 60
+    ends = rng.integers(types, size=(relations, 2))
+    edges = []
+    for rel, (head_type, tail_type) in enumerate(ends.tolist()):
+        count = int(rng.integers(4, 20))
+        heads = head_type * per_type + rng.integers(per_type, size=count)
+        tails = tail_type * per_type + rng.integers(per_type, size=count)
+        edges += [(h, rel, t) for h, t in zip(heads.tolist(), tails.tolist())]
+    return make_graph(edges, num_entities=types * per_type, num_relations=relations)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("seed", range(3))
+def test_many_relation_sparse_graph_matches_the_reference(monkeypatch, seed, p):
+    # only the relations that continue from a group's end nodes in the mined
+    # graph are candidates: under sampling, a relation that continues only
+    # through edges that were dropped reaches no correction
+    g = _many_relation_sparse_graph(seed)
+    calls = []
+    solve = mining.solve_correction
+
+    def recording(p, length, type_count, instances_sampled, *rest):
+        calls.append(instances_sampled)
+        return solve(p, length, type_count, instances_sampled, *rest)
+
+    monkeypatch.setattr(mining, "solve_correction", recording)
+    for threshold in (TINY, 0.05, 0.3):
+        mined = mine_informative_metapaths(g, l_max=3, threshold=threshold, p=p, seed=seed)
+        _assert_same_infos(mined, materializing_mine(g, 3, threshold, p=p, seed=seed))
+        if threshold == TINY:  # most (group, relation) pairs never continue
+            assert 0 < sum(len(m) == 2 for m in mined) < 60 * 60 // 10
+    assert (min(calls) > 0) if p < 1 else not calls
 
 
 def _level_rows(infos, length):
