@@ -2,9 +2,9 @@
 
 Graphs are directed multigraphs of (head, relation, tail) triplets over dense
 integer ids. Duplicate triplets are kept as distinct edges. All triplet and
-adjacency arrays are frozen after construction; every edge keeps a stable id
-(its position in the input order) so downstream consumers can count distinct
-edges exactly.
+adjacency arrays are read-only (the adjacency is built on its first use);
+every edge keeps a stable id (its position in the input order) so
+downstream consumers can count distinct edges exactly.
 
 Every text input (triplet files, dictionary files, and the metapath and rule
 reports) is read by `read_tsv`: the whole file at once, with universal
@@ -114,7 +114,11 @@ class KnowledgeGraph:
 
     Out-adjacency is CSR over heads: slots `offsets[v]:offsets[v+1]` of
     `adj_relations` / `adj_tails` hold the out-edges of v, in the order of
-    the original `heads`/`relations`/`tails` arrays.
+    the original `heads`/`relations`/`tails` arrays. The three are built
+    together, by one stable argsort of the heads, on the first access to
+    any of them and then cached as read-only instance attributes, so a
+    graph that is never walked or mined (a valid or test split, the train
+    split of `rules` and `eval`) never sorts.
     """
 
     def __init__(
@@ -150,18 +154,34 @@ class KnowledgeGraph:
         self.entity_dict = entity_dict
         self.relation_dict = relation_dict
 
-        order = np.argsort(heads, kind="stable")
-        counts = np.bincount(heads, minlength=num_entities) if heads.size else np.zeros(num_entities, np.int64)
-        self.offsets = np.zeros(num_entities + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.offsets[1:])
-        self.adj_relations = relations[order]
-        self.adj_tails = tails[order]
         self.relation_counts = (
             np.bincount(relations, minlength=num_relations) if relations.size else np.zeros(num_relations, np.int64)
         )
-        for arr in (self.heads, self.relations, self.tails, self.offsets,
-                    self.adj_relations, self.adj_tails, self.relation_counts):
+        for arr in (self.heads, self.relations, self.tails, self.relation_counts):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(offsets, adj_relations, adj_tails), built on first use."""
+        order = np.argsort(self.heads, kind="stable")
+        offsets = np.zeros(self.num_entities + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.heads, minlength=self.num_entities), out=offsets[1:])
+        csr = (offsets, self.relations[order], self.tails[order])
+        for arr in csr:
+            arr.setflags(write=False)
+        return csr
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        return self._csr[0]
+
+    @functools.cached_property
+    def adj_relations(self) -> np.ndarray:
+        return self._csr[1]
+
+    @functools.cached_property
+    def adj_tails(self) -> np.ndarray:
+        return self._csr[2]
 
     @property
     def num_triplets(self) -> int:

@@ -28,8 +28,9 @@ by marking their ids in one boolean array over the mined graph's edges;
 the last hop covers every out-edge of each distinct continuing node. Only
 a kept candidate that a later level extends gets its instance table,
 joined through `_RelIndex.follow`, a range join over the relation's
-out-edges sorted by source. The range expansion (`expand_ranges`) and the
-sort-based dedupe (`sorted_unique`) are shared with rule scoring, and
+out-edges sorted by source (`JoinTable.hop_index`, which sorts a relation
+the first time it is a candidate). The range expansion (`expand_ranges`)
+and the sort-based dedupe (`sorted_unique`) are shared with rule scoring, and
 `KeyIndex` is the one key-to-values lookup: the eval filter and the rule
 pair index each find the values of many keys in it with one `searchsorted`,
 and only the keys that hit have their value ranges expanded. A presence
@@ -173,7 +174,7 @@ class JoinTable:
     def __init__(self, groups: dict[Metapath, PathGroup], num_entities: int):
         self.groups = groups
         self.num_entities = num_entities
-        self._index: dict[int, _RelIndex] | None = None
+        self._index: dict[int, _RelIndex | None] = {}
 
     @classmethod
     def from_graph(cls, graph: KnowledgeGraph) -> "JoinTable":
@@ -190,20 +191,25 @@ class JoinTable:
             groups[(rel,)] = PathGroup(graph.heads[ids], graph.tails[ids], ids[:, None])
         return cls(groups, graph.num_entities)
 
-    def hop_index(self) -> dict[int, _RelIndex]:
-        """Per-relation source index; only valid for a 1-hop table."""
-        if self._index is None:
-            index: dict[int, _RelIndex] = {}
-            for key, group in self.groups.items():
-                if len(key) != 1:
-                    raise ValueError("hop index requires a table of single-relation groups")
-                order = np.argsort(group.src, kind="stable")
-                counts = np.bincount(group.src, minlength=self.num_entities)
-                offsets = np.zeros(self.num_entities + 1, dtype=np.int64)
-                np.cumsum(counts, out=offsets[1:])
-                index[key[0]] = _RelIndex(offsets, group.dst[order], group.edges[order, 0])
-            self._index = dict(sorted(index.items()))
-        return self._index
+    def hop_index(self, rel: int) -> _RelIndex | None:
+        """The source index of relation `rel`, None when it has no edges; only
+        valid for a 1-hop table. Each relation's index is built the first time
+        it is asked for and cached, so a caller that joins a few relations
+        never sorts the others."""
+        if rel in self._index:
+            return self._index[rel]
+        if not self._index and any(len(key) != 1 for key in self.groups):  # on the first miss
+            raise ValueError("hop index requires a table of single-relation groups")
+        group = self.groups.get((rel,))
+        idx = None
+        if group is not None:
+            order = np.argsort(group.src, kind="stable")
+            counts = np.bincount(group.src, minlength=self.num_entities)
+            offsets = np.zeros(self.num_entities + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            idx = _RelIndex(offsets, group.dst[order], group.edges[order, 0])
+        self._index[rel] = idx
+        return idx
 
 
 def _extend_group(group: PathGroup, idx: _RelIndex) -> PathGroup:
@@ -356,7 +362,6 @@ def mine_informative_metapaths(
     mined = sample_edges(graph, p, seed)
     full_counts = graph.relation_counts
     base = JoinTable.from_graph(mined)
-    index = base.hop_index()
     mark = np.zeros(mined.num_triplets, dtype=bool)
     rank = np.empty(mined.num_entities, dtype=np.int64)
     current = dict(sorted(base.groups.items()))
@@ -377,7 +382,7 @@ def mine_informative_metapaths(
             starts = mined.offsets[nodes]
             _, slots = expand_ranges(starts, mined.offsets[nodes + 1] - starts)
             for rel in sorted_unique(mined.adj_relations[slots]).tolist():
-                idx = index[rel]
+                idx = base.hop_index(rel)
                 counts = idx.offsets[nodes + 1] - idx.offsets[nodes]  # out-degree of each node
                 instances = int(counts @ repeats)
                 candidate = m + (rel,)

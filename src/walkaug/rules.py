@@ -9,10 +9,11 @@ where both sides count distinct entity pairs. A rule map keeps, per
 metapath, every relation whose confidence reaches the threshold.
 
 Rules run on the miner's join: `build_rulemaps` builds one 1-hop
-`JoinTable` (and so one hop index) per call and visits the metapaths in
-sorted order as a trie, as AMIE refines a rule by one atom. A stack holds
-the connected pairs of each prefix of the current metapath, so every
-distinct prefix is joined once (prefixes that are not inputs too), and
+`JoinTable` per call, with the hop index of each relation a metapath joins
+after its first hop (built on that relation's first join), and visits the
+metapaths in sorted order as a trie, as AMIE refines a rule by one atom. A
+stack holds the connected pairs of each prefix of the current metapath, so
+every distinct prefix is joined once (prefixes that are not inputs too), and
 each metapath joins only its last hop onto its parent's pairs, with the
 same `follow` range join the miner extends its groups with. Pairs are kept
 as sorted unique int64 keys head * num_entities + tail, deduplicated by
@@ -54,7 +55,7 @@ def _extend(base: JoinTable, keys: np.ndarray | None, rel: int) -> np.ndarray:
     if keys is None:
         group = base.groups.get((rel,))
         return np.empty(0, np.int64) if group is None else sorted_unique(group.src * n + group.dst)
-    idx = base.hop_index().get(rel)
+    idx = base.hop_index(rel)
     if idx is None:
         return np.empty(0, np.int64)
     src, dst = np.divmod(keys, n)
@@ -66,10 +67,11 @@ def metapath_pairs(base: JoinTable, metapath: Metapath,
                    prefix_keys: np.ndarray | None = None) -> np.ndarray:
     """Sorted unique keys head * num_entities + tail of pairs `metapath` connects.
 
-    `base` is the 1-hop table of the graph (`JoinTable.from_graph`); its hop
-    index is built on first use and reused by later calls. A caller that
-    holds the keys of `metapath[:-1]` passes them as `prefix_keys`, and only
-    the last hop is joined onto them; otherwise every hop is.
+    `base` is the 1-hop table of the graph (`JoinTable.from_graph`); the hop
+    index of each relation joined is built on its first use and reused by
+    later calls. A caller that holds the keys of `metapath[:-1]` passes them
+    as `prefix_keys`, and only the last hop is joined onto them; otherwise
+    every hop is.
     """
     if len(metapath) < (1 if prefix_keys is None else 2):
         raise ValueError(f"metapath {metapath} has no relation after its prefix")

@@ -36,11 +36,15 @@ The embedding files and the dataset cache are written through
 `graph.atomic_write`, temp-then-rename.
 
 The dataset cache (`DATASET_CACHE`, one `.npz` file in an output directory)
-holds one parsed `DatasetSplit`: each split's `(3, m)` int64 ids and both
-dictionaries' names, tab-joined as UTF-8 bytes with a count (a name holds no
-tab, since `read_tsv` splits cells on it). It stores the `dataset_key` of the
-inputs it was parsed from, and `read_dataset_cache` serves it only under
-that key.
+holds one parsed `DatasetSplit` in four members: `key`, the `dataset_key` of
+the inputs it was parsed from, as ASCII bytes; `entities` and `relations`,
+each dictionary's names tab-joined as UTF-8 bytes (a name holds no tab, since
+`read_tsv` splits cells on it); and `ids`, one int64 array. `ids` starts with
+a header of five counts, the entity and relation names and the train, valid
+and test triplets, then holds each split's heads, relations and tails in
+turn. `read_dataset_cache` serves it only under its key, and only when the
+header agrees with the names and with the length of `ids`; the graphs it
+builds are views into `ids`.
 """
 
 from __future__ import annotations
@@ -326,14 +330,14 @@ def dataset_key(train_path, valid_path, test_path, dict_paths: tuple | None = No
     return digest.hexdigest()
 
 
-def _names_arrays(prefix: str, dictionary: Dictionary) -> dict:
-    text = "\t".join(dictionary).encode("utf-8")
-    return {prefix: np.frombuffer(text, np.uint8), f"{prefix}_count": np.int64(len(dictionary))}
+def _names_bytes(dictionary: Dictionary) -> np.ndarray:
+    return np.frombuffer("\t".join(dictionary).encode("utf-8"), np.uint8)
 
 
-def _names_dictionary(npz, prefix: str) -> Dictionary:
-    count = int(npz[f"{prefix}_count"])
-    names = npz[prefix].tobytes().decode("utf-8").split("\t") if count else []
+def _names_dictionary(npz, prefix: str, count: int) -> Dictionary:
+    # empty text is no name under a count of 0 and the one empty name under 1
+    text = npz[prefix].tobytes().decode("utf-8")
+    names = text.split("\t") if count or text else []
     dictionary = Dictionary(names)
     if len(names) != count or len(dictionary) != count:
         raise DataError(f"cached {prefix} are not {count} distinct names")
@@ -346,13 +350,17 @@ def write_dataset_cache(path, key: str, dataset: DatasetSplit) -> None:
     The cache only saves time, so an OSError (a read-only or full directory)
     leaves it unwritten and is not raised.
     """
+    graphs = dataset.graphs()
+    header = [len(dataset.entity_dict), len(dataset.relation_dict),
+              *(split.num_triplets for split in graphs)]
+    ids = np.concatenate([np.array(header, np.int64)] + [
+        column for split in graphs for column in (split.heads, split.relations, split.tails)])
     arrays = {
         "key": np.frombuffer(key.encode("ascii"), np.uint8),
-        **_names_arrays("entities", dataset.entity_dict),
-        **_names_arrays("relations", dataset.relation_dict),
+        "entities": _names_bytes(dataset.entity_dict),
+        "relations": _names_bytes(dataset.relation_dict),
+        "ids": ids,
     }
-    for name, split in zip(("train", "valid", "test"), dataset.graphs()):
-        arrays[name] = np.stack((split.heads, split.relations, split.tails))
     with contextlib.suppress(OSError):
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with atomic_write(path, "wb") as fh:
@@ -361,22 +369,28 @@ def write_dataset_cache(path, key: str, dataset: DatasetSplit) -> None:
 
 def read_dataset_cache(path, key: str | None) -> DatasetSplit | None:
     """The dataset cached at `path` under `key`, or None: a missing, damaged or
-    stale file, or one of another key, is a miss and never an error."""
+    stale file, one of another key, or one whose `ids` header disagrees with
+    its names or its length, is a miss and never an error."""
     if key is None:
         return None
     try:
         with np.load(path, allow_pickle=False) as npz:
             if npz["key"].tobytes() != key.encode("ascii"):
                 return None
-            entity_dict = _names_dictionary(npz, "entities")
-            relation_dict = _names_dictionary(npz, "relations")
-            graphs = []
-            for name in ("train", "valid", "test"):
-                ids = npz[name]
-                if ids.dtype != np.int64 or ids.ndim != 2 or ids.shape[0] != 3:
-                    return None
-                graphs.append(KnowledgeGraph(*ids, len(entity_dict), len(relation_dict),
-                                             entity_dict, relation_dict))
+            ids = npz["ids"]
+            if ids.dtype != np.int64 or ids.ndim != 1 or ids.size < 5:
+                return None
+            num_entities, num_relations, *sizes = ids[:5].tolist()
+            if min(sizes) < 0 or ids.size != 5 + 3 * sum(sizes):
+                return None
+            entity_dict = _names_dictionary(npz, "entities", num_entities)
+            relation_dict = _names_dictionary(npz, "relations", num_relations)
+        graphs, start = [], 5
+        for size in sizes:
+            columns = ids[start:start + 3 * size].reshape(3, size)
+            graphs.append(KnowledgeGraph(*columns, num_entities, num_relations,
+                                         entity_dict, relation_dict))
+            start += 3 * size
     except Exception:  # whatever a damaged file raises, the inputs are parsed again
         return None
     return DatasetSplit(*graphs)

@@ -30,3 +30,8 @@ def assert_same_dataset(got, expected):
         assert mine.entity_dict == theirs.entity_dict and mine.relation_dict == theirs.relation_dict
     assert list(got.entity_dict) == list(expected.entity_dict)
     assert list(got.relation_dict) == list(expected.relation_dict)
+
+
+def csr_built(graph):
+    """Whether `graph` has built its CSR adjacency (built on first use)."""
+    return "_csr" in vars(graph)

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import assert_same_dataset
+from conftest import assert_same_dataset, csr_built
 from walkaug import (
     ConfigError,
     Dictionary,
@@ -900,6 +900,26 @@ def test_a_pipeline_parses_its_dataset_once(data, tmp_path, loads, monkeypatch):
     monkeypatch.setattr(cli, "read_dataset_cache", lambda path, key: None)
     loads.clear()
     assert _pipeline(data, str(tmp_path / "parsed")) == cached and len(loads) == 4
+
+
+def test_only_mine_and_train_build_the_train_graphs_adjacency(data, loads, monkeypatch):
+    # the valid and test graphs are never walked; rules and eval walk no graph
+    loaded = []
+    load = cli._load_dataset
+    monkeypatch.setattr(cli, "_load_dataset", lambda cfg: loaded.append(load(cfg)) or loaded[-1])
+    common = ["--train", data["train"], "--valid", data["valid"], "--test", data["test"],
+              "--out-dir", data["out"]]
+    for command, extra in PIPELINE:
+        for hit in (False, True):
+            if not hit and os.path.exists(os.path.join(data["out"], DATASET_CACHE)):
+                os.remove(os.path.join(data["out"], DATASET_CACHE))
+            loaded.clear()
+            parses = len(loads)
+            assert main([command, *common, *extra]) == 0
+            (dataset,) = loaded
+            assert len(loads) == parses + (not hit)
+            assert not csr_built(dataset.valid) and not csr_built(dataset.test)
+            assert csr_built(dataset.train) == (command in ("mine", "train")), (command, hit)
 
 
 def test_train_counts_the_metapaths_its_walks_never_follow(data, capsys):

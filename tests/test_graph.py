@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_dataset, make_graph, random_multigraph
+from conftest import assert_same_dataset, csr_built, make_graph, random_multigraph
 from oracles import line_loop_load_tsv
 from walkaug import (
     DataError,
@@ -78,6 +78,110 @@ def test_a_dataset_cache_of_repeated_names_is_a_miss(tmp_path):
     with open(cache, "wb") as fh:
         np.savez(fh, **arrays)
     assert read_dataset_cache(cache, key) is None
+
+
+def _write_cached_split(tmp_path):
+    """(cache path, key, cached arrays, input paths) of a three-split dataset."""
+    for split, text in (("train", "a\tr\tb\nb\ts\tc\nc\tt\ta\n"), ("valid", "a\ts\tc\n"),
+                        ("test", "b\tr\tc\n")):
+        (tmp_path / f"{split}.tsv").write_text(text)
+    inputs = [tmp_path / f"{split}.tsv" for split in ("train", "valid", "test")]
+    key, cache = dataset_key(*inputs), tmp_path / DATASET_CACHE
+    write_dataset_cache(cache, key, load_tsv_dataset(*inputs))
+    with np.load(cache) as npz:
+        arrays = dict(npz)
+    return cache, key, arrays, inputs
+
+
+def test_the_dataset_cache_holds_four_members(tmp_path):
+    cache, key, arrays, inputs = _write_cached_split(tmp_path)
+    assert sorted(arrays) == ["entities", "ids", "key", "relations"]
+    assert arrays["key"].tobytes() == key.encode("ascii")
+    assert arrays["entities"].tobytes() == b"a\tb\tc"
+    assert arrays["relations"].tobytes() == b"r\ts\tt"
+    # the header (3 entities, 3 relations, 3 + 1 + 1 triplets), then each split's
+    # heads, relations and tails
+    assert arrays["ids"].dtype == np.int64
+    assert arrays["ids"].tolist() == [3, 3, 3, 1, 1, 0, 1, 2, 0, 1, 2, 1, 2, 0,
+                                      0, 1, 2, 1, 0, 2]
+    cached = read_dataset_cache(cache, key)
+    assert_same_dataset(cached, load_tsv_dataset(*inputs))
+    assert not any(csr_built(graph) for graph in cached.graphs())
+
+
+# ids[k] += delta for each (k, delta): a header that disagrees with the names or
+# with the length of ids, too large, too small or negative. Every id of the
+# cached dataset is below 3, a valid entity and relation id, so split sizes
+# (3, -1, 3) have the length's sum and read in-range triplets from the wrong
+# places: only their sign tells them apart.
+BAD_HEADERS = {
+    "entities too many": [(0, 1)], "entities too few": [(0, -1)],
+    "no entities": [(0, -3)], "entities negative": [(0, -4)],
+    "relations too many": [(1, 1)], "relations too few": [(1, -1)],
+    "no relations": [(1, -3)], "relations negative": [(1, -4)],
+    "train too long": [(2, 1)], "train too short": [(2, -1)],
+    "test too long": [(4, 1)], "test negative": [(4, -2), (2, 2)],
+    "valid negative": [(3, -2), (4, 2)],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_HEADERS))
+def test_a_dataset_cache_whose_header_disagrees_is_a_miss(tmp_path, damage):
+    cache, key, arrays, _ = _write_cached_split(tmp_path)
+    ids = arrays["ids"].copy()
+    for k, delta in BAD_HEADERS[damage]:
+        ids[k] += delta
+    with open(cache, "wb") as fh:
+        np.savez(fh, **dict(arrays, ids=ids))
+    assert read_dataset_cache(cache, key) is None
+
+
+@pytest.mark.parametrize("ids", [
+    "one more id", "one id less", "int32", "2-d", "header cut",
+])
+def test_a_dataset_cache_of_malformed_ids_is_a_miss(tmp_path, ids):
+    cache, key, arrays, _ = _write_cached_split(tmp_path)
+    whole = arrays["ids"]
+    arrays["ids"] = {"one more id": np.append(whole, 0), "one id less": whole[:-1],
+                     "int32": whole.astype(np.int32), "2-d": whole[None, :],
+                     "header cut": whole[:4]}[ids]
+    with open(cache, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert read_dataset_cache(cache, key) is None
+
+
+def test_a_dataset_cache_of_names_beside_no_count_is_a_miss(tmp_path):
+    # empty names text with a count of 1 is the one empty name; a count of 0
+    # with names in the text is no dictionary
+    train = tmp_path / "train.tsv"
+    train.write_text("")
+    key, cache = dataset_key(train, None, None), tmp_path / DATASET_CACHE
+    write_dataset_cache(cache, key, load_tsv_dataset(train, None, None))
+    with np.load(cache) as npz:
+        arrays = dict(npz)
+    assert arrays["ids"].tolist() == [0, 0, 0, 0, 0]
+    assert read_dataset_cache(cache, key) is not None
+    arrays["relations"] = np.frombuffer(b"r", np.uint8)
+    with open(cache, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert read_dataset_cache(cache, key) is None
+
+
+def test_a_graph_builds_its_adjacency_on_first_use(tmp_path):
+    _, _, _, inputs = _write_cached_split(tmp_path)
+    dataset = load_tsv_dataset(*inputs)
+    assert not any(csr_built(graph) for graph in dataset.graphs())
+    g = dataset.train
+    assert g.relation_counts.tolist() == [1, 1, 1] and not csr_built(g)
+    assert g.adj_tails.tolist() == [1, 2, 0]  # the first access builds all three arrays
+    offsets, relations, tails = vars(g)["_csr"]
+    assert g.offsets is offsets and g.adj_relations is relations and g.adj_tails is tails
+    assert offsets.tolist() == [0, 1, 2, 3] and relations.tolist() == [0, 1, 2]
+    for arr in (offsets, relations, tails):
+        assert not arr.flags.writeable
+    assert not csr_built(sample_edges(g, 0.5, seed=0))
+    empty = make_graph([], num_entities=3, num_relations=1)
+    assert empty.offsets.tolist() == [0, 0, 0, 0] and empty.adj_tails.size == 0
 
 
 def test_dictionary_file_roundtrip(tmp_path):

@@ -600,3 +600,15 @@ def test_read_report_names_the_line_of_an_unknown_relation(tmp_path):
     path.write_text("a|b\t0.5\t3\na|zz\t0.5\t3\n")
     with pytest.raises(DataError, match=r"metapaths\.tsv:2: unknown name 'zz'"):
         read_metapath_report(path, Dictionary(["a", "b"]))
+
+
+def test_mining_builds_the_hop_index_of_the_continuing_relations_alone(monkeypatch):
+    # only relation 1 continues a path (from node 1); 0 and 2 end where nothing starts
+    g = make_graph([(0, 0, 1), (1, 1, 2), (3, 2, 4)])
+    tables = []
+    from_graph = mining.JoinTable.from_graph
+    monkeypatch.setattr(mining.JoinTable, "from_graph",
+                        staticmethod(lambda graph: tables.append(from_graph(graph)) or tables[-1]))
+    assert list(mining.mine_informative_metapaths(g, l_max=3, threshold=0.1)) == [(0, 1)]
+    (table,) = tables
+    assert list(table._index) == [1]

@@ -289,3 +289,25 @@ def test_read_report_names_the_line_of_an_unknown_relation(tmp_path, line):
     path.write_text(f"a|b\tb\t0.9\n{line}\n")
     with pytest.raises(DataError, match=r"rules\.tsv:2: unknown name 'zz'"):
         read_rules_report(path, Dictionary(["a", "b"]))
+
+
+def test_rules_build_the_hop_index_of_the_joined_relations_alone(monkeypatch):
+    # (0, 1) joins relation 1 onto relation 0's own pairs; 0 and 2 are never joined
+    g = make_graph([(0, 0, 1), (1, 1, 2), (0, 2, 2), (2, 0, 0)])
+    tables = []
+    from_graph = JoinTable.from_graph
+    monkeypatch.setattr(JoinTable, "from_graph",
+                        staticmethod(lambda graph: tables.append(from_graph(graph)) or tables[-1]))
+    assert build_rulemaps(g, {(0, 1): 0.5})[(0, 1)].entries == {2: 1.0}
+    (table,) = tables
+    assert list(table._index) == [1]
+    idx = table.hop_index(1)
+    assert idx is table._index[1] and idx.dst.tolist() == [2] and idx.edge.tolist() == [1]
+    assert table.hop_index(3) is None
+
+
+def test_hop_index_requires_a_one_hop_table():
+    g = make_graph([(0, 0, 1), (1, 1, 2)])
+    base = JoinTable.from_graph(g)
+    with pytest.raises(ValueError, match="single-relation"):
+        JoinTable({**base.groups, (0, 1): base.groups[(0,)]}, g.num_entities).hop_index(0)
