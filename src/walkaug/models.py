@@ -38,7 +38,11 @@ rank table over the entities, and the gradients are added by numpy's 1-D
 `ufunc.at` over those cells, one call per run for entities and per chunk
 for relations: it adds the terms in the order the 2-D `np.add.at` does,
 so the bits are the same, and numpy 1.25+ runs it in a fast loop (numpy
-1.24 gives the same bits, slower). Entity gradients are
+1.24 gives the same bits, slower). When d is even, a cell is a complex128
+pair of adjacent float64 columns (`sharing.cell_pair`): a complex add sums
+the real and the imaginary parts apart, each in the same order as before,
+so the bits stay the same with half as many indices to build and visit;
+an odd d keeps float64 cells through the same code. Entity gradients are
 added in slot order (head, tail, corrupted heads, corrupted tails) and a
 relation's as its positive's term plus the sum of its corruptions', in
 the order of the two-pass oracle in `tests/oracles.py`, which the tests
@@ -64,6 +68,8 @@ from .sharing import (
     SharingStrategy,
     SparseGrads,
     basis_keys,
+    cell_pair,
+    paired,
     relation_backward,
     relation_vector,
 )
@@ -468,19 +474,22 @@ def batch_loss_and_grad(
     # checked first: a negative id would index the tables from the end
     if slots.min() < 0 or slots.max() >= state.num_entities:
         raise IndexError(f"entity id out of range [0, {state.num_entities})")
-    # the touched rows, sorted, and the first flat cell of each slot's row
+    # the touched rows, sorted, and the first flat cell of each slot's row;
+    # a cell is a complex128 pair of adjacent columns when d is even
+    pair = cell_pair(d)
+    q = d // pair  # cells per row
     mark = ws.take("mark", (state.num_entities,), bool)
     mark.fill(False)
     mark[slots] = True
     rows = np.flatnonzero(mark)
     cell_of = ws.take("cell_of", (state.num_entities,), np.int64)
-    cell_of[rows] = np.arange(0, rows.size * d, d)
+    cell_of[rows] = np.arange(0, rows.size * q, q)
     entity_base = cell_of[slots]
-    relation_base = relation_of * d
-    columns = np.arange(d)
+    relation_base = relation_of * q
+    columns = np.arange(q)
     entity_grad = np.zeros((rows.size, d))
     relation_grad = np.zeros((relations.size, d))
-    entity_cells, relation_cells = entity_grad.reshape(-1), relation_grad.reshape(-1)
+    entity_cells, relation_cells = paired(entity_grad, pair), paired(relation_grad, pair)
 
     width = slots.shape[1]
     run = max(1, BLOCK_VALUES // (width * d))
@@ -488,8 +497,8 @@ def batch_loss_and_grad(
     block = ws.take("block", (chunk, width, d))   # gathered vectors, then entity gradients
     kept = ws.take("kept", (chunk, 1 + k, d))     # the translation, or h * t
     r_block = ws.take("r_block", (chunk, d))      # relation vectors, then their gradients
-    cells = ws.take("cells", (min(run, chunk) * width * d,), np.int64)
-    r_cells = ws.take("r_cells", (chunk, d), np.int64)
+    cells = ws.take("cells", (min(run, chunk) * width * q,), np.int64)
+    r_cells = ws.take("r_cells", (chunk, q), np.int64)
     if scoring == "distmult":
         grad = ws.take("grad", (chunk, 2, 1 + k, d))  # ds/dh and ds/dt of every side
 
@@ -546,13 +555,13 @@ def batch_loss_and_grad(
         # a relation's gradient is its positive's term plus the sum of its corruptions'
         np.add(pos, neg.sum(axis=1, out=r_block[:n]), out=r_block[:n])
         np.add(relation_base[part, None], columns, out=r_cells[:n])
-        np.add.at(relation_cells, r_cells[:n].reshape(-1), r_block[:n].reshape(-1))
+        np.add.at(relation_cells, r_cells[:n].reshape(-1), paired(r_block[:n], pair))
         # 1-D `ufunc.at` over flat cells visits them in the 2-D `np.add.at` order
         for a in range(0, n, run):
             m = min(run, n - a)
             ids = np.add(entity_base[lo + a:lo + a + m, :, None], columns,
-                         out=cells[:m * width * d].reshape(m, width, d))
-            np.add.at(entity_cells, ids.reshape(-1), block[a:a + m].reshape(-1))
+                         out=cells[:m * width * q].reshape(m, width, q))
+            np.add.at(entity_cells, ids.reshape(-1), paired(block[a:a + m], pair))
 
     grads.entity_rows, grads.entity_grad = rows, entity_grad
     relation_backward(state, relations, relation_grad, grads)

@@ -27,11 +27,18 @@ metapath axis, and `rnn` runs each step of the recurrence as one stacked
 matrix-vector `np.matmul`, which rounds every product as the single
 `w @ x` does. The backward recomputes the stacked forward, and sums each
 relation's dense (d, d) recurrence gradients over a block of relations at a
-time (`BLOCK_VALUES`), adding them in id order, so the bits are those of one
-relation at a time.
+time (`BLOCK_VALUES`). The block's buffers hold each length group's
+relations contiguously, one group after another, and take one `+=` per
+step; `_fold` then adds them onto the running total in id order, one
+`np.add(total, term, out=total)` per relation, so the bits are those of
+one relation at a time.
 
 Repeated rows are summed by `add_rows`, one 1-D `np.add.at` over flat cell
-indices, which adds every term in array order.
+indices, which adds every term in array order. Rows of an even width go as
+complex128 pairs of adjacent float64 cells (`cell_pair`, `paired`): a
+complex add sums the real and the imaginary parts apart, each in the same
+order, so the bits are those of the float64 cells with half as many
+indices. numpy 1.24 gives the same bits, more slowly.
 """
 
 from __future__ import annotations
@@ -121,20 +128,38 @@ def basis_rows(registry: "NewRelationRegistry", strategy: SharingStrategy,
 BLOCK_VALUES = 1 << 14
 
 
+def cell_pair(width: int) -> int:
+    """Float64 cells added per `ufunc.at` index in rows of `width` cells: 2,
+    as one complex128, for an even width, and 1 for an odd one."""
+    return 2 if width % 2 == 0 else 1
+
+
+def paired(cells: np.ndarray, pair: int) -> np.ndarray:
+    """The float64 `cells` flat, viewed as complex128 when `pair` is 2. A
+    C-contiguous array is viewed, not copied, so `ufunc.at` adds into it."""
+    flat = np.ascontiguousarray(cells, dtype=np.float64).reshape(-1)
+    return flat.view(np.complex128) if pair == 2 else flat
+
+
 def add_rows(total: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """Add `values[i]` onto row `rows[i]` of the C-contiguous `total`, in place.
 
     `values` has shape `rows.shape + total.shape[1:]`. The rows become flat
     cell indices for numpy's 1-D `ufunc.at`, which visits every (row, column)
     cell in the order the 2-D `np.add.at(total, rows, values)` does, so each
-    cell still rounds as a running total from what it held. numpy 1.25+ runs
-    the 1-D form in a fast loop; numpy 1.24 gives the same bits, slower.
+    cell still rounds as a running total from what it held. Rows of an even
+    width are added as complex128 pairs of adjacent columns (`cell_pair`):
+    a complex sum adds real and imaginary parts separately, each in the same
+    order, so the bits are the same with half as many indices. numpy 1.25+
+    runs the 1-D form in a fast loop; numpy 1.24 gives the same bits, slower.
     """
     if not total.flags.c_contiguous:
         raise ValueError("add_rows sums into a C-contiguous array")
     width = math.prod(total.shape[1:])
-    cells = rows.reshape(-1, 1) * width + np.arange(width)
-    np.add.at(total.reshape(-1), cells.reshape(-1), values.reshape(-1))
+    pair = cell_pair(width)
+    columns = width // pair
+    cells = rows.reshape(-1, 1) * columns + np.arange(columns)
+    np.add.at(paired(total, pair), cells.reshape(-1), paired(values, pair))
 
 
 def sum_rows(rows: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,12 +246,16 @@ def _rnn_states(params: RnnParams, inputs: np.ndarray) -> np.ndarray:
     return states
 
 
-def _fold(total: np.ndarray | None, terms: np.ndarray) -> np.ndarray:
-    """((total + terms[0]) + terms[1]) + ..., one term at a time as `_plus`
-    adds them; a None total starts from terms[0]."""
-    if total is not None:
-        terms = np.concatenate((total[None], terms))
-    return np.add.accumulate(terms, axis=0)[-1].copy()
+def _fold(total: np.ndarray | None, terms: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """((total + terms[order[0]]) + terms[order[1]]) + ..., one term at a time
+    as `_plus` adds them, as a running sum into `total`, in place; a None
+    total starts from a copy of the first term."""
+    order = order.tolist()
+    if total is None:
+        total, order = terms[order[0]].copy(), order[1:]
+    for i in order:
+        np.add(total, terms[i], out=total)
+    return total
 
 
 def _rnn_backward(params: RnnParams, emb: np.ndarray, paths: list[Metapath],
@@ -239,20 +268,33 @@ def _rnn_backward(params: RnnParams, emb: np.ndarray, paths: list[Metapath],
     The ids go in id-ordered blocks sized so that a block's dense (d, d)
     gradients fit in BLOCK_VALUES each. A block's forward states are
     recomputed per metapath length, one stacked product per step. Each
-    relation's gradients sum over its steps from zero, last step first, and
-    the relations' gradients add onto `out.rnn` in id order.
+    relation's gradients sum over its steps from zero, last step first, in
+    buffers that hold each length group's relations contiguously, one group
+    after another, and the relations' gradients add onto `out.rnn` in id
+    order, as a running sum (`_fold`). The buffers are allocated once per
+    call.
     """
     if minted.size == 0:
         return
     d = params.bias.shape[0]
-    totals = [None] * 3 if out.rnn is None else [out.rnn.w_in, out.rnn.w_rec, out.rnn.bias]
+    totals = [None] * 3 if out.rnn is None else [
+        array.copy() for array in (out.rnn.w_in, out.rnn.w_rec, out.rnn.bias)]
     block = max(1, BLOCK_VALUES // (d * d))
+    # a block's gradients in group order, and one step's outer products
+    d_w_in, d_w_rec, outer = np.empty((3, min(block, minted.size), d, d))
+    d_bias = np.empty((d_w_in.shape[0], d))
     for lo in range(0, minted.size, block):
         ids = minted[lo:lo + block]
-        d_w_in, d_w_rec = np.zeros((2, ids.size, d, d))
-        d_bias = np.zeros((ids.size, d))
+        slot = np.empty(ids.size, np.int64)  # the buffer row of each id of the block
+        start = 0
         for pos, group in _by_length(paths, ids):
-            at = np.searchsorted(ids, pos)  # the group's places in the block
+            rows = slice(start, start + pos.size)
+            slot[np.searchsorted(ids, pos)] = np.arange(start, start + pos.size)
+            start += pos.size
+            g_w_in, g_w_rec, g_bias = d_w_in[rows], d_w_rec[rows], d_bias[rows]
+            g_outer = outer[:pos.size]
+            for sums in (g_w_in, g_w_rec, g_bias):
+                sums.fill(0.0)
             inputs = emb[group]
             states = _rnn_states(params, inputs)
             dh = grads[pos]
@@ -260,12 +302,13 @@ def _rnn_backward(params: RnnParams, emb: np.ndarray, paths: list[Metapath],
                 h_next = states[:, step + 1]
                 dpre = dh * (1.0 - h_next * h_next)
                 # np.outer per relation
-                d_w_in[at] += dpre[:, :, None] * inputs[:, step, None, :]
-                d_w_rec[at] += dpre[:, :, None] * states[:, step, None, :]
-                d_bias[at] += dpre
+                g_w_in += np.multiply(dpre[:, :, None], inputs[:, step, None, :], out=g_outer)
+                g_w_rec += np.multiply(dpre[:, :, None], states[:, step, None, :], out=g_outer)
+                g_bias += dpre
                 row_grads[starts[pos] + step] = _matvec(params.w_in.T, dpre)
                 dh = _matvec(params.w_rec.T, dpre)
-        totals = [_fold(total, terms) for total, terms in zip(totals, (d_w_in, d_w_rec, d_bias))]
+        totals = [_fold(total, terms, slot)
+                  for total, terms in zip(totals, (d_w_in, d_w_rec, d_bias))]
     out.rnn = RnnParams(*totals)
 
 

@@ -12,7 +12,10 @@ says nothing per state.
 
 Saving removes the arrays of either state that the new state does not
 hold (`ARRAY_NAMES`), so that a run under another strategy leaves none of
-the last one's behind; it touches no other file.
+the last one's behind; it touches no other file. It writes the best
+state's arrays only when asked to (`save_checkpoint`'s `best`), which
+`training.train` does on a call's first save and whenever the best state
+changed since the call's previous save.
 
 Loading first checks the format number: a checkpoint of any other format,
 or of none, is refused with a DataError, to be trained again. It then
@@ -122,7 +125,17 @@ def _load_state(directory: str, prefix: str, registry: NewRelationRegistry,
     return EmbeddingState.from_arrays(arrays, registry, strategy)
 
 
-def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
+def save_checkpoint(directory: str, ckpt: Checkpoint, best: bool = True) -> None:
+    """Write `ckpt` into `directory`: the current state's arrays and
+    meta.json always, and the `best_` arrays when `best` is true.
+
+    `training.train` passes `best=False` only when the directory already
+    holds its best state: on a save after its first, when the best state
+    has not changed since its previous save and there is a validation
+    split (without one, the best state is the live one, and is written
+    every time). An unchanged best state is then not rewritten, which
+    leaves its files' bytes, inodes and mtimes as they were.
+    """
     os.makedirs(directory, exist_ok=True)
     held = ckpt.state.arrays()
     stale = [f"{prefix}{name}.npy" for name in ARRAY_NAMES if name not in held
@@ -131,7 +144,8 @@ def save_checkpoint(directory: str, ckpt: Checkpoint) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(directory, file_name))
     _save_state(directory, "", ckpt.state)
-    _save_state(directory, "best_", ckpt.best_state)
+    if best:
+        _save_state(directory, "best_", ckpt.best_state)
     meta = {
         "format": FORMAT,
         "config": asdict(ckpt.config),

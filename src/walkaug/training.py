@@ -7,6 +7,11 @@ differentiates them all, and the summed sparse gradients are applied in
 one step per batch. Validation MRR (filtered, optimistic) is
 measured after every epoch; training stops early after `patience` epochs
 without improvement and the best-validation state is returned.
+
+With a checkpoint directory, every epoch saves the current state and
+meta.json. The best state's arrays are written on a call's first save and
+then only when the best state changed since the previous save; without a
+validation split the best state is the live one, written every epoch.
 """
 
 from __future__ import annotations
@@ -142,6 +147,7 @@ def train(
         first_epoch = 1
         log = []
 
+    best_saved = False  # whether this call's last save wrote the current best_state
     has_valid = dataset.valid.num_triplets > 0
     graph_filter = EvalFilter.from_graphs(dataset.graphs()) if has_valid else None
     workspace = KernelWorkspace()  # the kernel's scratch, reused by every batch
@@ -171,11 +177,13 @@ def train(
             if valid_mrr > best_mrr:
                 best_mrr = valid_mrr
                 best_state = state.copy()
+                best_saved = False
                 bad_epochs = 0
             else:
                 bad_epochs += 1
         else:
-            best_state = state
+            best_state = state  # the live state, which every epoch changes
+            best_saved = False
 
         stats = EpochStats(epoch, loss_sum / max(loss_count, 1), valid_mrr)
         log.append(stats)
@@ -187,7 +195,8 @@ def train(
                 rng_state=rng.bit_generator.state,
                 epoch=epoch, best_mrr=best_mrr, bad_epochs=bad_epochs,
                 log=[entry.to_dict() for entry in log], walks=walks,
-            ))
+            ), best=not best_saved)
+            best_saved = True
         if has_valid and bad_epochs >= patience:
             break
 

@@ -345,6 +345,11 @@ SHARING_CASES = [
                                    ("basis", False), ("basis", True))
     if not (scoring == "distmult" and kind == "model")
 ]
+# the oracle cases at an even dim, whose gradient cells are added as complex128
+# pairs, and at an odd one, whose cells stay float64 (`sharing.cell_pair`)
+KERNEL_CASES = [pytest.param(*case, 32, id="-".join(map(str, case))) for case in SHARING_CASES]
+KERNEL_CASES += [pytest.param(*case, 33, id="-".join(map(str, case)) + "-dim33")
+                 for case in SHARING_CASES]
 
 
 def _assert_close(got, want, rtol, name=""):
@@ -424,15 +429,15 @@ def _assert_grads_equal(got: SparseGrads, want: SparseGrads):
         assert np.array_equal(got.basis_vectors, want.basis_vectors)
 
 
-@pytest.mark.parametrize("scoring,kind,include_original", SHARING_CASES)
-def test_batch_kernel_equals_the_two_pass_oracle_bit_for_bit(scoring, kind, include_original):
+@pytest.mark.parametrize("scoring,kind,include_original,dim", KERNEL_CASES)
+def test_batch_kernel_equals_the_two_pass_oracle_bit_for_bit(scoring, kind, include_original, dim):
     """The fused chunk pass gives the loss and gradients of scoring and
     differentiating positives and corruptions in separate passes, exactly."""
     rng = np.random.default_rng(23)
     minted = NewRelationRegistry(3, [(0, 1), (2, 1, 0)])
     strategy = SharingStrategy(kind=kind, basis_count=4 if kind == "basis" else None,
                                basis_include_original=include_original)
-    config = ModelConfig(scoring=scoring, dim=32, margin=2.0, negatives=5, seed=0)
+    config = ModelConfig(scoring=scoring, dim=dim, margin=2.0, negatives=5, seed=0)
     num_entities = 12  # few entities, so rows repeat within and across positives
     state = init_state(num_entities, minted, config, strategy, rng)
     chunk = BLOCK_VALUES // ((2 + 2 * config.negatives) * config.dim)
@@ -472,8 +477,8 @@ def _random_batch(rng, size, num_entities, num_relations):
                         rng.choice([0.4, 1.0, 2.3], size=size))
 
 
-@pytest.mark.parametrize("scoring,kind,include_original", SHARING_CASES)
-def test_batch_kernel_equals_the_oracle_across_compute_chunks(scoring, kind, include_original):
+@pytest.mark.parametrize("scoring,kind,include_original,dim", KERNEL_CASES)
+def test_batch_kernel_equals_the_oracle_across_compute_chunks(scoring, kind, include_original, dim):
     """Loss runs and compute chunks: the loss is summed per run whatever
     the chunk size, and the gradients match the run-by-run oracle bit for
     bit across chunk boundaries."""
@@ -481,7 +486,7 @@ def test_batch_kernel_equals_the_oracle_across_compute_chunks(scoring, kind, inc
     minted = NewRelationRegistry(3, [(0, 1), (2, 1, 0)])
     strategy = SharingStrategy(kind=kind, basis_count=4 if kind == "basis" else None,
                                basis_include_original=include_original)
-    config = ModelConfig(scoring=scoring, dim=32, margin=2.0, negatives=5, seed=0)
+    config = ModelConfig(scoring=scoring, dim=dim, margin=2.0, negatives=5, seed=0)
     num_entities = 12
     state = init_state(num_entities, minted, config, strategy, rng)
     run, chunk = _run_and_chunk(config)

@@ -22,6 +22,7 @@ from walkaug import (
     write_embedding_matrix,
     write_embedding_tsv,
 )
+from walkaug import training
 from walkaug.augment import NewRelationRegistry, SegmentTable
 from walkaug.models import init_state
 from walkaug.storage import ARRAY_NAMES, Checkpoint, save_checkpoint
@@ -242,6 +243,127 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert np.array_equal(resumed.final_state.relation_emb, straight.final_state.relation_emb)
     assert np.array_equal(resumed.state.entity_emb, straight.state.entity_emb)
     assert [e.to_dict() for e in resumed.log] == [e.to_dict() for e in straight.log]
+
+
+def _scripted_mrrs(monkeypatch, mrrs):
+    """Make validation return the MRRs of `mrrs` in turn."""
+    mrrs = iter(mrrs)
+
+    class FakeResult:
+        def __init__(self, mrr):
+            self.mrr = mrr
+
+    monkeypatch.setattr("walkaug.training.evaluate",
+                        lambda *args, **kwargs: FakeResult(next(mrrs)))
+
+
+def _after_each_save(monkeypatch, hook):
+    """Call `hook(directory)` after every checkpoint save `train` makes."""
+    real = training.save_checkpoint
+
+    def save(directory, *args, **kwargs):
+        real(directory, *args, **kwargs)
+        hook(directory)
+
+    monkeypatch.setattr(training, "save_checkpoint", save)
+
+
+def _assert_arrays_equal(got, want):
+    assert list(got.arrays()) == list(want.arrays())
+    for name, array in want.arrays().items():
+        assert got.arrays()[name].tobytes() == array.tobytes(), name
+
+
+def test_saves_that_keep_the_best_leave_its_files_untouched(tmp_path, monkeypatch):
+    # improves at epochs 1 and 3, stalls at 2, 4 and 5
+    _scripted_mrrs(monkeypatch, [0.5, 0.4, 0.7, 0.6, 0.6])
+    past = 10**18  # a sentinel mtime, set after every save: a rewrite replaces it
+    saves = []
+
+    def stamp(directory):
+        files = {name: os.stat(os.path.join(directory, name))
+                 for name in os.listdir(directory) if name.startswith("best_")}
+        saves.append(({name: (st.st_ino, st.st_mtime_ns) for name, st in files.items()},
+                      load_checkpoint(directory)))
+        for name in files:
+            os.utime(os.path.join(directory, name), ns=(past, past))
+
+    _after_each_save(monkeypatch, stamp)
+    ckpt_dir = str(tmp_path / "ckpt")
+    result = train(make_dataset(), INFORMATIVE, {}, small_config(epochs=5), patience=3,
+                   checkpoint_dir=ckpt_dir)
+    assert [e.valid_mrr for e in result.log] == [0.5, 0.4, 0.7, 0.6, 0.6]
+    assert len(saves) == 5
+    for epoch, (files, ckpt) in enumerate(saves, start=1):
+        assert files.keys() == {f"best_{name}.npy" for name in ckpt.best_state.arrays()}
+        assert ckpt.best_mrr == (0.5 if epoch < 3 else 0.7)
+        if epoch in (2, 4, 5):  # the same files, not written since the last save
+            assert files == {name: (saves[epoch - 2][0][name][0], past) for name in files}
+        else:  # rewritten, with the live state, which has just become the best
+            assert all(mtime != past for _, mtime in files.values()), epoch
+            _assert_arrays_equal(ckpt.best_state, ckpt.state)
+    _assert_arrays_equal(saves[-1][1].best_state, result.state)
+    _assert_arrays_equal(saves[-1][1].state, result.final_state)
+
+
+def test_without_validation_every_save_writes_the_live_state_as_best(tmp_path, monkeypatch):
+    def check(directory):
+        ckpt = load_checkpoint(directory)
+        _assert_arrays_equal(ckpt.best_state, ckpt.state)
+        checked.append(ckpt.epoch)
+
+    checked = []
+    _after_each_save(monkeypatch, check)
+    result = train(make_dataset(with_valid=False), INFORMATIVE, {}, small_config(epochs=3),
+                   strategy=SharingStrategy(kind="rnn"), checkpoint_dir=str(tmp_path / "ckpt"))
+    assert checked == [1, 2, 3]
+    assert result.state is result.final_state
+
+
+@pytest.mark.parametrize("target", ["another-run", "new"])
+def test_the_first_save_of_a_resume_writes_the_best_state(tmp_path, monkeypatch, target):
+    dataset = make_dataset()
+    first = str(tmp_path / "first")
+    _scripted_mrrs(monkeypatch, [0.5, 0.7])
+    train(dataset, INFORMATIVE, {}, small_config(epochs=2), checkpoint_dir=first)
+    ckpt = load_checkpoint(first)
+    out = str(tmp_path / "out")
+    if target == "another-run":  # a checkpoint of the same shapes from another seed
+        _scripted_mrrs(monkeypatch, [0.9])
+        train(dataset, INFORMATIVE, {}, small_config(epochs=1, seed=1), checkpoint_dir=out)
+        assert load_checkpoint(out).best_state.entity_emb.tobytes() != \
+            ckpt.best_state.entity_emb.tobytes()
+    # the resumed epochs do not improve on the checkpoint's best
+    _scripted_mrrs(monkeypatch, [0.6, 0.6])
+    result = train(dataset, INFORMATIVE, {}, small_config(epochs=4),
+                   resume=load_checkpoint(first), checkpoint_dir=out)
+    assert [e.valid_mrr for e in result.log] == [0.5, 0.7, 0.6, 0.6]
+    saved = load_checkpoint(out)
+    assert saved.best_mrr == 0.7
+    _assert_arrays_equal(saved.best_state, ckpt.best_state)
+    _assert_arrays_equal(saved.state, result.final_state)
+
+
+def test_resumed_checkpoint_files_equal_an_uninterrupted_run(tmp_path):
+    dataset = make_dataset()
+    config = small_config(epochs=4)
+    straight = str(tmp_path / "straight")
+    train(dataset, INFORMATIVE, {}, config, patience=4, checkpoint_dir=straight)
+    half = str(tmp_path / "half")
+    train(dataset, INFORMATIVE, {}, small_config(epochs=2), patience=4, checkpoint_dir=half)
+    elsewhere = str(tmp_path / "elsewhere")
+    resumes = [load_checkpoint(half), load_checkpoint(half)]
+    for out, resume in zip((half, elsewhere), resumes):  # in place, and into a new directory
+        train(dataset, INFORMATIVE, {}, config, patience=4, resume=resume, checkpoint_dir=out)
+    files = sorted(os.listdir(straight))
+    assert any(name.startswith("best_") for name in files)
+    for out in (half, elsewhere):
+        assert sorted(os.listdir(out)) == files
+        for name in files:
+            with open(os.path.join(straight, name), "rb") as fh:
+                want = fh.read()
+            with open(os.path.join(out, name), "rb") as fh:
+                assert fh.read() == want, (out, name)
 
 
 def test_resume_rejects_changed_config(tmp_path):
