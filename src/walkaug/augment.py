@@ -25,10 +25,8 @@ import numpy as np
 from .errors import DataError
 from .graph import KnowledgeGraph
 from .mining import Metapath
-from .models import TripletBatch
+from .models import RULE_SAMPLING_MODES, TripletBatch
 from .rules import RuleMap
-
-RULE_SAMPLING_MODES = ("normalized", "raw")
 
 
 class NewRelationRegistry:

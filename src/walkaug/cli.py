@@ -24,7 +24,6 @@ import typing
 
 import numpy as np
 
-from .augment import RULE_SAMPLING_MODES
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import PROTOCOLS, TIE_POLICIES, EvalFilter, evaluate
 from .graph import atomic_write, load_tsv_dataset
@@ -34,7 +33,7 @@ from .mining import (
     read_metapath_report,
     write_metapath_report,
 )
-from .models import SCORINGS, ModelConfig
+from .models import RULE_SAMPLING_MODES, SCORINGS, ModelConfig
 from .rules import build_rulemaps, read_rules_report, write_rules_report
 from .sharing import STRATEGY_KINDS, SharingStrategy, relation_vector
 from .storage import (
@@ -119,8 +118,6 @@ class PipelineConfig:
              f"conf_threshold must be in (0, 1], got {self.conf_threshold}"),
             (self.max_table_rows > 0, "max_table_rows must be positive"),
             (self.patience >= 1, f"patience must be at least 1, got {self.patience}"),
-            (self.original_edge_sample is None or self.original_edge_sample >= 0,
-             "original_edge_sample must be non-negative"),
             (self.basis_count is None or self.basis_count >= 1, "basis_count must be positive"),
             (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
         ]
@@ -264,6 +261,7 @@ def cmd_rules(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
+    config, strategy = cfg.model_config(), cfg.sharing_strategy()
     dataset = _load_dataset(cfg)
     if cfg.mode == "none":
         informative, rulemaps = {}, {}
@@ -288,10 +286,8 @@ def cmd_train(args) -> int:
         print(f"epoch {stats.epoch:4d}  loss {stats.mean_loss:.6f}  valid_mrr {mrr}")
 
     result = train(
-        dataset, informative, rulemaps, cfg.model_config(), cfg.sharing_strategy(),
-        l_max=cfg.l_max, mint_new_relations=mint, rule_sampling=cfg.rule_sampling,
-        original_edge_sample=cfg.original_edge_sample, patience=cfg.patience,
-        checkpoint_dir=checkpoint_dir, resume=resume, progress=progress,
+        dataset, informative, rulemaps, config, strategy, mint_new_relations=mint,
+        patience=cfg.patience, checkpoint_dir=checkpoint_dir, resume=resume, progress=progress,
     )
 
     state = result.state

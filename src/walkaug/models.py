@@ -78,6 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .augment import NewRelationRegistry
 
 SCORINGS = ("transe_l1", "transe_l2", "distmult")
+RULE_SAMPLING_MODES = ("normalized", "raw")
 
 DEFAULT_BASIS_CAP = 64
 
@@ -98,6 +99,11 @@ class ModelConfig:
     epochs: int = 50
     batch_nodes: int = 1024
     seed: int = 0
+    # the walks: nodes per walk, how rule confidences pick a relation, and the
+    # original edges per minibatch (None matches the walk triplets)
+    l_max: int = 3
+    rule_sampling: str = "normalized"
+    original_edge_sample: int | None = None
 
     def __post_init__(self):
         if self.margin is None:
@@ -125,6 +131,16 @@ class ModelConfig:
             raise ConfigError("epochs and batch size must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        # exact ints: a stored true or 3.0 compares equal to 1 or 3 on a resume
+        if type(self.l_max) is not int or self.l_max < 1:
+            raise ConfigError(f"l_max must be a positive integer, got {self.l_max!r}")
+        if self.rule_sampling not in RULE_SAMPLING_MODES:
+            raise ConfigError(f"rule_sampling must be one of {RULE_SAMPLING_MODES}, "
+                              f"got {self.rule_sampling!r}")
+        sample = self.original_edge_sample
+        if sample is not None and (type(sample) is not int or sample < 0):
+            raise ConfigError(f"original_edge_sample must be none or a non-negative integer, "
+                              f"got {sample!r}")
 
 
 @dataclass

@@ -3,7 +3,7 @@
 A checkpoint is a directory (not an archive, so reruns are byte-identical)
 holding one .npy file per parameter array of the current state and, under a
 `best_` prefix, of the best one, plus a meta.json with the format number
-(`FORMAT`), config, sharing strategy, walk settings, minted-relation map, rng
+(`FORMAT`), config, sharing strategy, walk digest, minted-relation map, rng
 state and training counters. A state carries its strategy and its
 minted-relation map; each is stored once, in the `strategy` and `registry`
 sections, and the current and best states share them. The two decide which
@@ -15,22 +15,24 @@ hold (`ARRAY_NAMES`), so that a run under another strategy leaves none of
 the last one's behind; it touches no other file. It writes the best
 state's arrays only when asked to (`save_checkpoint`'s `best`), which
 `training.train` does on a call's first save and whenever the best state
-changed since the call's previous save.
+changed since the call's previous save. meta.json is written in one
+compact `json.dumps` and renamed into place (`graph.atomic_write`), so a
+kill mid-save leaves the last one whole.
 
 Loading first checks the format number: a checkpoint of any other format,
 or of none, is refused with a DataError, to be trained again. It then
-validates the stored config, strategy, walk settings, rng state, counters
-and log, and reads `entity_emb` and exactly the other arrays `state_shapes`
+validates the stored config, strategy, digest, rng state, counters and
+log, and reads `entity_emb` and exactly the other arrays `state_shapes`
 names, each of which must be float64, finite and of its shape. So a
 malformed checkpoint is a DataError before any training or ranking starts.
 `eval` ranks the best state alone, and loads with `best_only`, which reads
 and checks no array of the current one.
 
-The `walks` section holds the walk settings that `train` takes beside the
-model config (`WALK_SETTINGS`) and the SHA-256 of what its walks can emit
-(`WALK_DIGEST`, `augment.SegmentTable.digest`), so that a resume can refuse
-other settings, metapaths, rules or modes. A checkpoint saved without it
-(`walks=None`, library use) evaluates but cannot resume.
+The config holds the walk settings (`l_max`, `rule_sampling`,
+`original_edge_sample`), and the top-level `segments_sha256` the SHA-256 of
+what the walks can emit (`augment.SegmentTable.digest`), so that a resume
+can refuse other settings, metapaths, rules or modes. A checkpoint saved
+with `segments_sha256=None` (library use) evaluates but cannot resume.
 
 The embedding binary starts with an 8-byte header (little-endian uint32 row
 count, then uint32 dimension) followed by row-major float32 values.
@@ -64,7 +66,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .augment import RULE_SAMPLING_MODES, NewRelationRegistry
+from .augment import NewRelationRegistry
 from .errors import ConfigError, DataError
 from . import graph
 from .graph import DatasetSplit, Dictionary, KnowledgeGraph, atomic_write
@@ -72,9 +74,7 @@ from .models import EmbeddingState, ModelConfig, state_shapes
 from .sharing import SharingStrategy
 
 _META = "meta.json"
-FORMAT = 2  # meta.json "format"; a change to the layout of a checkpoint bumps it
-WALK_SETTINGS = ("l_max", "original_edge_sample", "rule_sampling")
-WALK_DIGEST = "segments_sha256"
+FORMAT = 3  # meta.json "format"; a change to the layout of a checkpoint bumps it
 DATASET_CACHE = "dataset.cache.npz"
 # every name `EmbeddingState.arrays` (and `state_shapes`) can give an array, under any strategy
 ARRAY_NAMES = ("entity_emb", "relation_emb", "rnn_w_in", "rnn_w_rec", "rnn_bias",
@@ -93,7 +93,7 @@ class Checkpoint:
     best_mrr: float
     bad_epochs: int
     log: list[dict] = field(default_factory=list)
-    walks: dict | None = None  # WALK_SETTINGS and WALK_DIGEST -> value; None if not recorded
+    segments_sha256: str | None = None  # `SegmentTable.digest` of the walks; None if not recorded
 
 
 def _save_state(directory: str, prefix: str, state: EmbeddingState) -> None:
@@ -150,7 +150,7 @@ def save_checkpoint(directory: str, ckpt: Checkpoint, best: bool = True) -> None
         "format": FORMAT,
         "config": asdict(ckpt.config),
         "strategy": asdict(ckpt.state.strategy),
-        "walks": ckpt.walks,
+        "segments_sha256": ckpt.segments_sha256,
         "registry": {
             "first_id": ckpt.state.registry.first_id,
             "minted": [[rid, list(m)] for rid, m in ckpt.state.registry.items()],
@@ -161,9 +161,8 @@ def save_checkpoint(directory: str, ckpt: Checkpoint, best: bool = True) -> None
         "bad_epochs": ckpt.bad_epochs,
         "log": ckpt.log,
     }
-    with open(os.path.join(directory, _META), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with atomic_write(os.path.join(directory, _META)) as fh:
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
 
 
 def _dataclass_section(cls, section, name: str):
@@ -223,9 +222,10 @@ def _checkpoint_from_meta(directory: str, meta: dict, best_only: bool) -> Checkp
             raise DataError(f"{name} must be a non-negative integer, got {meta[name]!r}")
     if type(meta["best_mrr"]) not in (int, float):
         raise DataError(f"best_mrr must be a number, got {meta['best_mrr']!r}")
-    walks = meta["walks"]
-    if walks is not None:
-        _check_walks(walks)
+    digest = meta["segments_sha256"]
+    if digest is not None and not (isinstance(digest, str)
+                                   and re.fullmatch("[0-9a-f]{64}", digest)):
+        raise DataError(f"segments_sha256 must be null or a SHA-256 hex digest, got {digest!r}")
     log_keys = {"epoch", "mean_loss", "valid_mrr"}
     if any(not isinstance(entry, dict) or set(entry) != log_keys for entry in meta["log"]):
         raise DataError(f"every log entry must hold exactly the keys {sorted(log_keys)}")
@@ -238,28 +238,8 @@ def _checkpoint_from_meta(directory: str, meta: dict, best_only: bool) -> Checkp
         best_mrr=meta["best_mrr"],
         bad_epochs=meta["bad_epochs"],
         log=meta["log"],
-        walks=walks,
+        segments_sha256=digest,
     )
-
-
-def _check_walks(walks) -> None:
-    """DataError unless `walks` maps each of WALK_SETTINGS to a value `train`
-    takes, and WALK_DIGEST to a SHA-256 hex digest."""
-    keys = sorted((*WALK_SETTINGS, WALK_DIGEST))
-    if not isinstance(walks, dict) or sorted(walks) != keys:
-        raise DataError(f"walks must hold exactly the keys {keys}, got {walks!r}")
-    digest = walks[WALK_DIGEST]
-    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
-        raise DataError(f"walks {WALK_DIGEST} must be a SHA-256 hex digest, got {digest!r}")
-    l_max, sample = walks["l_max"], walks["original_edge_sample"]
-    if type(l_max) is not int or l_max < 1:
-        raise DataError(f"walks l_max must be a positive integer, got {l_max!r}")
-    if sample is not None and (type(sample) is not int or sample < 0):
-        raise DataError(f"walks original_edge_sample must be null or a non-negative integer, "
-                        f"got {sample!r}")
-    if walks["rule_sampling"] not in RULE_SAMPLING_MODES:
-        raise DataError(f"walks rule_sampling must be one of {RULE_SAMPLING_MODES}, "
-                        f"got {walks['rule_sampling']!r}")
 
 
 def write_embedding_matrix(path, matrix: np.ndarray) -> None:

@@ -8,6 +8,11 @@ one step per batch. Validation MRR (filtered, optimistic) is
 measured after every epoch; training stops early after `patience` epochs
 without improvement and the best-validation state is returned.
 
+Every setting but `patience` is a `ModelConfig` field, the walks' `l_max`,
+`rule_sampling` and `original_edge_sample` included, so a resume matches
+one record: the whole config but `epochs`, beside the sharing strategy, the
+minted relations and the digest of what the walks can emit.
+
 With a checkpoint directory, every epoch saves the current state and
 meta.json. The best state's arrays are written on a call's first save and
 then only when the best state changed since the previous save; without a
@@ -40,7 +45,7 @@ from .models import (
 from .models import loss_and_grad, negative_sample  # noqa: F401
 from .rules import RuleMap
 from .sharing import SharingStrategy
-from .storage import WALK_DIGEST, WALK_SETTINGS, Checkpoint, save_checkpoint
+from .storage import Checkpoint, save_checkpoint
 
 
 @dataclass
@@ -61,19 +66,18 @@ class TrainResult:
 
 
 def _check_resume(resume: Checkpoint, num_entities: int, config: ModelConfig,
-                  strategy: SharingStrategy, walks: dict, registry: NewRelationRegistry) -> None:
+                  strategy: SharingStrategy, registry: NewRelationRegistry, digest: str) -> None:
     if resume.state is None:
         raise ValueError("resume needs the checkpoint's current state, not a best_only load")
     if resume.state.num_entities != num_entities:
         raise DataError(f"resume checkpoint has {resume.state.num_entities} entities, "
                         f"the training graph has {num_entities}")
-    if resume.walks is None:
-        raise ConfigError(f"resume checkpoint does not record its walk settings "
-                          f"({', '.join(WALK_SETTINGS)}), so they are unknown")
+    if resume.segments_sha256 is None:
+        raise ConfigError("resume checkpoint does not record segments_sha256, so what its "
+                          "walks emitted is unknown")
     ours, theirs = asdict(config), asdict(resume.config)
     ours.pop("epochs"), theirs.pop("epochs")  # training longer is the point of resuming
     mismatched = [k for k in ours if ours[k] != theirs[k]]
-    mismatched += [k for k in WALK_SETTINGS if walks[k] != resume.walks[k]]
     mismatched += [] if asdict(strategy) == asdict(resume.state.strategy) else ["strategy"]
     if mismatched:
         raise ConfigError(f"resume checkpoint disagrees on: {', '.join(sorted(mismatched))}")
@@ -83,9 +87,9 @@ def _check_resume(resume: Checkpoint, num_entities: int, config: ModelConfig,
             f"resume checkpoint minted relations {dict(theirs.items())} after "
             f"{theirs.first_id} original ones, but these inputs mint "
             f"{dict(registry.items())} after {registry.first_id}")
-    if walks[WALK_DIGEST] != resume.walks[WALK_DIGEST]:
-        raise ConfigError(f"resume checkpoint disagrees on: {WALK_DIGEST} (its walks emitted "
-                          f"under another mode, other metapaths or other rules)")
+    if digest != resume.segments_sha256:
+        raise ConfigError("resume checkpoint disagrees on: segments_sha256 (its walks emitted "
+                          "under another mode, other metapaths or other rules)")
 
 
 def train(
@@ -94,10 +98,7 @@ def train(
     rulemaps: dict[Metapath, RuleMap],
     config: ModelConfig,
     strategy: SharingStrategy = SharingStrategy(),
-    l_max: int = 3,
     mint_new_relations: bool = True,
-    rule_sampling: str = "normalized",
-    original_edge_sample: int | None = None,
     patience: int = 2,
     checkpoint_dir: str | None = None,
     resume: Checkpoint | None = None,
@@ -111,11 +112,11 @@ def train(
     first epoch, in sorted order, so relation ids are fixed for a given
     mining result regardless of walk order; without it, walks on them emit
     nothing. A resume must mint exactly what its checkpoint minted, over
-    as many entities, with the same model config but for `epochs`, the same
-    strategy, the same walk settings (`l_max`, `rule_sampling`,
-    `original_edge_sample`) and a `SegmentTable` of the same digest, so
-    that its walks emit the same triplets (this refuses, say, a resume under
-    another `--mode`); `patience` may change.
+    as many entities, with the same model config but for `epochs` (the walk
+    settings `l_max`, `rule_sampling` and `original_edge_sample` included),
+    the same strategy and a `SegmentTable` of the same digest, so that its
+    walks emit the same triplets (this refuses, say, a resume under another
+    `--mode`); `patience` may change.
     """
     config.validate()
     strategy.validate(config.scoring)
@@ -125,11 +126,10 @@ def train(
 
     registry = NewRelationRegistry.rule_less(
         graph.num_relations, informative if mint_new_relations else {}, rulemaps)
-    table = SegmentTable(informative, rulemaps, registry, l_max)
-    walks = {"l_max": l_max, "original_edge_sample": original_edge_sample,
-             "rule_sampling": rule_sampling, WALK_DIGEST: table.digest()}
+    table = SegmentTable(informative, rulemaps, registry, config.l_max)
+    digest = table.digest()
     if resume is not None:
-        _check_resume(resume, graph.num_entities, config, strategy, walks, registry)
+        _check_resume(resume, graph.num_entities, config, strategy, registry, digest)
         state = resume.state
         best_state = resume.best_state
         best_mrr = resume.best_mrr
@@ -158,8 +158,8 @@ def train(
         loss_count = 0
         for start in range(0, order.size, config.batch_nodes):
             nodes = order[start:start + config.batch_nodes]
-            batch = build_minibatch(graph, nodes, table, rng, rule_sampling=rule_sampling,
-                                    original_edge_sample=original_edge_sample)
+            batch = build_minibatch(graph, nodes, table, rng, config.rule_sampling,
+                                    config.original_edge_sample)
             if not batch:
                 continue
             neg_heads, neg_tails = draw_negatives(batch, graph.num_entities, config.negatives, rng)
@@ -194,7 +194,7 @@ def train(
                 state=state, best_state=best_state, config=config,
                 rng_state=rng.bit_generator.state,
                 epoch=epoch, best_mrr=best_mrr, bad_epochs=bad_epochs,
-                log=[entry.to_dict() for entry in log], walks=walks,
+                log=[entry.to_dict() for entry in log], segments_sha256=digest,
             ), best=not best_saved)
             best_saved = True
         if has_valid and bad_epochs >= patience:

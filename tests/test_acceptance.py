@@ -260,10 +260,8 @@ def planted_benchmark(seed=1234):
     return DatasetSplit(mk(edges), mk(valid), mk(test))
 
 
-def _filtered_test_mrr(dataset, informative, rulemaps, config, strategy,
-                       original_edge_sample, patience):
+def _filtered_test_mrr(dataset, informative, rulemaps, config, strategy, patience):
     result = train(dataset, informative, rulemaps, config, strategy=strategy,
-                   l_max=3, original_edge_sample=original_edge_sample,
                    patience=patience)
     ef = EvalFilter.from_graphs(dataset.graphs())
     return evaluate(result.state, config.scoring, dataset.test, ef).mrr
@@ -293,11 +291,10 @@ def test_criterion_6_walk_augmentation_beats_plain_training():
     for seed in range(5):
         config = ModelConfig(scoring="transe_l2", dim=50, margin=4.0,
                              negatives=8, lr=0.1, epochs=50, batch_nodes=256,
-                             seed=seed)
+                             seed=seed, l_max=3, original_edge_sample=256)
         aug = _filtered_test_mrr(dataset, informative, rulemaps, config,
-                                 strategy, original_edge_sample=256, patience=50)
-        base = _filtered_test_mrr(dataset, {}, {}, config,
-                                  strategy, original_edge_sample=256, patience=50)
+                                 strategy, patience=50)
+        base = _filtered_test_mrr(dataset, {}, {}, config, strategy, patience=50)
         gains.append(aug - base)
     mean_gain = float(np.mean(gains))
     elapsed = time.monotonic() - started
@@ -348,10 +345,10 @@ def test_criterion_7_wn18_augmented_variants_reach_baseline():
     def run(informative, rulemaps, strategy, seed=0):
         config = ModelConfig(scoring="transe_l1", dim=50, margin=4.0,
                              negatives=8, lr=0.1, epochs=epochs,
-                             batch_nodes=1024, seed=seed)
+                             batch_nodes=1024, seed=seed, l_max=3,
+                             original_edge_sample=None)
         return _filtered_test_mrr(dataset, informative, rulemaps, config,
-                                  strategy, original_edge_sample=None,
-                                  patience=2)
+                                  strategy, patience=2)
 
     baseline = run({}, {}, SharingStrategy())
     variants = {

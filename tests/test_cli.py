@@ -236,12 +236,27 @@ def test_eval_rejects_mismatched_dataset(data, tmp_path, capsys):
     assert "entities" in capsys.readouterr().err
 
 
-OTHER_FORMATS = {  # layout -> (its meta.json from a format-2 one, the format the error names)
-    # format 1 wrote the same sections plus one per state naming its sharing arrays
-    "format 1": (lambda meta: {**meta, "format": 1, "state": {"rnn": True},
+WALK_KEYS = ("l_max", "original_edge_sample", "rule_sampling")
+
+
+def _format_2(meta):
+    """`meta` as format 2 wrote it: the walk settings and the digest in a
+    `walks` section, beside a config without them."""
+    config = {key: value for key, value in meta["config"].items() if key not in WALK_KEYS}
+    walks = {key: meta["config"][key] for key in WALK_KEYS}
+    walks["segments_sha256"] = meta["segments_sha256"]
+    rest = {key: value for key, value in meta.items() if key != "segments_sha256"}
+    return {**rest, "format": 2, "config": config, "walks": walks}
+
+
+OTHER_FORMATS = {  # layout -> (its meta.json from a format-3 one, the format the error names)
+    # format 1 wrote format 2's sections plus one per state naming its sharing arrays
+    "format 1": (lambda meta: {**_format_2(meta), "format": 1, "state": {"rnn": True},
                                "best_state": {"rnn": True}}, "1"),
+    "format 2": (_format_2, "2"),
     "no format": (lambda meta: {key: meta[key] for key in meta if key != "format"}, "None"),
     "format 2.0": (lambda meta: {**meta, "format": 2.0}, "2.0"),
+    "format 3.0": (lambda meta: {**meta, "format": 3.0}, "3.0"),
     "not a JSON object": (lambda meta: [meta], "None"),
 }
 
@@ -256,7 +271,7 @@ def test_a_checkpoint_of_another_format_is_refused(data, tmp_path, capsys, layou
     checkpoint = os.path.join(data["out"], "checkpoint")
     meta_path = os.path.join(checkpoint, "meta.json")
     meta = json.load(open(meta_path))
-    assert meta["format"] == 2 and load_checkpoint(checkpoint).best_state.rnn is not None
+    assert meta["format"] == 3 and load_checkpoint(checkpoint).best_state.rnn is not None
     edit, found = OTHER_FORMATS[layout]
     meta = edit(meta)
     named = f"checkpoint format {found},"
@@ -268,7 +283,7 @@ def test_a_checkpoint_of_another_format_is_refused(data, tmp_path, capsys, layou
                                 "--checkpoint", str(tmp_path / "next")]
     assert main(resume_argv) == 3
     err = capsys.readouterr().err
-    assert err.count(named) == 2 and err.count("format 2 only; train again") == 2
+    assert err.count(named) == 2 and err.count("format 3 only; train again") == 2
     assert "Traceback" not in err
 
 
@@ -407,17 +422,20 @@ RESUME_FIELD_DAMAGE = {
     "best_mrr a string": (lambda meta: meta.update(best_mrr="high"), "best_mrr must be"),
     "log entry missing keys": (lambda meta: meta["log"][0].pop("valid_mrr"), "log entry"),
     "log entry with an extra key": (lambda meta: meta["log"][0].update(extra=1), "log entry"),
-    "walks without l_max": (lambda meta: meta["walks"].pop("l_max"), "walks must hold"),
+    # the walk settings are config fields, and their digest is a top-level key
+    "walks without l_max": (lambda meta: meta["config"].pop("l_max"), "missing keys ['l_max']"),
     "walks without digest": (
-        lambda meta: meta["walks"].pop("segments_sha256"), "walks must hold"),
-    "walks not an object": (lambda meta: meta.update(walks=[3]), "walks must hold"),
-    "walks l_max a string": (lambda meta: meta["walks"].update(l_max="3"), "walks l_max"),
+        lambda meta: meta.pop("segments_sha256"), "missing key 'segments_sha256'"),
+    "walks not an object": (lambda meta: meta.update(config=[3]), "config is not a JSON object"),
+    "walks l_max a string": (lambda meta: meta["config"].update(l_max="3"), "l_max must be"),
+    "walks l_max true": (lambda meta: meta["config"].update(l_max=True), "l_max must be"),
+    "walks l_max a float": (lambda meta: meta["config"].update(l_max=3.0), "l_max must be"),
     "walks negative original_edge_sample": (
-        lambda meta: meta["walks"].update(original_edge_sample=-1), "original_edge_sample"),
+        lambda meta: meta["config"].update(original_edge_sample=-1), "original_edge_sample"),
     "walks unknown rule_sampling": (
-        lambda meta: meta["walks"].update(rule_sampling="soft"), "rule_sampling"),
+        lambda meta: meta["config"].update(rule_sampling="soft"), "rule_sampling"),
     "walks digest not hex": (
-        lambda meta: meta["walks"].update(segments_sha256="Z" * 64), "SHA-256 hex digest"),
+        lambda meta: meta.update(segments_sha256="Z" * 64), "SHA-256 hex digest"),
 }
 
 
@@ -676,10 +694,10 @@ def test_checkpoint_without_walk_settings_evaluates_but_does_not_resume(data, tm
     checkpoint = os.path.join(data["out"], "checkpoint")
     meta_path = os.path.join(checkpoint, "meta.json")
     meta = json.load(open(meta_path))
-    assert len(meta["walks"].pop("segments_sha256")) == 64
-    assert meta["walks"] == {"l_max": 3, "original_edge_sample": None,
-                             "rule_sampling": "normalized"}
-    meta["walks"] = None  # as save_checkpoint writes a Checkpoint without walks
+    assert len(meta["segments_sha256"]) == 64
+    assert {key: meta["config"][key] for key in WALK_KEYS} == {
+        "l_max": 3, "original_edge_sample": None, "rule_sampling": "normalized"}
+    meta["segments_sha256"] = None  # as save_checkpoint writes a Checkpoint without one
     with open(meta_path, "w") as fh:
         json.dump(meta, fh)
     assert main(base_args(data, "eval") + ["--test", data["test"]]) == 0
@@ -688,7 +706,8 @@ def test_checkpoint_without_walk_settings_evaluates_but_does_not_resume(data, tm
                                 "--checkpoint", str(tmp_path / "next")]
     assert main(resume_argv) == 2
     err = capsys.readouterr().err
-    assert "walk settings" in err and "unknown" in err and "Traceback" not in err
+    assert "does not record segments_sha256" in err and "unknown" in err
+    assert "Traceback" not in err
 
 
 def test_resume_refuses_another_mode(data, tmp_path, capsys):
@@ -1006,3 +1025,13 @@ def test_a_failed_dictionary_write_leaves_the_old_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         Dictionary(["c"]).write(path)
     assert path.read_bytes() == b"0\ta\n1\tb\n" and os.listdir(tmp_path) == ["entities.dict"]
+
+
+@pytest.mark.parametrize("argv", [["--original-edge-sample", "-1"], ["--dim", "0"],
+                                  ["--strategy", "model", "--scoring", "distmult"]])
+def test_train_refuses_its_model_settings_before_it_reads_any_input(data, loads, capsys, argv):
+    # no metapath report exists, so reading one first would be a data error
+    assert main(base_args(data, "train") + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert loads == []

@@ -292,7 +292,13 @@ def test_model_config_validation():
         ModelConfig(regularization=-0.1).validate()
     with pytest.raises(ConfigError):
         ModelConfig(epochs=0).validate()
+    for walks in ({"l_max": 0}, {"l_max": True}, {"l_max": 3.0}, {"rule_sampling": "soft"},
+                  {"original_edge_sample": -1}, {"original_edge_sample": False},
+                  {"original_edge_sample": 2.0}):
+        with pytest.raises(ConfigError, match=next(iter(walks))):
+            ModelConfig(**walks).validate()
     ModelConfig().validate()
+    ModelConfig(l_max=1, rule_sampling="raw", original_edge_sample=0).validate()
 
 
 def test_default_margins():

@@ -449,23 +449,36 @@ def test_embedding_tsv_export(tmp_path):
 def test_resume_rejects_changed_walk_settings_and_entities(tmp_path):
     dataset = make_dataset()
     ckpt_dir = str(tmp_path / "ckpt")
-    train(dataset, INFORMATIVE, {}, small_config(epochs=1), checkpoint_dir=ckpt_dir,
-          original_edge_sample=4)
+    train(dataset, INFORMATIVE, {}, small_config(epochs=1, original_edge_sample=4),
+          checkpoint_dir=ckpt_dir)
     ckpt = load_checkpoint(ckpt_dir)
     table = SegmentTable(INFORMATIVE, {}, NewRelationRegistry.rule_less(R, INFORMATIVE, {}), 3)
-    assert ckpt.walks == {"l_max": 3, "original_edge_sample": 4, "rule_sampling": "normalized",
-                          "segments_sha256": table.digest()}
+    assert (ckpt.config.l_max, ckpt.config.original_edge_sample,
+            ckpt.config.rule_sampling) == (3, 4, "normalized")
+    assert ckpt.segments_sha256 == table.digest()
     for changed in ({"l_max": 4}, {"original_edge_sample": None}, {"rule_sampling": "raw"}):
         settings = {"original_edge_sample": 4, **changed}
         with pytest.raises(ConfigError, match=next(iter(changed))):
-            train(dataset, INFORMATIVE, {}, small_config(epochs=2), resume=ckpt, **settings)
+            train(dataset, INFORMATIVE, {}, small_config(epochs=2, **settings), resume=ckpt)
     edges = list(zip(dataset.train.heads, dataset.train.relations, dataset.train.tails))
     wider = DatasetSplit(make_graph(edges + [(N, 0, 0)], N + 1, R), dataset.valid, dataset.test)
     with pytest.raises(DataError, match=f"{N} entities"):
-        train(wider, INFORMATIVE, {}, small_config(epochs=2), resume=ckpt,
-              original_edge_sample=4)
-    train(dataset, INFORMATIVE, {}, small_config(epochs=2), resume=ckpt, original_edge_sample=4,
+        train(wider, INFORMATIVE, {}, small_config(epochs=2, original_edge_sample=4),
+              resume=ckpt)
+    train(dataset, INFORMATIVE, {}, small_config(epochs=2, original_edge_sample=4), resume=ckpt,
           patience=5)
+
+
+@pytest.mark.parametrize("setting", [{"l_max": 0}, {"rule_sampling": "soft"},
+                                     {"original_edge_sample": -1}])
+def test_train_refuses_walk_settings_before_the_first_walk(monkeypatch, setting):
+    def walk(*args, **kwargs):
+        raise AssertionError("walks were set up")
+
+    monkeypatch.setattr(training, "SegmentTable", walk)
+    monkeypatch.setattr(training, "build_minibatch", walk)
+    with pytest.raises(ConfigError, match=next(iter(setting))):
+        train(make_dataset(), INFORMATIVE, {}, small_config(**setting))
 
 
 def test_resume_refuses_rules_of_other_confidence(tmp_path):
