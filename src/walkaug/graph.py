@@ -361,8 +361,12 @@ def load_tsv_dataset(
         relation_dict = Dictionary.from_file(dict_paths[1])
     else:
         # first-seen order: train, then valid, then test; each head before its tail
-        entity_dict = Dictionary(chain.from_iterable(
-            chain.from_iterable(zip(heads, tails)) for heads, _, tails in splits))
+        cells = []
+        for heads, _, tails in splits:
+            pairs = [""] * (2 * len(heads))
+            pairs[::2], pairs[1::2] = heads, tails
+            cells += pairs
+        entity_dict = Dictionary(cells)
         relation_dict = Dictionary(chain.from_iterable(relations for _, relations, _ in splits))
     piped = next((name for name in relation_dict if "|" in name), None)
     if piped is not None:

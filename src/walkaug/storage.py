@@ -40,16 +40,24 @@ count, then uint32 dimension) followed by row-major float32 values.
 The embedding files and the dataset cache are written through
 `graph.atomic_write`, temp-then-rename.
 
-The dataset cache (`DATASET_CACHE`, one `.npz` file in an output directory)
-holds one parsed `DatasetSplit` in four members: `key`, the `dataset_key` of
-the inputs it was parsed from, as ASCII bytes; `entities` and `relations`,
-each dictionary's names tab-joined as UTF-8 bytes (a name holds no tab, since
-`read_tsv` splits cells on it); and `ids`, one int64 array. `ids` starts with
-a header of five counts, the entity and relation names and the train, valid
-and test triplets, then holds each split's heads, relations and tails in
-turn. `read_dataset_cache` serves it only under its key, and only when the
-header agrees with the names and with the length of `ids`; the graphs it
-builds are views into `ids`.
+The dataset cache (`DATASET_CACHE`, one file in an output directory) holds
+one parsed `DatasetSplit` in one flat little-endian layout:
+- the magic line `walkaug dataset cache 1` (24 bytes with its newline; the
+  number is the layout's version), then the `dataset_key` of the inputs it
+  was parsed from, 64 ASCII bytes;
+- a uint32 CRC-32 (`zlib.crc32`) of everything after it, then 4 zero bytes;
+- seven int64 counts: the entity and relation names, the train, valid and
+  test triplets, and the byte length of each name text;
+- from byte 152 on, 8-byte aligned, the int64 ids: each split's heads,
+  relations and tails in turn;
+- the entity names, then the relation names, each tab-joined as UTF-8 (a
+  name holds no tab, since `read_tsv` splits cells on it).
+It is written by one `atomic_write`. `read_dataset_cache` reads it by one
+`readinto` of the whole file into an int64 buffer and serves it only under
+its magic line and key, when its length is what the counts say, its CRC
+matches, no count is negative, and its name texts hold exactly as many
+distinct names as the counts say; anything else is a miss. The graphs it
+builds are read-only views into that buffer.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ import os
 import re
 import stat
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -75,7 +84,14 @@ from .sharing import SharingStrategy
 
 _META = "meta.json"
 FORMAT = 3  # meta.json "format"; a change to the layout of a checkpoint bumps it
-DATASET_CACHE = "dataset.cache.npz"
+DATASET_CACHE = "dataset.cache"
+# the dataset cache's layout (see the module docstring); a change to it bumps the version
+_CACHE_MAGIC = b"walkaug dataset cache 1\n"
+_CRC = struct.Struct("<I")
+_COUNTS = struct.Struct("<4x7q")  # 4 zero bytes align the ids that follow to 8
+_CRC_AT = len(_CACHE_MAGIC) + 64  # after the magic line and the key
+_BODY_AT = _CRC_AT + _CRC.size  # the CRC covers the file from here on
+_IDS_AT = _BODY_AT + _COUNTS.size
 # every name `EmbeddingState.arrays` (and `state_shapes`) can give an array, under any strategy
 ARRAY_NAMES = ("entity_emb", "relation_emb", "rnn_w_in", "rnn_w_rec", "rnn_bias",
                "basis_vectors", "basis_coef")
@@ -324,67 +340,84 @@ def dataset_key(train_path, valid_path, test_path, dict_paths: tuple | None = No
     return digest.hexdigest()
 
 
-def _names_bytes(dictionary: Dictionary) -> np.ndarray:
-    return np.frombuffer("\t".join(dictionary).encode("utf-8"), np.uint8)
+def _names_text(dictionary: Dictionary) -> bytes:
+    return "\t".join(dictionary).encode("utf-8")
 
 
-def _names_dictionary(npz, prefix: str, count: int) -> Dictionary:
+def _names_dictionary(text: str, kind: str, count: int) -> Dictionary:
     # empty text is no name under a count of 0 and the one empty name under 1
-    text = npz[prefix].tobytes().decode("utf-8")
     names = text.split("\t") if count or text else []
     dictionary = Dictionary(names)
     if len(names) != count or len(dictionary) != count:
-        raise DataError(f"cached {prefix} are not {count} distinct names")
+        raise DataError(f"cached {kind} are not {count} distinct names")
     return dictionary
 
 
 def write_dataset_cache(path, key: str, dataset: DatasetSplit) -> None:
-    """Write `dataset` under `key` to the cache file `path`, temp-then-rename.
+    """Write `dataset` under `key` to the cache file `path`, temp-then-rename,
+    in the layout of the module docstring.
 
     The cache only saves time, so an OSError (a read-only or full directory)
     leaves it unwritten and is not raised.
     """
     graphs = dataset.graphs()
-    header = [len(dataset.entity_dict), len(dataset.relation_dict),
-              *(split.num_triplets for split in graphs)]
-    ids = np.concatenate([np.array(header, np.int64)] + [
-        column for split in graphs for column in (split.heads, split.relations, split.tails)])
-    arrays = {
-        "key": np.frombuffer(key.encode("ascii"), np.uint8),
-        "entities": _names_bytes(dataset.entity_dict),
-        "relations": _names_bytes(dataset.relation_dict),
-        "ids": ids,
-    }
+    entities = _names_text(dataset.entity_dict)
+    relations = _names_text(dataset.relation_dict)
+    counts = (len(dataset.entity_dict), len(dataset.relation_dict),
+              *(split.num_triplets for split in graphs), len(entities), len(relations))
+    ids = np.concatenate([column for split in graphs
+                          for column in (split.heads, split.relations, split.tails)], dtype="<i8")
+    body = (_COUNTS.pack(*counts), ids, entities, relations)
+    crc = 0
+    for part in body:
+        crc = zlib.crc32(part, crc)
     with contextlib.suppress(OSError):
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with atomic_write(path, "wb") as fh:
-            np.savez(fh, **arrays)
+            fh.write(_CACHE_MAGIC + key.encode("ascii") + _CRC.pack(crc))
+            for part in body:
+                fh.write(part)
 
 
 def read_dataset_cache(path, key: str | None) -> DatasetSplit | None:
     """The dataset cached at `path` under `key`, or None: a missing, damaged or
-    stale file, one of another key, or one whose `ids` header disagrees with
-    its names or its length, is a miss and never an error."""
+    stale file, one of another key or format, or one whose header disagrees
+    with its length, its CRC or its names, is a miss and never an error.
+
+    The file is read whole, by one `readinto`, into an int64 buffer; the
+    graphs are views of its ids, and the names are decoded from its tail.
+    """
     if key is None:
         return None
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            if npz["key"].tobytes() != key.encode("ascii"):
-                return None
-            ids = npz["ids"]
-            if ids.dtype != np.int64 or ids.ndim != 1 or ids.size < 5:
-                return None
-            num_entities, num_relations, *sizes = ids[:5].tolist()
-            if min(sizes) < 0 or ids.size != 5 + 3 * sum(sizes):
-                return None
-            entity_dict = _names_dictionary(npz, "entities", num_entities)
-            relation_dict = _names_dictionary(npz, "relations", num_relations)
-        graphs, start = [], 5
-        for size in sizes:
-            columns = ids[start:start + 3 * size].reshape(3, size)
+        with open(path, "rb") as fh:
+            # room for one byte past the size `fstat` gives: a read that fills the
+            # buffer is of a file that grew, and a miss
+            words = np.empty(os.fstat(fh.fileno()).st_size // 8 + 1, "<i8")
+            buffer = memoryview(words.view(np.uint8))
+            size = fh.readinto(buffer)
+        if size < _IDS_AT or buffer[:_CRC_AT] != _CACHE_MAGIC + key.encode("ascii"):
+            return None
+        num_entities, num_relations, *sizes, entity_bytes, relation_bytes = \
+            _COUNTS.unpack_from(buffer, _BODY_AT)
+        names_at = _IDS_AT + 24 * sum(sizes)
+        if size != names_at + entity_bytes + relation_bytes or size == len(buffer):
+            return None
+        if _CRC.unpack_from(buffer, _CRC_AT)[0] != zlib.crc32(buffer[_BODY_AT:size]):
+            return None
+        if min(num_entities, num_relations, *sizes, entity_bytes, relation_bytes) < 0:
+            return None
+        relations_at = names_at + entity_bytes
+        entity_dict = _names_dictionary(str(buffer[names_at:relations_at], "utf-8"),
+                                        "entities", num_entities)
+        relation_dict = _names_dictionary(str(buffer[relations_at:size], "utf-8"),
+                                          "relations", num_relations)
+        graphs, start = [], _IDS_AT // 8
+        for count in sizes:
+            columns = words[start:start + 3 * count].reshape(3, count)
             graphs.append(KnowledgeGraph(*columns, num_entities, num_relations,
                                          entity_dict, relation_dict))
-            start += 3 * size
+            start += 3 * count
     except Exception:  # whatever a damaged file raises, the inputs are parsed again
         return None
     return DatasetSplit(*graphs)

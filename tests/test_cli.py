@@ -781,6 +781,25 @@ def test_a_damaged_dataset_cache_is_parsed_again_and_rewritten(data, loads, dama
                         load_tsv_dataset(*loads[0]))
 
 
+def test_an_old_npz_dataset_cache_is_not_read(data, loads):
+    # the four-member npz layout that came before the flat one, under the right key
+    old = os.path.join(data["out"], "dataset.cache.npz")
+    key = dataset_key(data["train"], data["valid"], data["test"])
+    dataset = load_tsv_dataset(data["train"], data["valid"], data["test"])
+    ids = np.concatenate([[dataset.num_entities, dataset.num_relations,
+                           *(graph.num_triplets for graph in dataset.graphs())]] + [
+        column for graph in dataset.graphs()
+        for column in (graph.heads, graph.relations, graph.tails)]).astype(np.int64)
+    os.makedirs(data["out"], exist_ok=True)
+    np.savez(old, key=np.frombuffer(key.encode("ascii"), np.uint8), ids=ids,
+             **{name: np.frombuffer("\t".join(dct).encode("utf-8"), np.uint8) for name, dct in
+                (("entities", dataset.entity_dict), ("relations", dataset.relation_dict))})
+    argv = base_args(data, "mine") + ["--valid", data["valid"], "--test", data["test"]]
+    assert main(argv) == 0 and main(argv) == 0
+    assert len(loads) == 1  # a parse, then a hit on the new cache beside the old file
+    assert sorted(os.listdir(data["out"])) == [DATASET_CACHE, "dataset.cache.npz", "metapaths.tsv"]
+
+
 def test_a_dataset_that_is_a_data_error_is_never_cached(data, loads, capsys):
     write_tsv(data["train"], train_rows() + [("x0", "r|s", "y0")])
     assert main(base_args(data, "mine")) == 3 and main(base_args(data, "mine")) == 3

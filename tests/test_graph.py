@@ -1,4 +1,7 @@
+import struct
 import tempfile
+import zlib
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -66,54 +69,85 @@ def test_dictionary_builds_its_name_index_on_first_lookup(tmp_path):
         assert vars(dct)["_index"] == {"b": 0, "a": 1}
 
 
+CACHE_MAGIC = b"walkaug dataset cache 1\n"
+CRC_AT, IDS_AT = 88, 152  # the CRC covers the file from CRC_AT + 4 on
+
+
+def _with_crc(data: bytes) -> bytes:
+    """`data`, a dataset cache file, with a CRC field that matches what it holds."""
+    return data[:CRC_AT] + struct.pack("<I", zlib.crc32(data[CRC_AT + 4:])) + data[CRC_AT + 4:]
+
+
+def _cache_bytes(key, counts, ids, entities: bytes, relations: bytes, magic=CACHE_MAGIC):
+    """A dataset cache file, CRC included, of the five `counts` (entity and
+    relation names, train, valid and test triplets), the ids section `ids`
+    (its bytes, or int64 ids), and the two name texts: crafted so that the
+    reader's checks behind the CRC are reached."""
+    ids = ids if isinstance(ids, bytes) else np.asarray(ids, "<i8").tobytes()
+    body = struct.pack("<4x7q", *counts, len(entities), len(relations)) + ids + entities + relations
+    return _with_crc(magic + key.encode("ascii") + bytes(4) + body)
+
+
 def test_a_dataset_cache_of_repeated_names_is_a_miss(tmp_path):
     train = tmp_path / "train.tsv"
     train.write_text("ab\tr\tac\n")
     key, cache = dataset_key(train, None, None), tmp_path / DATASET_CACHE
     write_dataset_cache(cache, key, load_tsv_dataset(train, None, None))
-    with np.load(cache) as npz:
-        arrays = dict(npz)
-    assert arrays["entities"].tobytes() == b"ab\tac"
-    arrays["entities"] = np.frombuffer(b"ab\tab", np.uint8)  # two names, one of them twice
-    with open(cache, "wb") as fh:
-        np.savez(fh, **arrays)
-    assert read_dataset_cache(cache, key) is None
+    assert cache.read_bytes() == _cache_bytes(key, [2, 1, 1, 0, 0], [0, 0, 1], b"ab\tac", b"r")
+    cache.write_bytes(_cache_bytes(key, [2, 1, 1, 0, 0], [0, 0, 1], b"ab\tab", b"r"))
+    assert read_dataset_cache(cache, key) is None  # two names, one of them twice
+
+
+# the three-split dataset of `_write_cached_split`: its counts, ids and name texts
+SPLIT_COUNTS = [3, 3, 3, 1, 1]
+SPLIT_IDS = [0, 1, 2, 0, 1, 2, 1, 2, 0, 0, 1, 2, 1, 0, 2]
+SPLIT_NAMES = (b"a\tb\tc", b"r\ts\tt")
 
 
 def _write_cached_split(tmp_path):
-    """(cache path, key, cached arrays, input paths) of a three-split dataset."""
+    """(cache path, key, input paths) of a cached three-split dataset."""
     for split, text in (("train", "a\tr\tb\nb\ts\tc\nc\tt\ta\n"), ("valid", "a\ts\tc\n"),
                         ("test", "b\tr\tc\n")):
         (tmp_path / f"{split}.tsv").write_text(text)
     inputs = [tmp_path / f"{split}.tsv" for split in ("train", "valid", "test")]
     key, cache = dataset_key(*inputs), tmp_path / DATASET_CACHE
     write_dataset_cache(cache, key, load_tsv_dataset(*inputs))
-    with np.load(cache) as npz:
-        arrays = dict(npz)
-    return cache, key, arrays, inputs
+    return cache, key, inputs
 
 
-def test_the_dataset_cache_holds_four_members(tmp_path):
-    cache, key, arrays, inputs = _write_cached_split(tmp_path)
-    assert sorted(arrays) == ["entities", "ids", "key", "relations"]
-    assert arrays["key"].tobytes() == key.encode("ascii")
-    assert arrays["entities"].tobytes() == b"a\tb\tc"
-    assert arrays["relations"].tobytes() == b"r\ts\tt"
-    # the header (3 entities, 3 relations, 3 + 1 + 1 triplets), then each split's
-    # heads, relations and tails
-    assert arrays["ids"].dtype == np.int64
-    assert arrays["ids"].tolist() == [3, 3, 3, 1, 1, 0, 1, 2, 0, 1, 2, 1, 2, 0,
-                                      0, 1, 2, 1, 0, 2]
+def test_the_dataset_cache_layout(tmp_path):
+    cache, key, inputs = _write_cached_split(tmp_path)
+    fixed_key = "0123456789abcdef" * 4
+    write_dataset_cache(tmp_path / "fixed", fixed_key, load_tsv_dataset(*inputs))
+
+    def words(values):
+        return b"".join(v.to_bytes(8, "little") for v in values)
+
+    # magic line, key, CRC and 4 zero bytes; the five counts and the two name
+    # byte lengths; from byte 152 each split's heads, relations and tails; names
+    assert (tmp_path / "fixed").read_bytes() == (
+        b"walkaug dataset cache 1\n" + fixed_key.encode("ascii")
+        + bytes.fromhex("1ede183e") + bytes(4)
+        + words([3, 3, 3, 1, 1, 5, 5])
+        + words([0, 1, 2, 0, 1, 2, 1, 2, 0]) + words([0, 1, 2]) + words([1, 0, 2])
+        + b"a\tb\tc" + b"r\ts\tt")
+    assert cache.read_bytes() == _cache_bytes(key, SPLIT_COUNTS, SPLIT_IDS, *SPLIT_NAMES)
     cached = read_dataset_cache(cache, key)
     assert_same_dataset(cached, load_tsv_dataset(*inputs))
+    # a hit sorts nothing, and its graphs are read-only views of one buffer
     assert not any(csr_built(graph) for graph in cached.graphs())
+    columns = [getattr(graph, name) for graph in cached.graphs()
+               for name in ("heads", "relations", "tails")]
+    assert all(column.base is columns[0].base is not None and not column.flags.writeable
+               for column in columns)
 
 
-# ids[k] += delta for each (k, delta): a header that disagrees with the names or
-# with the length of ids, too large, too small or negative. Every id of the
+# counts[k] += delta for each (k, delta): a header that disagrees with the names or
+# with the length of the ids, too large, too small or negative. Every id of the
 # cached dataset is below 3, a valid entity and relation id, so split sizes
 # (3, -1, 3) have the length's sum and read in-range triplets from the wrong
-# places: only their sign tells them apart.
+# places: only their sign tells them apart. The CRC is recomputed, so each is
+# refused by the checks behind it.
 BAD_HEADERS = {
     "entities too many": [(0, 1)], "entities too few": [(0, -1)],
     "no entities": [(0, -3)], "entities negative": [(0, -4)],
@@ -127,26 +161,31 @@ BAD_HEADERS = {
 
 @pytest.mark.parametrize("damage", sorted(BAD_HEADERS))
 def test_a_dataset_cache_whose_header_disagrees_is_a_miss(tmp_path, damage):
-    cache, key, arrays, _ = _write_cached_split(tmp_path)
-    ids = arrays["ids"].copy()
+    cache, key, _ = _write_cached_split(tmp_path)
+    counts = list(SPLIT_COUNTS)
     for k, delta in BAD_HEADERS[damage]:
-        ids[k] += delta
-    with open(cache, "wb") as fh:
-        np.savez(fh, **dict(arrays, ids=ids))
+        counts[k] += delta
+    cache.write_bytes(_cache_bytes(key, counts, SPLIT_IDS, *SPLIT_NAMES))
     assert read_dataset_cache(cache, key) is None
 
 
-@pytest.mark.parametrize("ids", [
-    "one more id", "one id less", "int32", "2-d", "header cut",
-])
+# ids sections whose byte length is not 8 times the count the header gives
+# (3 ids per triplet), under a CRC that matches them
+IDS_BYTES = np.asarray(SPLIT_IDS, "<i8").tobytes()
+MALFORMED_IDS = {
+    "one more id": IDS_BYTES + bytes(8), "one id less": IDS_BYTES[:-8],
+    "int32": np.asarray(SPLIT_IDS, "<i4").tobytes(), "half an id more": IDS_BYTES + bytes(4),
+    "header cut": b"",
+}
+
+
+@pytest.mark.parametrize("ids", list(MALFORMED_IDS))
 def test_a_dataset_cache_of_malformed_ids_is_a_miss(tmp_path, ids):
-    cache, key, arrays, _ = _write_cached_split(tmp_path)
-    whole = arrays["ids"]
-    arrays["ids"] = {"one more id": np.append(whole, 0), "one id less": whole[:-1],
-                     "int32": whole.astype(np.int32), "2-d": whole[None, :],
-                     "header cut": whole[:4]}[ids]
-    with open(cache, "wb") as fh:
-        np.savez(fh, **arrays)
+    cache, key, _ = _write_cached_split(tmp_path)
+    whole = _cache_bytes(key, SPLIT_COUNTS, MALFORMED_IDS[ids], *SPLIT_NAMES)
+    if ids == "header cut":  # the file ends inside the counts
+        whole = _with_crc(whole[:IDS_AT - 16])
+    cache.write_bytes(whole)
     assert read_dataset_cache(cache, key) is None
 
 
@@ -157,18 +196,80 @@ def test_a_dataset_cache_of_names_beside_no_count_is_a_miss(tmp_path):
     train.write_text("")
     key, cache = dataset_key(train, None, None), tmp_path / DATASET_CACHE
     write_dataset_cache(cache, key, load_tsv_dataset(train, None, None))
-    with np.load(cache) as npz:
-        arrays = dict(npz)
-    assert arrays["ids"].tolist() == [0, 0, 0, 0, 0]
+    assert cache.read_bytes() == _cache_bytes(key, [0, 0, 0, 0, 0], b"", b"", b"")
     assert read_dataset_cache(cache, key) is not None
-    arrays["relations"] = np.frombuffer(b"r", np.uint8)
-    with open(cache, "wb") as fh:
-        np.savez(fh, **arrays)
+    cache.write_bytes(_cache_bytes(key, [0, 0, 0, 0, 0], b"", b"", b"r"))
+    assert read_dataset_cache(cache, key) is None
+
+
+# (section, offset of one byte whose lowest bit is flipped): under the CRC
+# that was written, each file is a miss
+NAMES_AT = IDS_AT + 8 * len(SPLIT_IDS)
+STALE_CRC_FLIPS = {"crc": CRC_AT, "padding": CRC_AT + 4, "entity count": CRC_AT + 8,
+                   "test count": CRC_AT + 40, "entity name bytes": CRC_AT + 48,
+                   "ids": IDS_AT, "names": NAMES_AT}
+
+
+@pytest.mark.parametrize("section", list(STALE_CRC_FLIPS))
+def test_one_flipped_byte_under_a_stale_crc_is_a_miss(tmp_path, section):
+    cache, key, _ = _write_cached_split(tmp_path)
+    whole = bytearray(cache.read_bytes())
+    whole[STALE_CRC_FLIPS[section]] ^= 1
+    cache.write_bytes(whole)
+    assert read_dataset_cache(cache, key) is None
+    if section in ("ids", "names"):
+        # these flips pass every other check: under their own CRC, the bytes
+        # are the cache of another dataset, so only the CRC refuses them
+        cache.write_bytes(_with_crc(bytes(whole)))
+        cached = read_dataset_cache(cache, key)
+        heads, entities = ([1, 1, 2], ["a", "b", "c"]) if section == "ids" else \
+            ([0, 1, 2], ["`", "b", "c"])
+        assert cached.train.heads.tolist() == heads and list(cached.entity_dict) == entities
+
+
+# (magic line, stored key or None for the right one) of files that are
+# whole, under a matching CRC, but of another layout version or key
+OTHER_FORMATS = {
+    "version 2": (b"walkaug dataset cache 2\n", None),
+    "version 0": (b"walkaug dataset cache 0\n", None),
+    "other magic": (b"walkaug dataset cachf 1\n", None),
+    "other key": (CACHE_MAGIC, "f" * 64),
+}
+
+
+@pytest.mark.parametrize("other", list(OTHER_FORMATS))
+def test_a_dataset_cache_of_another_format_or_key_is_a_miss(tmp_path, other):
+    cache, key, _ = _write_cached_split(tmp_path)
+    magic, stored_key = OTHER_FORMATS[other]
+    cache.write_bytes(_cache_bytes(stored_key or key, SPLIT_COUNTS, SPLIT_IDS, *SPLIT_NAMES,
+                                   magic=magic))
+    assert read_dataset_cache(cache, key) is None
+
+
+# every boundary between sections, and one byte short of the whole file
+SECTION_ENDS = {"empty": 0, "magic": len(CACHE_MAGIC), "key": CRC_AT, "crc": CRC_AT + 4,
+                "padding": CRC_AT + 8, "counts": IDS_AT, "ids": NAMES_AT,
+                "entity names": NAMES_AT + 5, "last byte": NAMES_AT + 9}
+
+
+@pytest.mark.parametrize("end", list(SECTION_ENDS))
+def test_a_dataset_cache_cut_at_a_section_boundary_is_a_miss(tmp_path, end):
+    cache, key, _ = _write_cached_split(tmp_path)
+    whole = cache.read_bytes()
+    assert len(whole) == NAMES_AT + 10
+    cache.write_bytes(whole[:SECTION_ENDS[end]])
+    assert read_dataset_cache(cache, key) is None
+
+
+def test_a_dataset_cache_of_one_byte_more_is_a_miss(tmp_path):
+    # under a matching CRC, the last name would read "tx": only the length refuses it
+    cache, key, _ = _write_cached_split(tmp_path)
+    cache.write_bytes(_with_crc(cache.read_bytes() + b"x"))
     assert read_dataset_cache(cache, key) is None
 
 
 def test_a_graph_builds_its_adjacency_on_first_use(tmp_path):
-    _, _, _, inputs = _write_cached_split(tmp_path)
+    _, _, inputs = _write_cached_split(tmp_path)
     dataset = load_tsv_dataset(*inputs)
     assert not any(csr_built(graph) for graph in dataset.graphs())
     g = dataset.train
@@ -499,6 +600,30 @@ def test_loader_matches_the_line_loop_oracle(splits, with_dicts, add_inverse, dr
                               arr.reshape(-1, 3))
     assert list(ds.entity_dict) == entities and list(ds.relation_dict) == relations
     assert ds.num_entities == len(entities) and ds.num_relations == len(relations)
+
+
+def _split_rows(only: str):
+    """Rows over names shared between splits and one name no other split has."""
+    name = st.text(alphabet="abc", min_size=1, max_size=2) | st.just(only)
+    return st.lists(st.tuples(name, st.sampled_from(["r", "s", only]), name), max_size=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(splits=st.tuples(_split_rows("train only"), _split_rows("valid only"),
+                        _split_rows("test only")))
+def test_loader_dictionaries_equal_the_chained_first_seen_order(splits):
+    # the loader's former build: each head before its tail, over train, then valid, then test
+    columns = [list(zip(*rows)) or [(), (), ()] for rows in splits]
+    entities = Dictionary(chain.from_iterable(
+        chain.from_iterable(zip(heads, tails)) for heads, _, tails in columns))
+    relations = Dictionary(chain.from_iterable(relations for _, relations, _ in columns))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"{split}.tsv") for split in ("train", "valid", "test")]
+        for path, rows in zip(paths, splits):
+            _write(path, rows)
+        dataset = load_tsv_dataset(*paths)
+    assert list(dataset.entity_dict) == list(entities)
+    assert list(dataset.relation_dict) == list(relations)
 
 
 # the loader's names plus a NUL and the empty name, which a row like "a\t\tb" holds
